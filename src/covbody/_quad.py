@@ -1,11 +1,20 @@
-"""Quadrature helpers: Gauss-Legendre rules, graded maps, simplex rules.
+"""Quadrature rules and simplicial decompositions.
 
-All deterministic. Rules are cached by node count.
+The package builds its quadrature rules here and nowhere else:
+
+- `graded_gauss` is the one 1-D rule: Gauss-Legendre on [0, rho], graded
+  toward 0 by r = rho u^power for integrable endpoint singularities;
+- `simplex_rule` is the one simplex rule: a collapsed (Duffy) tensor Gauss
+  rule on k-simplices embedded in R^d, one simplex or a stack of them.
+
+Both read the cached Gauss-Legendre table `gauss_01`; `simplex_rule` also
+caches its barycentric table per (k, level). All deterministic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -13,21 +22,17 @@ from numpy.polynomial.legendre import leggauss
 from .errors import InputError, NumericError
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=64)
 def gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = leggauss(int(n))
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def gauss_interval(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [a, b]."""
-    u, w = gauss_01(n)
-    return a + (b - a) * u, (b - a) * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
 def graded_gauss(rho: float, n: int, power: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -36,54 +41,53 @@ def graded_gauss(rho: float, n: int, power: int = 2) -> tuple[np.ndarray, np.nda
     Clusters nodes near r = 0 so integrands with an integrable r^p
     (p > -1) endpoint singularity are resolved after the change of
     variables; weights absorb the Jacobian rho * power * u^(power-1).
+    power = 1 is the plain rule; rho = 0 gives a zero rule.
     """
-    if rho <= 0:
-        raise InputError(f"graded_gauss needs rho > 0, got {rho}")
     u, w = gauss_01(n)
     r = rho * u**power
     dr = rho * power * u ** (power - 1) * w
     return r, dr
 
 
-def simplex_rule(verts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss rule collapsed onto a simplex (dim 1, 2 or 3).
+@functools.lru_cache(maxsize=16)
+def _simplex_table(k: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric nodes (Q, k+1) and weights (Q,) of the collapsed tensor
+    rule on the reference k-simplex; the weights sum to 1/k!."""
+    u, w = gauss_01(level)
+    t = np.stack(np.meshgrid(*[u] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    wt = np.stack(np.meshgrid(*[w] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    # Duffy map: partial products c_j = t_1 ... t_j give the barycentric
+    # coordinates c_(j-1) - c_j (c_0 = 1) and c_k; the Jacobian is
+    # t_1^(k-1) t_2^(k-2) ... t_(k-1) = c_1 c_2 ... c_(k-1).
+    c = np.cumprod(t, axis=1)
+    bary = np.hstack([1.0 - c[:, :1], c[:, :-1] - c[:, 1:], c[:, -1:]])
+    weights = wt.prod(axis=1) * c[:, :-1].prod(axis=1)
+    return _frozen(bary, weights)
 
-    verts has shape (dim+1, dim). Returns points (Q, dim) and weights
-    summing to the simplex volume. The collapsed (Duffy) map keeps
-    Gauss-order accuracy for smooth integrands.
+
+def simplex_rule(verts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed tensor Gauss rule on k-simplices in R^d, 1 <= k <= d <= 3.
+
+    verts is one simplex (k+1, d) or a stack (S, k+1, d). Returns points
+    (S*Q, d), simplex by simplex, and weights summing to each simplex's
+    k-volume. The collapsed (Duffy) map keeps Gauss-order accuracy for
+    smooth integrands.
     """
     verts = np.asarray(verts, dtype=float)
-    dim = verts.shape[1]
-    if verts.shape[0] != dim + 1:
-        raise InputError("simplex_rule expects dim+1 vertices")
-    u, w = gauss_01(level)
-    if dim == 1:
-        pts = verts[0] + u[:, None] * (verts[1] - verts[0])
-        return pts, w * abs(verts[1, 0] - verts[0, 0])
-    if dim == 2:
-        t1, t2 = np.meshgrid(u, u, indexing="ij")
-        w12 = np.outer(w, w)
-        p = (
-            verts[0]
-            + t1[..., None] * (verts[1] - verts[0])
-            + (t1 * t2)[..., None] * (verts[2] - verts[1])
-        )
-        area2 = abs(np.linalg.det(np.stack([verts[1] - verts[0], verts[2] - verts[0]])))
-        wt = w12 * t1 * area2
-        return p.reshape(-1, 2), wt.ravel()
-    if dim == 3:
-        t1, t2, t3 = np.meshgrid(u, u, u, indexing="ij")
-        w123 = w[:, None, None] * w[None, :, None] * w[None, None, :]
-        p = (
-            verts[0]
-            + t1[..., None] * (verts[1] - verts[0])
-            + (t1 * t2)[..., None] * (verts[2] - verts[1])
-            + (t1 * t2 * t3)[..., None] * (verts[3] - verts[2])
-        )
-        vol6 = abs(np.linalg.det(verts[1:] - verts[0]))
-        wt = w123 * t1 * t1 * t2 * vol6
-        return p.reshape(-1, 3), wt.ravel()
-    raise InputError(f"simplex_rule supports dim <= 3, got {dim}")
+    if verts.ndim == 2:
+        verts = verts[None]
+    k, d = verts.shape[1] - 1, verts.shape[2]
+    if not 1 <= k <= d <= 3:
+        raise InputError(f"simplex_rule needs 1 <= k <= d <= 3, got k={k}, d={d}")
+    bary, wref = _simplex_table(k, int(level))
+    # k! times the k-volume: the root sum of squares of the k x k minors
+    # of the edge matrix (Cauchy-Binet), |det| when k = d
+    edges = verts[:, 1:] - verts[:, :1]
+    cols = list(itertools.combinations(range(d), k))
+    minors = np.linalg.det(edges[:, :, cols].transpose(0, 2, 1, 3))
+    scale = np.sqrt((minors * minors).sum(axis=1))
+    pts = bary @ verts
+    return pts.reshape(-1, d), (scale[:, None] * wref[None, :]).ravel()
 
 
 def order_polygon(pts: np.ndarray) -> np.ndarray:

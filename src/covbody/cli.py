@@ -61,7 +61,6 @@ JOB_SCHEMA = {
         "params": {"type": "object"},
         "seed": {"type": "integer", "minimum": 0},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "output": {"enum": ["json", "csv"]},
         "outfile": {"type": "string"},
     },
@@ -650,9 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="job JSON file, or - for standard input")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed override (default 42)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap; reductions are fixed-order, so "
-                             "results never depend on it")
     parser.add_argument("--output", choices=("json", "csv"), default=None)
     parser.add_argument("--outfile", default=None,
                         help="report destination (default standard output)")
@@ -679,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     if not isinstance(job, dict):
         print("input error: spec must be a JSON object", file=sys.stderr)
         return 2
-    for flag in ("seed", "threads", "output", "outfile", "tolerance"):
+    for flag in ("seed", "output", "outfile", "tolerance"):
         val = getattr(args, flag)
         if val is not None:
             job[flag] = val

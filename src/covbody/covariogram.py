@@ -61,13 +61,6 @@ class MDirection:
             raise InputError("cannot normalize a zero direction")
         return MDirection(b / nrm)
 
-    @staticmethod
-    def from_flat(vec: Sequence[float], m: int) -> "MDirection":
-        v = np.asarray(vec, dtype=float)
-        if len(v) % m:
-            raise InputError("flat direction length not divisible by m")
-        return MDirection(v.reshape(m, -1))
-
     def shifts(self, r: float) -> np.ndarray:
         return float(r) * self.blocks
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import gauss_01
+from ._quad import graded_gauss
 from .covariogram import CovRay, MDirection
 from .errors import InputError, NumericError
 from .measure import ConcavityF, ConstantDensity, Density, WeightedMeasure
@@ -50,16 +50,6 @@ def _grading(alpha: float) -> int:
     if alpha >= 0:
         return 1
     return min(40, int(math.ceil(1.0 / (alpha + 1.0))) + 1)
-
-
-def _inner_nodes(rho: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for int_0^rho (.) dr, graded toward 0 when the
-    kernel is singular there."""
-    u, w = gauss_01(n)
-    k = _grading(alpha)
-    if k == 1:
-        return rho * u, rho * w
-    return rho * u**k, rho * k * u ** (k - 1) * w
 
 
 @dataclass(frozen=True)
@@ -114,7 +104,7 @@ class KernelG:
             theta /= np.linalg.norm(theta)
             vals = []
             for n in (64, 128):
-                r, w = _inner_nodes(radius, self.alpha, n)
+                r, w = graded_gauss(radius, n, _grading(self.alpha))
                 vals.append(float(w @ self(r, theta)))
             if not all(math.isfinite(v) for v in vals) or (
                     abs(vals[1] - vals[0]) > 1e-4 * max(abs(vals[1]), 1e-12)):
@@ -310,7 +300,7 @@ def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64,
     for n in (inner, 2 * inner):
         acc = 0.0
         for i, theta in enumerate(quad.nodes):
-            r, w = _inner_nodes(float(rho[i]), G.alpha, n)
+            r, w = graded_gauss(float(rho[i]), n, _grading(G.alpha))
             acc += float(quad.weights[i]) * float(w @ G(r, theta))
         totals.append(acc)
     if not all(math.isfinite(v) for v in totals) or (
@@ -323,26 +313,18 @@ def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64,
 
 def beta_constant(h: Callable[[np.ndarray], np.ndarray], f0: float,
                   alpha: float, nodes: int = 96) -> float:
-    """(alpha+1) int_0^1 h(f0 tau)(1-tau)^alpha dtau, graded toward tau = 1
-    when alpha < 0."""
-    u, w = gauss_01(nodes)
-    k = _grading(alpha)
-    if k == 1:
-        tau, wt = u, w
-        weight = (1.0 - tau) ** alpha
-    else:
-        tau = 1.0 - u**k
-        wt = k * u ** (k - 1) * w
-        weight = u ** (k * alpha)
-    vals = np.asarray(h(f0 * tau), dtype=float)
-    return (alpha + 1.0) * float((vals * weight) @ wt)
+    """(alpha+1) int_0^1 h(f0 tau)(1-tau)^alpha dtau on the reflected rule
+    tau = 1 - r, graded toward tau = 1 when alpha < 0."""
+    r, w = graded_gauss(1.0, nodes, _grading(alpha))
+    vals = np.asarray(h(f0 * (1.0 - r)), dtype=float)
+    return (alpha + 1.0) * float((vals * r**alpha) @ w)
 
 
 def _chord_lhs(f: ConcaveRayFn, h, G: KernelG, quad, rho: np.ndarray,
                inner: int) -> float:
     acc = 0.0
     for i, theta in enumerate(quad.nodes):
-        r, w = _inner_nodes(float(rho[i]), G.alpha, inner)
+        r, w = graded_gauss(float(rho[i]), inner, _grading(G.alpha))
         vals = np.asarray(h(f(r, theta)), dtype=float)
         acc += float(quad.weights[i]) * float(w @ (vals * G(r, theta)))
     return acc
@@ -391,7 +373,7 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
     n_omega = 0
     rows = []
     for i, theta in enumerate(quad.nodes):
-        r, w = _inner_nodes(float(rho[i]), G.alpha, inner)
+        r, w = graded_gauss(float(rho[i]), inner, _grading(G.alpha))
         fvals = f(r, theta)
         f0 = float(f.value_at_zero(theta))
         if fvals.max(initial=0.0) > f0 * (1.0 + 1e-9) + 1e-12:
@@ -413,7 +395,7 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
                          "rho_Ltilde": float("nan"), "in_omega": 1})
         else:
             z = -f0 / fp
-            rz, wz = _inner_nodes(z, G.alpha, inner)
+            rz, wz = graded_gauss(z, inner, _grading(G.alpha))
             tilde_sum += float(quad.weights[i]) * float(wz @ G(rz, theta))
             beta_b = max(beta_b, beta_constant(h, f0, G.alpha))
             rows.append({"direction": i, "rho_L": float(rho[i]),

@@ -9,7 +9,7 @@ The concavity metadata is declarative and spot-checkable, never proven.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,19 +199,13 @@ class WeightedMeasure:
     def lebesgue(dim: int) -> "WeightedMeasure":
         return WeightedMeasure(ConstantDensity(dim))
 
-    def with_integration(self, **kw) -> "WeightedMeasure":
-        return WeightedMeasure(self.density, replace(self.integration, **kw))
-
     def mass(self, P: Polytope | None) -> float:
         return integrate_over_polytope(self, P)
 
 
 def _grid_integral(density: Density, simplices: list[np.ndarray], levels: int) -> float:
-    total = 0.0
-    for verts in simplices:
-        pts, w = simplex_rule(verts, levels)
-        total += float(w @ density(pts))
-    return total
+    pts, w = simplex_rule(np.asarray(simplices), levels)
+    return float(w @ density(pts))
 
 
 def _mc_integral(density: Density, simplices: list[np.ndarray], samples: int,
@@ -288,21 +282,6 @@ class FacetMeasure:
         return float(self.weights.sum())
 
 
-def _triangle_rule_embedded(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                            level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule on a (possibly embedded) triangle with vertices a, b, c."""
-    u, w = gauss_01(level)
-    t1, t2 = np.meshgrid(u, u, indexing="ij")
-    w12 = np.outer(w, w)
-    pts = a + t1[..., None] * (b - a) + (t1 * t2)[..., None] * (c - b)
-    if len(a) == 2:
-        area2 = abs(float(np.cross(b - a, c - a)))
-    else:
-        area2 = float(np.linalg.norm(np.cross(b - a, c - a)))
-    wt = w12 * t1 * area2
-    return pts.reshape(-1, len(a)), wt.ravel()
-
-
 def weighted_surface_measure(K: Polytope, mu: WeightedMeasure,
                              level: int = 24) -> FacetMeasure:
     """S^mu_K: per-facet integrals of the density against surface measure."""
@@ -311,24 +290,21 @@ def weighted_surface_measure(K: Polytope, mu: WeightedMeasure,
     density = mu.density
     normals = np.array([f.normal for f in K.facets])
     weights = np.empty(len(K.facets))
+    if K.dim == 3:
+        level = max(level // 2, 8)
     for i, f in enumerate(K.facets):
+        ring = f.vertices
         if isinstance(density, ConstantDensity):
             weights[i] = density.c * f.area
         elif K.dim == 1:
-            weights[i] = float(density(f.vertices)[0])
-        elif K.dim == 2:
-            a, b = f.vertices[0], f.vertices[-1]
-            u, w = gauss_01(level)
-            pts = a + u[:, None] * (b - a)
-            weights[i] = float(np.linalg.norm(b - a) * (w @ density(pts)))
-        elif K.dim == 3:
-            ring = f.vertices
-            acc = 0.0
-            for j in range(1, len(ring) - 1):
-                pts, w = _triangle_rule_embedded(ring[0], ring[j], ring[j + 1],
-                                                 max(level // 2, 8))
-                acc += float(w @ density(pts))
-            weights[i] = acc
+            weights[i] = float(density(ring)[0])
+        elif K.dim in (2, 3):
+            # a 2-D facet is one edge; a 3-D facet polygon is fanned into
+            # triangles from its first vertex
+            fan = ([[0, len(ring) - 1]] if K.dim == 2 else
+                   [[0, j, j + 1] for j in range(1, len(ring) - 1)])
+            pts, w = simplex_rule(ring[fan], level)
+            weights[i] = float(w @ density(pts))
         else:
             raise InputError(f"surface measure unsupported in dim {K.dim}")
     return FacetMeasure(normals, weights)
@@ -508,14 +484,6 @@ def check_concavity_tag(density: Density, box: tuple[Sequence[float], Sequence[f
         bad = int((lhs < rhs - 1e-9).sum())
         return bad == 0, f"{gamma:.3g}-concavity midpoint check: {bad} violations / {pairs}"
     return True, "f-concavity tags are validated via their ConcavityF object"
-
-
-def check_positive_on(density: Density, K: Polytope, seed: int = 42) -> bool:
-    """Spot-check phi > 0 on K (vertices + interior samples)."""
-    rng = rng_for(seed, "positivity-spotcheck")
-    bary = rng.dirichlet(np.ones(len(K.vertices)), size=256)
-    pts = np.vstack([K.vertices, bary @ K.vertices])
-    return bool((density(pts) > 0).all())
 
 
 def density_from_spec(spec: dict, dim: int | None = None) -> Density:

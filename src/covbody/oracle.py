@@ -16,10 +16,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._special import sphere_area
 from .errors import InputError
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+def sphere_area(d: int) -> float:
+    """Surface area of the unit sphere S^(d-1) in R^d."""
+    if d < 1:
+        raise InputError(f"sphere dimension must be >= 1, got {d}")
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:

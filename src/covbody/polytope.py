@@ -261,10 +261,6 @@ class Polytope:
     def halfspaces(self) -> list[Halfspace]:
         return [Halfspace(tuple(a), float(bb)) for a, bb in zip(self.A, self.b)]
 
-    def contains(self, x: Sequence[float], tol: float = TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((self.A @ x <= self.b + tol).all())
-
     def support(self, u: Sequence[float]) -> float:
         u = np.asarray(u, dtype=float)
         return float((self.vertices @ u).max())
@@ -393,23 +389,6 @@ def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> np.ndarray | None
     if len(pts) == 0:
         return None
     return pts
-
-
-def prune_redundant_halfspaces(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Indices of irredundant rows of {A x <= b} via per-row LPs.
-
-    Row i is redundant when max <a_i, x> over the other rows stays below
-    b_i + 1e-9. x0 must be feasible for the full system.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    keep = []
-    for i in range(len(b)):
-        mask = np.arange(len(b)) != i
-        res = solve_lp_max(A[i], A[mask], b[mask], np.asarray(x0, dtype=float))
-        if res.status == "unbounded" or res.value > b[i] + TOL:
-            keep.append(i)
-    return np.array(keep, dtype=int)
 
 
 def volume(P: Polytope | None) -> float:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import gauss_01
+from ._quad import graded_gauss
 from .covariogram import CovRay, MDirection, as_mdirection, diffbody_radial
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
@@ -50,16 +50,10 @@ def _polar_grid(K: Polytope, graded: bool, angular: int, radial: int):
     x0 = K.interior_point
     quad = sphere_quadrature(K.dim, count=angular)
     rho = K.radial_batch(quad.nodes, x0)                   # (A,)
-    t, gw = gauss_01(radial)
-    if graded:
-        # cluster at the exit endpoint: r = rho (1 - t^2)
-        frac = 1.0 - t * t
-        jac = 2.0 * t
-    else:
-        frac = t
-        jac = np.ones_like(t)
-    R = rho[:, None] * frac[None, :]                       # (A, radial)
-    W = (quad.weights * rho)[:, None] * (gw * jac)[None, :] * R ** (K.dim - 1)
+    # reflected rule r = rho (1 - s); grading clusters nodes at the exit
+    s, ws = graded_gauss(1.0, radial, 2 if graded else 1)
+    R = rho[:, None] * (1.0 - s)[None, :]                  # (A, radial)
+    W = (quad.weights * rho)[:, None] * ws[None, :] * R ** (K.dim - 1)
     X = x0[None, None, :] + R[:, :, None] * quad.nodes[:, None, :]
     return X.reshape(-1, K.dim), W.reshape(-1)
 
@@ -151,14 +145,6 @@ def rmb_radial_p0(K: Polytope, mu: WeightedMeasure,
     return float(math.exp(mean))
 
 
-def _graded_ray_nodes(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes r = rho u^2 and weights for int_0^rho (.) dr, clustered at 0."""
-    u, w = gauss_01(n)
-    r = rho * u * u
-    jac = rho * 2.0 * u
-    return r, w * jac
-
-
 def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
                       theta: MDirection | Sequence[Sequence[float]], *,
                       nodes: int = 96, gate: float = 1e-6,
@@ -187,7 +173,7 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
 
     if p > 0:
         def level(n_nodes: int) -> float:
-            r, w = _graded_ray_nodes(rho_D, n_nodes)
+            r, w = graded_gauss(rho_D, n_nodes)
             g = ray.g_many(r)
             return (p / mu_K) * float(np.sum(w * g * r ** (p - 1.0)))
     else:
@@ -201,9 +187,8 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
         r_cut = 1e-3 * rho_D
 
         def level(n_nodes: int) -> float:
-            u, w = gauss_01(n_nodes)
-            r = r_cut + (rho_D - r_cut) * u * u
-            w = w * (rho_D - r_cut) * 2.0 * u
+            r, w = graded_gauss(rho_D - r_cut, n_nodes)
+            r = r_cut + r
             g = ray.g_many(r)
             bracket = g - mu_K + h_pi * r
             J = float(np.sum(w * bracket * r ** (p - 1.0)))

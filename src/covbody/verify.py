@@ -17,7 +17,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from ._quad import gauss_01
-from ._special import lgamma
 from .covariogram import CovRay, MDirection, diffbody_polytope, diffbody_star
 from .errors import InputError, NumericError
 from .measure import (
@@ -47,10 +46,12 @@ __all__ = [
 
 
 def gen_binom(a: float, k: float) -> float:
-    """Generalized binomial C(a+k, k) = Gamma(a+k+1)/(Gamma(a+1) Gamma(k+1))."""
-    if a <= -1 or k <= -1:
-        raise InputError("gen_binom arguments must exceed -1")
-    return math.exp(lgamma(a + k + 1.0) - lgamma(a + 1.0) - lgamma(k + 1.0))
+    """Generalized binomial C(a+k, k) = Gamma(a+k+1)/(Gamma(a+1) Gamma(k+1)),
+    for a, k and a + k all above -1, where every Gamma factor is positive."""
+    if a <= -1 or k <= -1 or a + k <= -1:
+        raise InputError("gen_binom needs a, k and a + k to exceed -1")
+    return math.exp(math.lgamma(a + k + 1.0) - math.lgamma(a + 1.0)
+                    - math.lgamma(k + 1.0))
 
 
 def _quad_checked(fn, lo: float, hi: float, what: str) -> float:
@@ -99,7 +100,7 @@ def berwald_const_Q(Q: ConcavityF, p: float, muK: float = 1.0) -> float:
     if p <= -1 or p == 0:
         raise InputError("p must lie in (-1, 0) or (0, inf)")
     if Q.name == "log":
-        return math.exp(-lgamma(1.0 + p) / p)
+        return math.exp(-math.lgamma(1.0 + p) / p)
     QK = Q.F(muK)
 
     def raw(t: float) -> float:

@@ -94,10 +94,12 @@ class TestExitCodes:
         assert doc["report"]["pass"] is False
 
     def test_schema_rejection_is_two(self, tmp_path, capsys):
-        code, _ = run_job(tmp_path, {
-            "command": "verify-rs", "body": TRIANGLE_BODY, "bogus": 1})
-        assert code == 2
-        assert "bogus" in capsys.readouterr().err
+        # the README documents that a "threads" field is rejected too
+        for field in ("bogus", "threads"):
+            code, _ = run_job(tmp_path, {
+                "command": "verify-rs", "body": TRIANGLE_BODY, field: 1})
+            assert code == 2
+            assert field in capsys.readouterr().err
 
     def test_unknown_command_is_two(self, tmp_path):
         code, _ = run_job(tmp_path, {"command": "shrink"})

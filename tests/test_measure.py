@@ -86,6 +86,20 @@ class TestSurfaceMeasure:
         assert got[(0.0, 1.0)] == pytest.approx(0.5, abs=1e-6)
         assert got[(0.0, -1.0)] == pytest.approx(0.5, abs=1e-6)
 
+    def test_cube_linear_density_facets(self):
+        # phi = <a, x> + b on the unit cube: the facet x_i = c carries
+        # a_i c + b + (sum of the other a_j) / 2, which the rule integrates
+        # exactly on every fan triangle
+        a, b = np.array([1.0, 2.0, 3.0]), 0.5
+        mu = WeightedMeasure(LinearPowerDensity(a, b, 1.0))
+        got = _atoms(weighted_surface_measure(Polytope.named("cube", 3), mu))
+        assert len(got) == 6
+        for i in range(3):
+            rest = (a.sum() - a[i]) / 2.0
+            for c, sign in ((0.0, -1.0), (1.0, 1.0)):
+                normal = tuple(sign if j == i else 0.0 for j in range(3))
+                assert got[normal] == pytest.approx(a[i] * c + b + rest, rel=1e-12)
+
     def test_constant_density_closes(self):
         # Minkowski: sum of area-weighted normals vanishes
         for P in (TRIANGLE, Polytope.named("cross", 3)):

@@ -1,0 +1,99 @@
+"""Quadrature rules: exactness of the simplex rule, the graded 1-D rule."""
+
+import itertools
+import math
+from collections import defaultdict
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from covbody._quad import graded_gauss, simplex_rule
+from covbody.errors import InputError
+from covbody.genvol import _grading
+
+F = Fraction
+SIMPLICES = {
+    "segment in R^2": [(F(1, 2), F(1, 3)), (F(2), F(5, 4))],
+    "triangle in R^2": [(F(1, 4), F(1, 2)), (F(3, 2), F(1, 3)), (F(2, 3), F(7, 4))],
+    "triangle in R^3": [(F(1, 2), F(1, 4), F(1)), (F(2), F(1, 3), F(1, 2)),
+                        (F(3, 4), F(3, 2), F(5, 4))],
+    "tetrahedron": [(F(1, 4), F(1, 2), F(1, 3)), (F(3, 2), F(1, 3), F(1, 2)),
+                    (F(2, 3), F(7, 4), F(1, 4)), (F(1, 2), F(2, 3), F(3, 2))],
+}
+
+
+def _volume(verts: np.ndarray) -> float:
+    edges = verts[1:] - verts[0]
+    return math.sqrt(np.linalg.det(edges @ edges.T)) / math.factorial(len(edges))
+
+
+def _exact_monomial(verts, alpha) -> Fraction:
+    """int_S x^alpha dS / vol(S), exactly: expand x^alpha in barycentric
+    coordinates and use int_S lambda^beta dS = k! vol(S) beta! / (k + |beta|)!."""
+    k = len(verts) - 1
+    poly = {(0,) * (k + 1): F(1)}
+    for i, a in enumerate(alpha):
+        for _ in range(a):
+            grown = defaultdict(F)
+            for beta, c in poly.items():
+                for j, v in enumerate(verts):
+                    b = list(beta)
+                    b[j] += 1
+                    grown[tuple(b)] += c * v[i]
+            poly = grown
+    return math.factorial(k) * sum(
+        c * math.prod(math.factorial(b) for b in beta) / math.factorial(k + sum(beta))
+        for beta, c in poly.items())
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("name", list(SIMPLICES))
+def test_simplex_rule_exact_on_monomials(name, level):
+    verts = SIMPLICES[name]
+    k, d = len(verts) - 1, len(verts[0])
+    V = np.array(verts, dtype=float)
+    pts, w = simplex_rule(V, level)
+    vol = _volume(V)
+    assert w.sum() == pytest.approx(vol, rel=1e-14)
+    for alpha in itertools.product(range(2 * level - k + 1), repeat=d):
+        if sum(alpha) > 2 * level - 1 - (k - 1):
+            continue
+        got = float(w @ np.prod(pts ** np.array(alpha), axis=1))
+        want = vol * float(_exact_monomial(verts, alpha))
+        assert got == pytest.approx(want, rel=1e-13), alpha
+
+
+@pytest.mark.parametrize("k,d", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)])
+def test_stacked_call_is_concatenation(k, d):
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((5, k + 1, d))
+    pts, w = simplex_rule(stack, 5)
+    parts = [simplex_rule(s, 5) for s in stack]
+    np.testing.assert_allclose(pts, np.vstack([p for p, _ in parts]), rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(w, np.concatenate([q for _, q in parts]), rtol=1e-15, atol=0)
+
+
+def test_simplex_rule_rejects_bad_shapes():
+    with pytest.raises(InputError):
+        simplex_rule(np.zeros((4, 2)), 3)  # a 3-simplex cannot sit in R^2
+    with pytest.raises(InputError):
+        simplex_rule(np.zeros((5, 4)), 3)  # R^4 is out of range
+
+
+@pytest.mark.parametrize("p", [-0.3, -0.5, -0.7, -0.9])
+def test_graded_gauss_resolves_power_singularity(p):
+    rho = 1.7
+    want = rho ** (p + 1.0) / (p + 1.0)
+    r, w = graded_gauss(rho, 64, _grading(p))
+    assert float(w @ r**p) == pytest.approx(want, rel=1e-5)
+    # the plain rule misses the endpoint singularity by orders of magnitude
+    r1, w1 = graded_gauss(rho, 64, 1)
+    assert abs(float(w1 @ r1**p) - want) > 1e-4 * want
+
+
+@pytest.mark.parametrize("power", [1, 2, 5])
+def test_graded_gauss_zero_length_is_zero_rule(power):
+    r, w = graded_gauss(0.0, 16, power)
+    assert r.shape == w.shape == (16,)
+    assert not r.any() and not w.any()

@@ -35,6 +35,11 @@ class TestConstants:
             gen_binom(-1.0, 2.0)
         with pytest.raises(InputError):
             gen_binom(2.0, -1.5)
+        # a + k <= -1 puts Gamma(a + k + 1) at a pole or below it, where
+        # its sign flips; the magnitude alone would be silently wrong
+        for a, k in ((-0.7, -0.7), (-0.5, -0.5)):
+            with pytest.raises(InputError):
+                gen_binom(a, k)
 
     @pytest.mark.parametrize("s", [1.0 / 3.0, 0.5, 1.0])
     @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.0, 3.0])
