@@ -2,8 +2,11 @@
 
 The package builds its quadrature rules here and nowhere else:
 
-- `graded_gauss` is the one 1-D rule: Gauss-Legendre on [0, rho], graded
-  toward 0 by r = rho u^power for integrable endpoint singularities;
+- `graded_gauss` is the graded 1-D rule: Gauss-Legendre on [0, rho],
+  graded toward 0 by r = rho u^power for integrable endpoint singularities;
+- `geometric_gauss` is the composite 1-D rule on intervals away from 0:
+  Gauss-Legendre on geometric sub-intervals [s, 2s], for integrands that
+  carry a power r^q of any size;
 - `simplex_rule` is the one simplex rule: a collapsed (Duffy) tensor Gauss
   rule on k-simplices embedded in R^d, one simplex or a stack of them.
 
@@ -22,6 +25,10 @@ from numpy.polynomial.legendre import leggauss
 from .errors import InputError, NumericError
 
 
+# Smallest node of the graded rule: r^q stays finite there for |q| <= 1.
+R_FLOOR = 1e-300
+
+
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
@@ -35,18 +42,47 @@ def gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
-def graded_gauss(rho: float, n: int, power: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def graded_gauss(rho: float, n: int, power: float = 2) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule on [0, rho] graded toward 0 via r = rho * u^power.
 
     Clusters nodes near r = 0 so integrands with an integrable r^p
     (p > -1) endpoint singularity are resolved after the change of
     variables; weights absorb the Jacobian rho * power * u^(power-1).
-    power = 1 is the plain rule; rho = 0 gives a zero rule.
+    power = 1 is the plain rule; rho = 0 gives a zero rule. A real power
+    is tuned to r^(1/power - 1), which the graded rule integrates exactly;
+    nodes that would fall below R_FLOOR (large powers) sit at R_FLOOR with
+    the weight that keeps that integrand exact there.
     """
     u, w = gauss_01(n)
     r = rho * u**power
     dr = rho * power * u ** (power - 1) * w
+    low = (r < R_FLOOR) & (rho > 0)
+    if low.any():
+        r = np.where(low, R_FLOOR, r)
+        dr = np.where(low, rho ** (1.0 / power) * power * w * R_FLOOR ** (1.0 - 1.0 / power), dr)
     return r, dr
+
+
+def geometric_gauss(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss rule on [edges[0], edges[-1]], 0 < edges[0], with
+    each interval [edges[k], edges[k+1]] split into geometric sub-intervals
+    [s, min(2s, edges[k+1])] carrying n nodes apiece.
+
+    On each sub-interval r^q varies by at most a factor 2^|q|, so the rule
+    integrates a polynomial times r^q to rounding once n exceeds about
+    |q|/2 plus a few nodes. No node lies on an edge.
+    """
+    lo, hi = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        s = a
+        while s < b:
+            lo.append(s)
+            hi.append(min(2.0 * s, b))
+            s = hi[-1]
+    u, w = gauss_01(n)
+    lo, width = np.array(lo, dtype=float), np.array(hi) - np.array(lo)
+    nodes = lo[:, None] + width[:, None] * u[None, :]
+    return nodes.ravel(), (width[:, None] * w[None, :]).ravel()
 
 
 @functools.lru_cache(maxsize=16)

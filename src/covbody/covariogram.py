@@ -6,18 +6,24 @@ xbar = (x_1, ..., x_m) is mu(K cap_i (x_i + K)). Its support is the mth-order
 difference body D^m(K) in R^(nm), whose radial function is computed two ways:
 a per-direction linear program (the reference route) and an exact polytope
 built as the linear image of K^(m+1), used for batched evaluation.
+
+Along one ray, `CovRay` caches evaluations of g and, under a constant
+density, fits g exactly as a polynomial of degree <= n between the
+breakpoints where the intersection changes combinatorial type.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import gauss_01
+from ._quad import _frozen, gauss_01
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure, _integrate_points
 from .polytope import Polytope, StarBodyFn, _build_from_points, _intersection_vertices
@@ -172,11 +178,66 @@ def roof(L: Polytope | StarBodyFn, x: Sequence[float]) -> float:
     return max(0.0, 1.0 - r / rho)
 
 
+# Relative width below which two breakpoints of a ray profile are one, and
+# the relative gate on the check node of each fitted piece. Covariogram
+# values carry the vertex-enumeration tolerances (polytope.TOL, dedupe at
+# 1e-8), so the gate sits just above that level, far below the deviation a
+# missed breakpoint leaves inside a piece.
+BREAK_MERGE = 1e-9
+FIT_GATE = 1e-8
+
+
+@functools.lru_cache(maxsize=8)
+def _row_subsets(rows: int, k: int) -> np.ndarray:
+    """All k-subsets of range(rows) as a read-only (C(rows, k), k) array."""
+    idx = np.array(list(itertools.combinations(range(rows), k)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=4)
+def _fit_table(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Fit nodes of one piece in its local variable t in [0, 1]: the n+1
+    Chebyshev points, the inverse of their Vandermonde matrix (values ->
+    ascending coefficients in t), and a check node distinct from them."""
+    j = np.arange(n + 1)
+    t = 0.5 * (1.0 - np.cos((2 * j + 1) * np.pi / (2 * (n + 1))))
+    inv = np.linalg.inv(np.vander(t, increasing=True))
+    return _frozen(t, inv) + (0.5 * (math.sqrt(5.0) - 1.0),)
+
+
+@dataclass(frozen=True)
+class RayProfile:
+    """g(r thetabar) under a constant density: on piece k, r in
+    [breaks[k], breaks[k+1]], g is the polynomial sum_j coeffs[k, j] t^j in
+    the local variable t = (r - breaks[k]) / (breaks[k+1] - breaks[k])."""
+
+    breaks: np.ndarray  # (P + 1,), 0 = breaks[0] < ... < breaks[P] = rho_D
+    coeffs: np.ndarray  # (P, n + 1), ascending powers of t
+
+    def __post_init__(self):
+        self.breaks.setflags(write=False)
+        self.coeffs.setflags(write=False)
+
+    @property
+    def pieces(self) -> int:
+        return len(self.coeffs)
+
+    def __call__(self, r) -> np.ndarray:
+        """The fitted g at each r in [0, rho_D]."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        k = np.clip(np.searchsorted(self.breaks, r, side="right") - 1, 0, self.pieces - 1)
+        t = (r - self.breaks[k]) / (self.breaks[k + 1] - self.breaks[k])
+        return np.polynomial.polynomial.polyval(t, self.coeffs[k].T, tensor=False)
+
+
 class CovRay:
     """Cached covariogram evaluations along one ray r -> g(r thetabar).
 
     Shared by the Mellin transforms, slices, and chord-integral fixtures so
     that expensive g evaluations are reused across p values and refinements.
+    Under a constant density g is a polynomial of degree <= n between the
+    breakpoints of the ray, and `profile` fits it exactly piece by piece.
     """
 
     def __init__(self, K: Polytope, mu: WeightedMeasure, theta: MDirection):
@@ -188,6 +249,7 @@ class CovRay:
             raise InputError("measure of K must be positive")
         self.rho_D = diffbody_radial(K, self.theta)
         self._cache: dict[float, float] = {}
+        self._profile: RayProfile | None = None
 
     def g(self, r: float) -> float:
         r = float(r)
@@ -203,6 +265,86 @@ class CovRay:
 
     def g_many(self, rs: np.ndarray) -> np.ndarray:
         return np.array([self.g(r) for r in np.asarray(rs, dtype=float)])
+
+    def describe(self) -> str:
+        """The direction, rounded, for error messages that name a rerun."""
+        return f"direction {np.round(self.theta.flat, 6).tolist()}"
+
+    def breakpoints(self) -> np.ndarray:
+        """Sorted r in (0, rho_D) at which the intersection K cap_i (K + r
+        theta_i) changes combinatorial type, so that g is one polynomial
+        between consecutive breakpoints.
+
+        The intersection is {A x <= b + r c} with c = 0 on K's rows and
+        c = A theta_i on the i-th translate. Its type changes only where n+1
+        rows meet in one point of it; det[A_S | b_S + r c_S] = d0 + r d1 is
+        linear in r, so each (n+1)-subset S gives one candidate root. Rows
+        that meet for every r (d1 = 0, as at non-simple vertices) move no
+        breakpoint. Roots closer than BREAK_MERGE * rho_D are merged.
+        """
+        K, n = self.K, self.K.dim
+        blocks = self.theta.blocks
+        A = np.vstack([K.A] * (len(blocks) + 1))
+        b = np.concatenate([K.b] * (len(blocks) + 1))
+        c = np.concatenate([np.zeros(len(K.b))] + [K.A @ th for th in blocks])
+        S = _row_subsets(len(b), n + 1)
+        AS = A[S]                                               # (N, n+1, n)
+        last = np.stack([b[S], c[S]])[..., None]                # (2, N, n+1, 1)
+        d0, d1 = np.linalg.det(np.concatenate([np.stack([AS, AS]), last], axis=-1))
+        tol = BREAK_MERGE * self.rho_D
+        # rows are unit normals and |c| <= 1, so d1 of rows that meet for
+        # every r is rounding noise far below this cut
+        moving = np.abs(d1) > 1e-11
+        r = -d0[moving] / d1[moving]
+        inside = (r > tol) & (r < self.rho_D - tol)
+        S, r = S[moving][inside], r[inside]
+        if len(r) == 0:
+            return np.empty(0)
+        # the common point of S: solve the best-conditioned n of its n+1 rows
+        keep = np.array([[k for k in range(n + 1) if k != j] for j in range(n + 1)])
+        sub = A[S][:, keep]                                     # (C, n+1, n, n)
+        best = np.argmax(np.abs(np.linalg.det(sub)), axis=1)
+        rows = np.arange(len(r))
+        sub = sub[rows, best]
+        regular = np.abs(np.linalg.det(sub)) > 1e-12
+        beta = np.take_along_axis(b[S] + r[:, None] * c[S], keep[best], axis=1)
+        x = np.linalg.solve(sub[regular], beta[regular][..., None])[..., 0]
+        r = r[regular]
+        slack = b[:, None] + c[:, None] * r[None, :] - A @ x.T
+        r = np.sort(r[(slack >= -1e-9 * (1.0 + self.rho_D)).all(axis=0)])
+        if len(r) == 0:
+            return r
+        return r[np.concatenate([[True], np.diff(r) > tol])]
+
+    def profile(self) -> RayProfile:
+        """The exact piecewise-polynomial g along the ray (constant density).
+
+        Each piece is fitted from n+1 evaluations through `g` at Chebyshev
+        nodes of its local variable; one more evaluation at a check node
+        must match the fit within FIT_GATE * mu(K), or NumericError is
+        raised (a missed breakpoint leaves a visible residual). Cached, so
+        every p of one ray shares one fit.
+        """
+        if self._profile is not None:
+            return self._profile
+        if self.mu.integration.resolve(self.mu.density) != "exact":
+            raise InputError("the ray profile is piecewise polynomial only "
+                             "under a constant density")
+        t, inv, t_check = _fit_table(self.K.dim)
+        breaks = np.concatenate([[0.0], self.breakpoints(), [self.rho_D]])
+        coeffs = np.empty((len(breaks) - 1, len(t)))
+        for k, (a, w) in enumerate(zip(breaks[:-1], np.diff(breaks))):
+            coeffs[k] = inv @ self.g_many(a + w * t)
+            fit = np.polynomial.polynomial.polyval(t_check, coeffs[k])
+            resid = abs(self.g(a + w * t_check) - fit)
+            if resid > FIT_GATE * self.mu_K:
+                raise NumericError(
+                    f"ray profile fit misses its check node on piece {k + 1} of "
+                    f"{len(coeffs)} (r in [{a:.9g}, {a + w:.9g}], {len(t) + 1} "
+                    f"evaluations per piece): residual {resid:.3g} against gate "
+                    f"{FIT_GATE * self.mu_K:.3g}, {self.describe()}")
+        self._profile = RayProfile(breaks, coeffs)
+        return self._profile
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,27 @@ __all__ = [
 ]
 
 
-def _grading(alpha: float) -> int:
-    """Substitution exponent k for r = rho * u^k, making r^alpha du-integrable
-    with polynomial order near u = 0."""
+# Largest grading power the kernel rule accepts, i.e. alpha >= -0.99. Beyond
+# it a growing share of the Gauss nodes falls below the floating-point range,
+# where the rule samples only the declared power, not the kernel.
+MAX_GRADING = 100.0
+
+
+def _grading(alpha: float) -> float:
+    """Substitution exponent k for r = rho * u^k on a kernel ~ r^alpha.
+
+    For alpha < 0, k = 1/(alpha + 1) makes k (alpha + 1) = 1, so r^alpha dr
+    becomes the constant rho^(alpha+1) k du and a power kernel integrates
+    exactly. Raises NumericError when alpha + 1 < 1/MAX_GRADING.
+    """
     if alpha >= 0:
         return 1
-    return min(40, int(math.ceil(1.0 / (alpha + 1.0))) + 1)
+    k = 1.0 / (alpha + 1.0)
+    if k > MAX_GRADING:
+        raise NumericError(
+            f"kernel exponent {alpha:g} is too close to -1 for the graded rule "
+            f"(grading power {k:.6g} above {MAX_GRADING:g})")
+    return k
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import graded_gauss
-from .covariogram import CovRay, MDirection, as_mdirection, diffbody_radial
+from ._quad import geometric_gauss, graded_gauss
+from .covariogram import FIT_GATE, CovRay, MDirection, as_mdirection, diffbody_radial
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
 from .oracle import rng_for, sphere_quadrature
@@ -147,7 +147,6 @@ def rmb_radial_p0(K: Polytope, mu: WeightedMeasure,
 
 def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
                       theta: MDirection | Sequence[Sequence[float]], *,
-                      nodes: int = 96, gate: float = 1e-6,
                       ray: CovRay | None = None,
                       h_pi: float | None = None) -> float:
     """rho_{R_p}(thetabar) from the ray integral of the covariogram.
@@ -157,8 +156,11 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
                  - (p/(p+1)) (h/mu(K)) rho_D^(p+1) + rho_D^p,
     with h the exact facet-sum projection support (the subtraction is an
     algebraic identity for any constant h; the exact value makes the
-    remaining integrand O(r^(p+1))). Both branches use a grid graded toward
-    0 and refine nodes -> 2*nodes; relative change above `gate` is an error.
+    remaining integrand O(r^(p+1))).
+
+    Under a constant density ("exact" integration) g is integrated in closed
+    form from its piecewise-polynomial ray profile; otherwise a graded Gauss
+    rule samples g and must pass a refinement gate.
     """
     theta = as_mdirection(theta)
     if p == math.inf:
@@ -169,8 +171,69 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
         raise InputError("p = 0 has no Mellin form; use rmb_radial_p0")
     if ray is None:
         ray = CovRay(K, mu, theta)
-    rho_D, mu_K = ray.rho_D, ray.mu_K
+    exact = mu.integration.resolve(mu.density) == "exact"
+    if h_pi is None and (p < 0 or exact):
+        h_pi = ProjectionBody(K, mu, theta.m).support(theta)
+    if not exact:
+        return _mellin_graded(ray, p, h_pi)
+    try:
+        return _mellin_exact(ray, p, h_pi)
+    except NumericError as exc:
+        raise NumericError(f"Mellin ray integral at p={p:g}: {exc}") from exc
 
+
+def _mellin_exact(ray: CovRay, p: float, h_pi: float) -> float:
+    """rho_{R_p} from the exact profile of g, in the variable u = r/rho_D.
+
+    The first piece's constant and linear coefficients must reproduce mu(K)
+    and -h (the identity -g'(0+) = h_Pi) within FIT_GATE * mu(K) on its
+    local variable. It integrates term by term in closed form; for p < 0
+    only its quadratic and cubic terms remain in the bracket, since the
+    constant and linear ones are mu(K) and -h u rho_D exactly. Later
+    pieces use Gauss on geometric sub-intervals with enough nodes for
+    u^(p-1); they evaluate only the fitted polynomials.
+    """
+    prof = ray.profile()
+    mu_K, rho_D = ray.mu_K, ray.rho_D
+    head, width = prof.coeffs[0], prof.breaks[1]
+    if (abs(head[0] - mu_K) > FIT_GATE * mu_K
+            or abs(head[1] + h_pi * width) > FIT_GATE * mu_K):
+        raise NumericError(
+            f"ray profile breaks -g'(0+) = h or g(0) = mu(K) on its first "
+            f"piece: fit {head[0]:.12g}, {-head[1] / width:.12g} against "
+            f"{mu_K:.12g}, {h_pi:.12g} ({prof.pieces} pieces, {ray.describe()})")
+    u = prof.breaks / rho_D
+    k = np.arange(len(head)) if p > 0 else np.arange(2, len(head))
+    J = u[1] ** p * float(np.sum(head[k] / (k + p)))
+    if prof.pieces > 1:
+        # u^(p-1) times a cubic, each sub-interval spanning a factor 2 in u
+        nodes = 12 + math.ceil(abs(p - 1.0) / 2.0)
+        U, W = geometric_gauss(u[1:], nodes)
+        vals = prof(rho_D * U)
+        if p < 0:
+            vals = vals - mu_K + h_pi * rho_D * U
+        J += float(np.sum(W * vals * U ** (p - 1.0)))
+    ratio = (p / mu_K) * J
+    if p < 0:
+        ratio += 1.0 - (p / (p + 1.0)) * (h_pi * rho_D / mu_K)
+    if ratio <= 0:
+        raise NumericError(f"nonpositive Mellin value {ratio:.6g} from "
+                           f"{prof.pieces} profile pieces, {ray.describe()}")
+    return float(rho_D * ratio ** (1.0 / p))
+
+
+# The graded route: node count of the coarse level and the relative gate
+# between it and the doubled level.
+GRADED_NODES = 96
+GRADED_GATE = 1e-6
+
+
+def _mellin_graded(ray: CovRay, p: float, h_pi: float | None) -> float:
+    """rho_{R_p} by graded Gauss sampling of g on GRADED_NODES and twice as
+    many nodes; a relative change above GRADED_GATE is an error. The route
+    for non-constant densities, and the reference the exact route is tested
+    against."""
+    rho_D, mu_K = ray.rho_D, ray.mu_K
     if p > 0:
         def level(n_nodes: int) -> float:
             r, w = graded_gauss(rho_D, n_nodes)
@@ -178,7 +241,7 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
             return (p / mu_K) * float(np.sum(w * g * r ** (p - 1.0)))
     else:
         if h_pi is None:
-            h_pi = ProjectionBody(K, mu, theta.m).support(theta)
+            h_pi = ProjectionBody(ray.K, ray.mu, ray.theta.m).support(ray.theta)
         tail = -(p / (p + 1.0)) * (h_pi / mu_K) * rho_D ** (p + 1.0) + rho_D ** p
         # The bracket g - mu(K) + h r is O(r^2), so below r_cut it is pure
         # rounding/quadrature noise amplified by r^(p-1). Keep nodes on
@@ -196,13 +259,15 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
             J += q_fit * r_cut ** (p + 2.0) / (p + 2.0)
             return (p / mu_K) * J + tail
 
-    coarse = level(nodes)
-    fine = level(2 * nodes)
-    if abs(fine - coarse) > gate * max(abs(fine), 1e-300):
+    coarse = level(GRADED_NODES)
+    fine = level(2 * GRADED_NODES)
+    if abs(fine - coarse) > GRADED_GATE * max(abs(fine), 1e-300):
         raise NumericError(
-            f"Mellin quadrature did not converge: {coarse} vs {fine} at {nodes}/{2*nodes} nodes")
+            f"Mellin quadrature did not converge at p={p:g}: {coarse} vs {fine} "
+            f"at {GRADED_NODES}/{2 * GRADED_NODES} nodes, {ray.describe()}")
     if fine <= 0:
-        raise NumericError("nonpositive Mellin value; ray integral unstable")
+        raise NumericError(f"nonpositive Mellin value at p={p:g}; ray integral "
+                           f"unstable at {2 * GRADED_NODES} nodes, {ray.describe()}")
     return float(fine ** (1.0 / p))
 
 

@@ -214,8 +214,11 @@ def chain_check(K: Polytope, mu: WeightedMeasure, spec: ChainSpec) -> VerifyRepo
         ray = CovRay(K, mu, theta)
         h_pi = body.support(theta)
         terms = [ray.rho_D] if include_D else []
-        for c, p in zip(consts, desc):
-            terms.append(c * rmb_radial_mellin(K, mu, p, theta, ray=ray, h_pi=h_pi))
+        try:
+            for c, p in zip(consts, desc):
+                terms.append(c * rmb_radial_mellin(K, mu, p, theta, ray=ray, h_pi=h_pi))
+        except NumericError as exc:
+            raise NumericError(f"chain direction {idx} of {len(dirs)}: {exc}") from exc
         terms.append(endpoint / h_pi)
         row: dict[str, float] = {"direction": idx}
         row.update(zip(labels, terms))

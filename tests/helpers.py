@@ -60,6 +60,18 @@ def random_polytope(rng: np.random.Generator, dim: int,
             return P
 
 
+def random_polygon(rng: np.random.Generator, k: int) -> Polytope:
+    """A k-gon inscribed in a circle, at jittered, evenly spread angles
+    (consecutive angles stay 0.4 * 2pi/k apart, so all k points are
+    vertices)."""
+    angles = rng.uniform(0, 2 * math.pi) + 2 * math.pi * (
+        np.arange(k) + rng.uniform(-0.3, 0.3, size=k)) / k
+    radius = rng.uniform(0.7, 1.3)
+    center = rng.uniform(-0.3, 0.3, size=2)
+    return Polytope.from_vertices(
+        center + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
 def exit_length_square(x: np.ndarray, theta: np.ndarray) -> float:
     """rho_{[0,1]^2 - x}(-theta): exit length of the ray x - t theta, t >= 0."""
     t = math.inf

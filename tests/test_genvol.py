@@ -53,6 +53,13 @@ class TestDualVolume:
         got = dual_volume(G, DISK, quad, inner=128)
         assert got == pytest.approx(2.0 * math.pi, rel=1e-7)
 
+    @pytest.mark.parametrize("alpha", [-0.5, -0.8, -0.9, -0.95, -0.99])
+    def test_power_kernel_near_minus_one_is_exact(self, alpha):
+        # the grading power 1/(alpha+1) turns r^alpha dr into a constant
+        G = power_kernel(2, alpha)
+        got = dual_volume(G, StarBodyFn.ball(2), sphere_quadrature(2, count=32))
+        assert got == pytest.approx(math.pi / (alpha + 1.0), rel=1e-12)
+
     def test_nonconvergent_kernel_raises(self):
         quad = sphere_quadrature(2, count=16)
         G = power_kernel(2, -0.999)

@@ -1,4 +1,5 @@
-"""Quadrature rules: exactness of the simplex rule, the graded 1-D rule."""
+"""Quadrature rules: exactness of the simplex rule, the graded 1-D rule
+and the geometric composite rule."""
 
 import itertools
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covbody._quad import graded_gauss, simplex_rule
+from covbody._quad import R_FLOOR, geometric_gauss, graded_gauss, simplex_rule
 from covbody.errors import InputError
 from covbody.genvol import _grading
 
@@ -97,3 +98,26 @@ def test_graded_gauss_zero_length_is_zero_rule(power):
     r, w = graded_gauss(0.0, 16, power)
     assert r.shape == w.shape == (16,)
     assert not r.any() and not w.any()
+
+
+@pytest.mark.parametrize("q", [-1.999, -0.5, 0.5, 19.5, 199.0, 199.37])
+def test_geometric_gauss_integrates_powers(q):
+    # r^(j+q), j <= 3, on [1e-6, 0.3] and [0.3, 1]: closed forms; the node
+    # count follows the rule the Mellin route uses
+    edges = np.array([1e-6, 0.3, 1.0])
+    r, w = geometric_gauss(edges, 12 + math.ceil(abs(q) / 2))
+    assert not np.isin(r, edges).any()
+    for a, b in zip(edges[:-1], edges[1:]):
+        sel = (r > a) & (r < b)
+        for j in range(4):
+            e = j + q + 1.0
+            want = (b**e - a**e) / e
+            assert float(w[sel] @ r[sel] ** (j + q)) == pytest.approx(want, rel=1e-13)
+
+
+def test_graded_gauss_floor_keeps_matched_power_exact():
+    # power 100 sends the innermost nodes below the floating-point range;
+    # they sit at R_FLOOR with the weight that keeps r^(1/100 - 1) exact
+    r, w = graded_gauss(2.0, 64, 100.0)
+    assert r.min() == R_FLOOR
+    assert float(w @ r ** -0.99) == pytest.approx(100.0 * 2.0 ** 0.01, rel=1e-13)

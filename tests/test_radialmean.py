@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from covbody.covariogram import CovRay, MDirection, diffbody_radial
-from covbody.errors import InputError
+from covbody.errors import InputError, NumericError
 from covbody.measure import GaussianDensity, WeightedMeasure
 from covbody.oracle import rng_for
 from covbody.polytope import Polytope
-from covbody.radialmean import (RadialMeanBody, rmb_limit_neg1,
-                                rmb_radial_direct, rmb_radial_mellin,
-                                rmb_radial_p0)
+from covbody.radialmean import (RadialMeanBody, _mellin_graded,
+                                rmb_limit_neg1, rmb_radial_direct,
+                                rmb_radial_mellin, rmb_radial_p0)
+
+from helpers import random_polygon
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -80,6 +82,44 @@ class TestRouteAgreement:
         assert np.trapezoid(g, r) == pytest.approx(lhs, rel=1e-6)
         dg = np.gradient(g, r)
         assert -np.trapezoid(dg * r, r) == pytest.approx(lhs, rel=0.01)
+
+
+class TestKinkedRays:
+    """Random polygons: g has kinks along most rays, where the graded rule
+    used to miss its refinement gate (exit 3) at p >= 2."""
+
+    CASES = [(k, m) for k in range(4, 9) for m in (1, 2)] + [(6, 1), (7, 2)]
+
+    @staticmethod
+    def _case(i, k, m):
+        rng = rng_for(42, f"mellin-kinks-{i}")
+        K = random_polygon(rng, k)
+        return K, MDirection.normalized(rng.standard_normal((m, 2)))
+
+    @pytest.mark.parametrize("i", range(12))
+    def test_mellin_returns_a_value_at_every_p(self, i):
+        K, theta = self._case(i, *self.CASES[i])
+        ray = CovRay(K, LEB2, theta)
+        for p in (2.0, 3.0, 20.0, 200.0):
+            got = rmb_radial_mellin(K, LEB2, p, theta, ray=ray)
+            assert 0.0 < got < ray.rho_D
+            if p <= 3.0:
+                want = rmb_radial_direct(K, LEB2, p, theta)
+                assert got == pytest.approx(want, rel=1e-4)
+            try:
+                graded = _mellin_graded(ray, p, None)
+            except NumericError:
+                continue
+            assert got == pytest.approx(graded, rel=1e-7)
+
+    def test_graded_failure_names_its_rerun(self):
+        K, theta = self._case(0, *self.CASES[0])
+        ray = CovRay(K, LEB2, theta)
+        with pytest.raises(NumericError) as info:
+            _mellin_graded(ray, 3.0, None)
+        msg = str(info.value)
+        assert "p=3" in msg and "96/192 nodes" in msg
+        assert f"direction {np.round(theta.flat, 6).tolist()}" in msg
 
 
 class TestLimits:
