@@ -137,11 +137,34 @@ class _Job:
         return WeightedMeasure(density_from_spec(spec, dim))
 
 
+# Params that count something (nodes, directions, trials, samples, blocks or
+# dimensions); wherever a command takes one it must be a positive integer.
+COUNT_PARAMS = frozenset({"count", "dim", "directions", "grid", "inner", "m",
+                          "n_mc", "oracle_samples", "trials"})
+
+
+def _is_count(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return (isinstance(value, int) or value.is_integer()) and value >= 1
+
+
 def _take(params: dict, allowed: set[str]) -> dict:
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise InputError(f"unknown parameter(s): {', '.join(unknown)}")
+    for key in sorted(COUNT_PARAMS & set(params)):
+        if not _is_count(params[key]):
+            raise InputError(
+                f"params.{key} must be a positive integer, got {params[key]!r}")
     return params
+
+
+def _refuse(params: dict, keys: tuple[str, ...], context: str) -> None:
+    """Reject params that the command would otherwise accept and ignore."""
+    given = [k for k in keys if k in params]
+    if given:
+        raise InputError(f"parameter(s) {', '.join(given)} have no effect {context}")
 
 
 def _direction(params: dict, n: int, m: int, key: str = "direction") -> MDirection:
@@ -339,14 +362,15 @@ def _cmd_rmb(job: _Job):
     else:
         pval = float(raw_p)
     if pval == -1.0:
+        _refuse(p, ("method",), "at p = -1, which tabulates the Mellin route")
         rep = rmb_limit_neg1(K, mu, theta,
                              tuple(p.get("p_seq", (-0.9, -0.99, -0.999))),
                              tolerance=job.tolerance or 0.01, seed=job.seed)
         return _report_payload("rmb", rep)
+    _refuse(p, ("p_seq",), "unless p = -1")
     method = p.get("method", "mellin")
     body = RadialMeanBody(K, mu, pval, m, method=method)
-    kw = {"seed": job.seed} if method == "direct" and pval != math.inf else {}
-    value = body.radial(theta, **kw)
+    value = body.radial(theta)
     return _result_payload("rmb", {"p": pval, "m": m, "method": method,
                                    "value": value})
 
@@ -500,6 +524,7 @@ def _cmd_verify_chord(job: _Job):
     tol = job.tolerance or 1e-3
     inner = int(p.get("inner", 64))
     if fixture == "covariogram":
+        _refuse(p, ("h", "dim", "cap_cos"), "on the covariogram fixture")
         K = job.body()
         mu = job.measure(K.dim)
         m = int(p.get("m", 1))
@@ -510,7 +535,10 @@ def _cmd_verify_chord(job: _Job):
         h = lambda t: np.asarray(t, dtype=float) ** (1.0 / s)
         bound = p.get("bound", "upper")
     else:
+        _refuse(p, ("m", "s") + (() if fixture == "capped" else ("cap_cos",)),
+                f"on fixture {fixture!r}")
         if job.has_body():
+            _refuse(p, ("dim",), "when a body is given")
             K = job.body()
             d = K.dim
             L = StarBodyFn.of_polytope(K)
@@ -547,10 +575,12 @@ def _cmd_dualvol(job: _Job):
     p = _take(job.params, {"kernel", "dim", "radius", "base", "count",
                            "with_volume"})
     if job.has_body():
+        _refuse(p, ("dim", "radius"), "when a body is given")
         K = job.body()
         d = K.dim
         L = StarBodyFn.of_polytope(K, p.get("base"))
     else:
+        _refuse(p, ("base",), "without a body")
         d = int(p.get("dim", 2))
         L = StarBodyFn.ball(d, float(p.get("radius", 1.0)))
     # default kernel d * r^(d-1) makes the dual volume equal the volume

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -83,10 +82,6 @@ def as_mdirection(theta, m: int | None = None) -> MDirection:
     return MDirection(b)
 
 
-def _tag_for(name: str, arr: np.ndarray) -> str:
-    return f"{name}:{zlib.crc32(np.round(arr, 12).tobytes()):x}"
-
-
 def covariogram(K: Polytope, mu: WeightedMeasure, xbar: Sequence[Sequence[float]]) -> float:
     """g_{mu,m}(K, xbar) = mu(K cap_i (x_i + K)); 0 when the intersection is
     empty or degenerate."""
@@ -98,8 +93,7 @@ def covariogram(K: Polytope, mu: WeightedMeasure, xbar: Sequence[Sequence[float]
     pts = _intersection_vertices(K, shifts)
     if pts is None:
         return 0.0
-    val, _ = _integrate_points(mu, K.dim, pts, tag=_tag_for("covariogram", shifts))
-    return val
+    return _integrate_points(mu, K.dim, pts)
 
 
 def diffbody_radial(K: Polytope, theta: MDirection | Sequence[Sequence[float]]) -> float:
@@ -327,7 +321,7 @@ class CovRay:
         """
         if self._profile is not None:
             return self._profile
-        if self.mu.integration.resolve(self.mu.density) != "exact":
+        if not self.mu.exact:
             raise InputError("the ray profile is piecewise polynomial only "
                              "under a constant density")
         t, inv, t_check = _fit_table(self.K.dim)

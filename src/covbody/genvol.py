@@ -49,6 +49,9 @@ __all__ = [
 # where the rule samples only the declared power, not the kernel.
 MAX_GRADING = 100.0
 
+# Relative gate between the inner rule of dual_volume and its doubling.
+DUAL_GATE = 1e-6
+
 
 def _grading(alpha: float) -> float:
     """Substitution exponent k for r = rho * u^k on a kernel ~ r^alpha.
@@ -303,11 +306,10 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> Concave
         label="covariogram")
 
 
-def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64,
-                gate: float = 1e-6) -> float:
+def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64) -> float:
     """(1/d) int_S int_0^rho_L G(r, theta) dr dtheta by per-node Gauss
     quadrature; refuses to return a value the inner rule has not converged
-    on (checked by doubling the node count)."""
+    on (a relative change above DUAL_GATE when the node count doubles)."""
     if G.dim != L.dim or quad.dim != G.dim:
         raise InputError("kernel, star body and quadrature dimensions differ")
     rho = np.asarray(L.radial(quad.nodes), dtype=float)
@@ -319,7 +321,7 @@ def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64,
             acc += float(quad.weights[i]) * float(w @ G(r, theta))
         totals.append(acc)
     if not all(math.isfinite(v) for v in totals) or (
-            abs(totals[1] - totals[0]) > gate * max(abs(totals[1]), 1e-12)):
+            abs(totals[1] - totals[0]) > DUAL_GATE * max(abs(totals[1]), 1e-12)):
         raise NumericError(
             f"dual volume inner quadrature did not converge "
             f"({totals[0]:.10g} vs {totals[1]:.10g} at {inner}/{2*inner} nodes)")

@@ -1,6 +1,12 @@
 """Weighted measures d(mu) = phi d(lambda): densities with concavity metadata,
 integration over polytopes, and the weighted surface-area measure.
 
+A measure is its density; there is no integration strategy to choose. A
+constant density c integrates exactly, as c * volume over a polytope and
+c * area over a facet. Any other density uses a fixed per-simplex Gauss rule
+(SIMPLEX_LEVEL = 12) on a triangulation of the polytope. No integral here
+uses Monte Carlo; `oracle.mc_measure` is the independent Monte Carlo check.
+
 Densities are assumed continuous on a neighborhood of the bodies they are
 integrated over (facet integrals are otherwise ambiguous at jump points).
 The concavity metadata is declarative and spot-checkable, never proven.
@@ -22,7 +28,7 @@ from .polytope import LinearMap, Polytope
 __all__ = [
     "Concavity", "Density", "ConstantDensity", "GaussianDensity",
     "LinearPowerDensity", "ProductDensity", "ComposedDensity",
-    "Integration", "WeightedMeasure", "FacetMeasure", "ConcavityF",
+    "WeightedMeasure", "FacetMeasure", "ConcavityF",
     "integrate_over_polytope", "weighted_surface_measure",
     "boundary_measure_total", "parallel_body_difference", "transform_measure",
     "density_from_spec", "power_concavity", "log_concavity",
@@ -168,32 +174,25 @@ class ComposedDensity(Density):
         return ComposedDensity(self.inner, self.M @ np.asarray(M, dtype=float))
 
 
-@dataclass(frozen=True)
-class Integration:
-    """Integration strategy: 'auto' resolves to exact for constant densities
-    and deterministic per-simplex Gauss ('grid') otherwise."""
-
-    kind: str = "auto"  # "auto" | "exact" | "grid" | "mc"
-    levels: int = 12
-    samples: int = 100_000
-    seed: int = 42
-
-    def resolve(self, density: Density) -> str:
-        if self.kind == "auto":
-            return "exact" if isinstance(density, ConstantDensity) else "grid"
-        if self.kind == "exact" and not isinstance(density, ConstantDensity):
-            raise InputError("exact integration is only valid for constant densities")
-        return self.kind
+# Gauss level of the per-simplex rule that integrates a non-constant density.
+SIMPLEX_LEVEL = 12
 
 
 @dataclass(frozen=True)
 class WeightedMeasure:
+    """The measure phi d(lambda); it integrates as the module docstring says."""
+
     density: Density
-    integration: Integration = Integration()
 
     @property
     def dim(self) -> int:
         return self.density.dim
+
+    @property
+    def exact(self) -> bool:
+        """True when the density is constant, so that integrals over
+        polytopes and facets are exact multiples of volume and area."""
+        return isinstance(self.density, ConstantDensity)
 
     @staticmethod
     def lebesgue(dim: int) -> "WeightedMeasure":
@@ -203,62 +202,25 @@ class WeightedMeasure:
         return integrate_over_polytope(self, P)
 
 
-def _grid_integral(density: Density, simplices: list[np.ndarray], levels: int) -> float:
-    pts, w = simplex_rule(np.asarray(simplices), levels)
-    return float(w @ density(pts))
-
-
-def _mc_integral(density: Density, simplices: list[np.ndarray], samples: int,
-                 seed: int, tag: str) -> tuple[float, float]:
-    dim = simplices[0].shape[1]
-    vols = np.array([abs(np.linalg.det(s[1:] - s[0])) / math.factorial(dim)
-                     for s in simplices])
-    total_vol = vols.sum()
-    if total_vol <= 0:
-        return 0.0, 0.0
-    rng = rng_for(seed, tag)
-    counts = rng.multinomial(int(samples), vols / total_vol)
-    vals = np.empty(int(samples))
-    off = 0
-    for s, cnt in zip(simplices, counts):
-        if cnt == 0:
-            continue
-        bary = rng.dirichlet(np.ones(dim + 1), size=cnt)
-        pts = bary @ s
-        vals[off:off + cnt] = density(pts)
-        off += cnt
-    est = total_vol * float(vals.mean())
-    se = total_vol * float(vals.std(ddof=1)) / math.sqrt(len(vals))
-    return est, se
-
-
-def integrate_over_polytope(mu: WeightedMeasure, P: Polytope | None,
-                            with_error: bool = False):
-    """mu(P); 0 for empty/degenerate P. with_error adds the MC stderr."""
+def integrate_over_polytope(mu: WeightedMeasure, P: Polytope | None) -> float:
+    """mu(P); 0 for empty/degenerate P."""
     if P is None or P.is_degenerate:
-        return (0.0, 0.0) if with_error else 0.0
-    val, err = _integrate_points(mu, P.dim, P.vertices, tag="polytope")
-    return (val, err) if with_error else val
+        return 0.0
+    return _integrate_points(mu, P.dim, P.vertices)
 
 
-def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray,
-                      tag: str) -> tuple[float, float]:
-    """Integral of the density over the convex hull of pts; (value, stderr)."""
-    kind = mu.integration.resolve(mu.density)
-    if kind == "exact":
+def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray) -> float:
+    """Integral of the density over the convex hull of pts."""
+    if mu.exact:
         from .polytope import _volume_of_points
 
-        return mu.density.c * _volume_of_points(dim, pts), 0.0
+        return mu.density.c * _volume_of_points(dim, pts)
     try:
         simplices = triangulate_vertices(dim, pts)
     except NumericError:
-        return 0.0, 0.0
-    if kind == "grid":
-        return _grid_integral(mu.density, simplices, mu.integration.levels), 0.0
-    if kind == "mc":
-        return _mc_integral(mu.density, simplices, mu.integration.samples,
-                            mu.integration.seed, tag)
-    raise InputError(f"unknown integration kind {kind!r}")
+        return 0.0
+    X, w = simplex_rule(np.asarray(simplices), SIMPLEX_LEVEL)
+    return float(w @ mu.density(X))
 
 
 # -- weighted surface-area measure ------------------------------------------
@@ -282,19 +244,18 @@ class FacetMeasure:
         return float(self.weights.sum())
 
 
-def weighted_surface_measure(K: Polytope, mu: WeightedMeasure,
-                             level: int = 24) -> FacetMeasure:
+def weighted_surface_measure(K: Polytope, mu: WeightedMeasure) -> FacetMeasure:
     """S^mu_K: per-facet integrals of the density against surface measure."""
     if K.is_degenerate:
         raise InputError("surface measure needs a body")
     density = mu.density
     normals = np.array([f.normal for f in K.facets])
     weights = np.empty(len(K.facets))
-    if K.dim == 3:
-        level = max(level // 2, 8)
+    # Gauss level of the facet rule: 2-D facets are edges, 3-D facets fans
+    level = 24 if K.dim == 2 else 12
     for i, f in enumerate(K.facets):
         ring = f.vertices
-        if isinstance(density, ConstantDensity):
+        if mu.exact:
             weights[i] = density.c * f.area
         elif K.dim == 1:
             weights[i] = float(density(ring)[0])
@@ -358,7 +319,7 @@ def parallel_body_difference(K: Polytope, mu: WeightedMeasure,
             wt = np.outer(eps * w * r, span * w)  # r dr dphi
             total += float(wt.ravel() @ density(pts.reshape(-1, 2)))
         return total / eps
-    if K.dim == 3 and isinstance(density, ConstantDensity):
+    if K.dim == 3 and mu.exact:
         surf = sum(f.area for f in K.facets)
         edge_term = 0.0
         for i in range(len(K.facets)):
@@ -382,7 +343,7 @@ def parallel_body_difference(K: Polytope, mu: WeightedMeasure,
 
 def transform_measure(mu: WeightedMeasure, T: LinearMap) -> WeightedMeasure:
     """The measure with density x -> phi(T x)."""
-    return WeightedMeasure(mu.density.compose_linear(T.matrix), mu.integration)
+    return WeightedMeasure(mu.density.compose_linear(T.matrix))
 
 
 # -- F-concavity scaffolding -------------------------------------------------

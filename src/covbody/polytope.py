@@ -462,7 +462,8 @@ def star_volume(S: StarBodyFn, quad, with_error: bool = False):
     if not np.isfinite(rho).all() or (rho <= 0).any():
         raise InputError("radial function must be positive and finite on nodes")
     vals = rho**S.dim
-    vol = float(quad.weights @ vals) / S.dim
+    # einsum, not a BLAS dot: its sum does not depend on the thread count
+    vol = float(np.einsum("i,i->", quad.weights, vals)) / S.dim
     if not with_error:
         return vol
     if quad.kind.startswith("mc"):

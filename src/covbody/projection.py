@@ -14,7 +14,7 @@ import numpy as np
 
 from .covariogram import MDirection, as_mdirection, covariogram
 from .errors import DegenerateMeasureError, InputError
-from .measure import (ConstantDensity, FacetMeasure, WeightedMeasure, transform_measure,
+from .measure import (FacetMeasure, WeightedMeasure, transform_measure,
                       weighted_surface_measure)
 from .polytope import LinearMap, Polytope, StarBodyFn, apply_linear, star_volume
 from .report import VerifyReport
@@ -23,13 +23,12 @@ from .report import VerifyReport
 class ProjectionBody:
     """Pi^m_mu K, held as the facet atoms of S^mu_K plus the block count m."""
 
-    def __init__(self, K: Polytope, mu: WeightedMeasure, m: int,
-                 surface: FacetMeasure | None = None):
+    def __init__(self, K: Polytope, mu: WeightedMeasure, m: int):
         if m < 1:
             raise InputError("m must be >= 1")
         self.n = K.dim
         self.m = int(m)
-        self.surface = weighted_surface_measure(K, mu) if surface is None else surface
+        self.surface = weighted_surface_measure(K, mu)
 
     def support(self, xbar) -> float:
         """h(xbar) for one m-tuple; accepts an (m, n) array, a flat vector of
@@ -172,7 +171,7 @@ def linear_covariance_check(K: Polytope, mu: WeightedMeasure, T: LinearMap,
         raise InputError("at least one direction required")
     m = dirs[0].m
     if tolerance is None:
-        tolerance = 1e-6 if isinstance(mu.density, ConstantDensity) else 1e-3
+        tolerance = 1e-6 if mu.exact else 1e-3
     left = ProjectionBody(apply_linear(T, K), mu, m)
     right = ProjectionBody(K, transform_measure(mu, T), m)
     flats = np.array([d.flat for d in dirs])

@@ -2,16 +2,18 @@
 body, via the direct definition and via the Mellin form of the covariogram.
 
 Two independent evaluation routes are kept deliberately separate: the direct
-route integrates min_i rho_{K-x}(-theta_i)^p over K (polar tensor grid, or
-Monte Carlo under an "mc" integration strategy) and never touches the
-covariogram; the Mellin route integrates g(r thetabar) r^(p-1) along the ray.
-Their agreement is the identity under test.
+route integrates min_i rho_{K-x}(-theta_i)^p over K on a fixed polar tensor
+grid and never touches the covariogram; the Mellin route integrates
+g(r thetabar) r^(p-1) along the ray. Their agreement is the identity under
+test. Which Mellin integrator runs follows from the density alone: a
+constant density integrates the exact piecewise-polynomial ray profile in
+closed form, any other density a graded Gauss rule with a refinement gate.
+There is no integration strategy to choose.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,12 +23,20 @@ from ._quad import geometric_gauss, graded_gauss
 from .covariogram import FIT_GATE, CovRay, MDirection, as_mdirection, diffbody_radial
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
-from .oracle import rng_for, sphere_quadrature
+from .oracle import sphere_quadrature
 from .polytope import Polytope
 from .projection import ProjectionBody
 from .report import VerifyReport
 
 P0_SWITCH = 1e-3
+
+# The direct route's polar grid: directions on the sphere for n = 2 and for
+# n = 3, and Gauss nodes per ray. The angular integrand carries integrable
+# shadow-boundary singularities, so the angle mesh, not the radial rule,
+# limits accuracy.
+DIRECT_ANGULAR_2D = 2048
+DIRECT_ANGULAR_3D = 8192
+DIRECT_RADIAL = 48
 
 
 def _exit_lengths(K: Polytope, X: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -44,25 +54,26 @@ def _exit_lengths(K: Polytope, X: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polar_grid(K: Polytope, graded: bool, angular: int, radial: int):
+def _polar_grid(K: Polytope, graded: bool):
     """Quadrature points and weights for integrals over K in polar form
     around the interior point: sum_j w_j int_0^rho(u_j) (.) r^(n-1) dr."""
     x0 = K.interior_point
+    angular = DIRECT_ANGULAR_2D if K.dim == 2 else DIRECT_ANGULAR_3D
     quad = sphere_quadrature(K.dim, count=angular)
     rho = K.radial_batch(quad.nodes, x0)                   # (A,)
     # reflected rule r = rho (1 - s); grading clusters nodes at the exit
-    s, ws = graded_gauss(1.0, radial, 2 if graded else 1)
-    R = rho[:, None] * (1.0 - s)[None, :]                  # (A, radial)
+    s, ws = graded_gauss(1.0, DIRECT_RADIAL, 2 if graded else 1)
+    R = rho[:, None] * (1.0 - s)[None, :]                  # (A, DIRECT_RADIAL)
     W = (quad.weights * rho)[:, None] * ws[None, :] * R ** (K.dim - 1)
     X = x0[None, None, :] + R[:, :, None] * quad.nodes[:, None, :]
     return X.reshape(-1, K.dim), W.reshape(-1)
 
 
 def _mean_over_K(K: Polytope, mu: WeightedMeasure, theta: MDirection,
-                 transform, graded: bool, angular: int, radial: int) -> float:
+                 transform, graded: bool) -> float:
     """(1/mu(K)) int_K transform(f(x)) dmu with f = min_i exit length; the
     normalizer is the same-grid mass so quadrature bias cancels."""
-    X, W = _polar_grid(K, graded, angular, radial)
+    X, W = _polar_grid(K, graded)
     f = _exit_lengths(K, X, -theta.blocks).min(axis=1)
     phi = mu.density(X)
     wphi = W * phi
@@ -72,41 +83,8 @@ def _mean_over_K(K: Polytope, mu: WeightedMeasure, theta: MDirection,
     return float((wphi * transform(f)).sum() / den)
 
 
-def _mc_mean_over_K(K: Polytope, mu: WeightedMeasure, theta: MDirection,
-                    transform, n_samples: int, seed: int, tag: str) -> float:
-    lo, hi = K.bounding_box()
-    rng = rng_for(seed, tag)
-    total_w = 0.0
-    total_wf = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        batch = min(remaining, 200_000)
-        remaining -= batch
-        pts = rng.uniform(lo, hi, size=(batch, K.dim))
-        inside = (pts @ K.A.T <= K.b[None, :] + 1e-12).all(axis=1)
-        pts = pts[inside]
-        if len(pts) == 0:
-            continue
-        f = _exit_lengths(K, pts, -theta.blocks).min(axis=1)
-        keep = f > 0
-        phi = mu.density(pts[keep])
-        total_w += float(phi.sum())
-        total_wf += float((phi * transform(f[keep])).sum())
-    if total_w <= 0:
-        raise NumericError("no Monte Carlo samples landed in K")
-    return total_wf / total_w
-
-
-def _direct_angular_default(dim: int) -> int:
-    # the angular integrand carries integrable shadow-boundary singularities,
-    # so the angle mesh, not the radial rule, limits accuracy
-    return 2048 if dim == 2 else 8192
-
-
 def rmb_radial_direct(K: Polytope, mu: WeightedMeasure, p: float,
-                      theta: MDirection | Sequence[Sequence[float]], *,
-                      angular: int | None = None, radial: int = 48,
-                      n_samples: int = 600_000, seed: int = 42) -> float:
+                      theta: MDirection | Sequence[Sequence[float]]) -> float:
     """rho_{R_p}(thetabar) from the defining K-integral of the p-th power."""
     theta = as_mdirection(theta)
     if theta.n != K.dim:
@@ -116,33 +94,16 @@ def rmb_radial_direct(K: Polytope, mu: WeightedMeasure, p: float,
     if p <= -1:
         raise InputError("p must exceed -1")
     if abs(p) < P0_SWITCH:
-        return rmb_radial_p0(K, mu, theta, angular=angular, radial=radial, seed=seed)
-    angular = _direct_angular_default(K.dim) if angular is None else angular
-    if mu.integration.resolve(mu.density) == "mc":
-        boost = 3 if p < 0 else 1
-        tag = f"rmb-direct:{p}:{zlib.crc32(np.round(theta.flat, 12).tobytes()):x}"
-        mean = _mc_mean_over_K(K, mu, theta, lambda f: f ** p,
-                               boost * n_samples, seed, tag)
-    else:
-        mean = _mean_over_K(K, mu, theta, lambda f: f ** p,
-                            graded=p < 0, angular=angular, radial=radial)
+        return rmb_radial_p0(K, mu, theta)
+    mean = _mean_over_K(K, mu, theta, lambda f: f ** p, graded=p < 0)
     return float(mean ** (1.0 / p))
 
 
 def rmb_radial_p0(K: Polytope, mu: WeightedMeasure,
-                  theta: MDirection | Sequence[Sequence[float]], *,
-                  angular: int | None = None, radial: int = 48,
-                  n_samples: int = 600_000, seed: int = 42) -> float:
+                  theta: MDirection | Sequence[Sequence[float]]) -> float:
     """The p = 0 (geometric mean) body: exp of the mean log ray length."""
     theta = as_mdirection(theta)
-    angular = _direct_angular_default(K.dim) if angular is None else angular
-    if mu.integration.resolve(mu.density) == "mc":
-        tag = f"rmb-p0:{zlib.crc32(np.round(theta.flat, 12).tobytes()):x}"
-        mean = _mc_mean_over_K(K, mu, theta, np.log, n_samples, seed, tag)
-    else:
-        mean = _mean_over_K(K, mu, theta, np.log, graded=True,
-                            angular=angular, radial=radial)
-    return float(math.exp(mean))
+    return float(math.exp(_mean_over_K(K, mu, theta, np.log, graded=True)))
 
 
 def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
@@ -158,9 +119,9 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
     algebraic identity for any constant h; the exact value makes the
     remaining integrand O(r^(p+1))).
 
-    Under a constant density ("exact" integration) g is integrated in closed
-    form from its piecewise-polynomial ray profile; otherwise a graded Gauss
-    rule samples g and must pass a refinement gate.
+    Under a constant density g is integrated in closed form from its
+    piecewise-polynomial ray profile; otherwise a graded Gauss rule samples g
+    and must pass a refinement gate.
     """
     theta = as_mdirection(theta)
     if p == math.inf:
@@ -171,10 +132,9 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
         raise InputError("p = 0 has no Mellin form; use rmb_radial_p0")
     if ray is None:
         ray = CovRay(K, mu, theta)
-    exact = mu.integration.resolve(mu.density) == "exact"
-    if h_pi is None and (p < 0 or exact):
+    if h_pi is None and (p < 0 or mu.exact):
         h_pi = ProjectionBody(K, mu, theta.m).support(theta)
-    if not exact:
+    if not mu.exact:
         return _mellin_graded(ray, p, h_pi)
     try:
         return _mellin_exact(ray, p, h_pi)
@@ -319,14 +279,14 @@ class RadialMeanBody:
     def dim(self) -> int:
         return self.K.dim * self.m
 
-    def radial(self, theta: MDirection | Sequence[Sequence[float]], **kw) -> float:
+    def radial(self, theta: MDirection | Sequence[Sequence[float]]) -> float:
         theta = as_mdirection(theta, self.m)
         if theta.m != self.m:
             raise InputError("direction block count mismatch")
         if self.p == math.inf:
             return diffbody_radial(self.K, theta)
         if abs(self.p) < P0_SWITCH:
-            return rmb_radial_p0(self.K, self.mu, theta, **kw)
+            return rmb_radial_p0(self.K, self.mu, theta)
         if self.method == "direct":
-            return rmb_radial_direct(self.K, self.mu, self.p, theta, **kw)
-        return rmb_radial_mellin(self.K, self.mu, self.p, theta, **kw)
+            return rmb_radial_direct(self.K, self.mu, self.p, theta)
+        return rmb_radial_mellin(self.K, self.mu, self.p, theta)

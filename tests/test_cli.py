@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from covbody import cli
 
 TRIANGLE_BODY = {"name": "simplex", "dim": 2}
 SQUARE_BODY = {"name": "cube", "dim": 2}
+QUAD_BODY = {"type": "vrep",
+             "vertices": [[0.0, 0.0], [1.3, 0.1], [1.1, 0.9], [0.2, 1.2]]}
 
 CANONICAL_OPERATIONS = {
     "cli.run",
@@ -139,6 +145,50 @@ class TestExitCodes:
             "command": "verify-rs", "body": TRIANGLE_BODY,
             "schema_version": 2})
         assert code == 2
+
+    @pytest.mark.parametrize("command, params", [
+        ("covariogram", {"direction": [1.0, 0.0], "grid": -1}),
+        ("verify-chain", {"s": 0.5, "directions": 0}),
+        ("verify-variational", {"directions": 0}),
+        ("verify-zhang", {"m": 2, "count": 0}),
+        ("verify-linear", {"trials": 0}),
+        ("dualvol", {"count": 0}),
+        ("verify-chord", {"inner": 0}),
+        ("verify-rs", {"m": 2, "count": 2.5}),
+        ("diffbody", {"m": True}),
+    ])
+    def test_malformed_count_is_two(self, tmp_path, capsys, command, params):
+        body = {} if command in ("dualvol", "verify-chord") else {"body": QUAD_BODY}
+        code, _ = run_job(tmp_path, {"command": command, **body, "params": params})
+        assert code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, body, params, ignored", [
+        ("rmb", SQUARE_BODY,
+         {"p": 1.0, "direction": [1.0, 0.0], "p_seq": [-0.9]}, "p_seq"),
+        ("rmb", SQUARE_BODY,
+         {"p": -1, "direction": [1.0, 0.0], "method": "direct"}, "method"),
+        ("verify-chord", SQUARE_BODY,
+         {"fixture": "covariogram", "h": {"type": "identity"}}, "h"),
+        ("verify-chord", SQUARE_BODY, {"fixture": "covariogram", "dim": 2}, "dim"),
+        ("verify-chord", SQUARE_BODY,
+         {"fixture": "covariogram", "cap_cos": 0.5}, "cap_cos"),
+        ("verify-chord", None, {"fixture": "affine", "m": 2}, "m"),
+        ("verify-chord", None, {"fixture": "parabola", "s": 0.5}, "s"),
+        ("verify-chord", None, {"fixture": "affine", "cap_cos": 0.5}, "cap_cos"),
+        ("verify-chord", SQUARE_BODY, {"fixture": "affine", "dim": 2}, "dim"),
+        ("dualvol", SQUARE_BODY, {"dim": 2}, "dim"),
+        ("dualvol", SQUARE_BODY, {"radius": 2.0}, "radius"),
+        ("dualvol", None, {"base": [0.0, 0.0]}, "base"),
+    ])
+    def test_ignored_param_is_two(self, tmp_path, capsys, command, body, params,
+                                  ignored):
+        job = {"command": command, "params": params}
+        if body is not None:
+            job["body"] = body
+        code, _ = run_job(tmp_path, job)
+        assert code == 2
+        assert f"{ignored} have no effect" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -278,6 +328,27 @@ class TestDeterminism:
         _, b = run_json(tmp_path, {**job, "seed": 7}, "b.json")
         assert a["result"]["value"] == b["result"]["value"]
         assert a["result"]["oracle_estimate"] != b["result"]["oracle_estimate"]
+
+
+class TestThreadCount:
+    """Reports must not depend on the BLAS thread count: the large sphere
+    sums of verify-zhang and verify-rs at m = 2 reduce with einsum."""
+
+    @pytest.mark.parametrize("command", ["verify-zhang", "verify-rs"])
+    def test_reports_identical_at_one_and_two_threads(self, command):
+        job = json.dumps({"command": command, "body": QUAD_BODY,
+                          "params": {"m": 2}})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+            res = subprocess.run([sys.executable, "-m", "covbody.cli", "--spec", "-"],
+                                 input=job, capture_output=True, text=True,
+                                 env=env, timeout=300)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestRendering:

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from covbody.covariogram import CovRay, MDirection
-from covbody.errors import InputError
+from covbody.errors import InputError, NumericError
 from covbody.measure import (ConcavityF, GaussianDensity, WeightedMeasure,
                              log_concavity, power_concavity)
 from covbody.polytope import Polytope
@@ -17,6 +17,7 @@ from covbody.verify import (ChainSpec, berwald_const_F, berwald_const_Q,
                             chain_check, direction_mesh, gen_binom,
                             general_zhang_check, rogers_shephard_check,
                             zhang_check)
+from helpers import random_polygon
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -117,6 +118,19 @@ class TestChain:
         rep = chain_check(TRIANGLE, mu, spec)
         assert rep.passed
         assert "rho_D" not in rep.rows[0]
+
+    # The graded Mellin rule that smooth densities use misses its 1e-6 gate
+    # at the kinks of g along the ray (exit 3 from the CLI). Per-piece
+    # Gauss on the ray's breakpoints would mend it and flip this test.
+    @pytest.mark.xfail(strict=True, raises=NumericError,
+                       reason="graded Mellin rule at p = 3 on kinked rays")
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_gaussian_q_branch_on_random_hexagon(self, seed):
+        K = random_polygon(np.random.default_rng(seed), 6)
+        mu = WeightedMeasure(GaussianDensity(2, 1.0))
+        spec = ChainSpec(branch="Q", p_list=(2.0, 3.0), F=log_concavity(),
+                         directions=4)
+        assert chain_check(K, mu, spec).passed
 
     def test_f_branch_matches_s_branch(self):
         # power F through the quadrature constants reproduces the s-branch
