@@ -12,15 +12,21 @@ The package builds its quadrature rules here and nowhere else:
 
 Both read the cached Gauss-Legendre table `gauss_01`; `simplex_rule` also
 caches its barycentric table per (k, level). All deterministic.
+
+The geometry kernel lives here too: `simplex_volumes` is the one simplex
+volume formula, and `triangulate_vertices` / `hull_simplices` the one
+simplicial decomposition of a convex hull, shared by exact volumes
+(`polytope._volume_of_points`, body builds) and by the simplex rule.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InputError, NumericError
 
@@ -88,7 +94,7 @@ def geometric_gauss(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=16)
 def _simplex_table(k: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric nodes (Q, k+1) and weights (Q,) of the collapsed tensor
-    rule on the reference k-simplex; the weights sum to 1/k!."""
+    rule on a k-simplex, as fractions of its volume: the weights sum to 1."""
     u, w = gauss_01(level)
     t = np.stack(np.meshgrid(*[u] * k, indexing="ij"), axis=-1).reshape(-1, k)
     wt = np.stack(np.meshgrid(*[w] * k, indexing="ij"), axis=-1).reshape(-1, k)
@@ -97,8 +103,26 @@ def _simplex_table(k: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     # t_1^(k-1) t_2^(k-2) ... t_(k-1) = c_1 c_2 ... c_(k-1).
     c = np.cumprod(t, axis=1)
     bary = np.hstack([1.0 - c[:, :1], c[:, :-1] - c[:, 1:], c[:, -1:]])
-    weights = wt.prod(axis=1) * c[:, :-1].prod(axis=1)
+    weights = wt.prod(axis=1) * c[:, :-1].prod(axis=1) * math.factorial(k)
     return _frozen(bary, weights)
+
+
+def simplex_volumes(verts: np.ndarray) -> np.ndarray:
+    """k-volumes of k-simplices in R^d: verts is one simplex (k+1, d) or a
+    stack (S, k+1, d), 1 <= k <= d.
+
+    k! times the k-volume is |det| of the k x k edge matrix when k = d, and
+    the root of the Gram determinant of the edges when k < d.
+    """
+    verts = np.asarray(verts, dtype=float)
+    edges = verts[..., 1:, :] - verts[..., :1, :]
+    k, d = edges.shape[-2:]
+    if k == d:
+        scaled = np.abs(np.linalg.det(edges))
+    else:
+        gram = edges @ np.swapaxes(edges, -1, -2)
+        scaled = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    return scaled / math.factorial(k)
 
 
 def simplex_rule(verts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,66 +140,58 @@ def simplex_rule(verts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]
     if not 1 <= k <= d <= 3:
         raise InputError(f"simplex_rule needs 1 <= k <= d <= 3, got k={k}, d={d}")
     bary, wref = _simplex_table(k, int(level))
-    # k! times the k-volume: the root sum of squares of the k x k minors
-    # of the edge matrix (Cauchy-Binet), |det| when k = d
-    edges = verts[:, 1:] - verts[:, :1]
-    cols = list(itertools.combinations(range(d), k))
-    minors = np.linalg.det(edges[:, :, cols].transpose(0, 2, 1, 3))
-    scale = np.sqrt((minors * minors).sum(axis=1))
     pts = bary @ verts
-    return pts.reshape(-1, d), (scale[:, None] * wref[None, :]).ravel()
+    return pts.reshape(-1, d), (simplex_volumes(verts)[:, None] * wref[None, :]).ravel()
 
 
 def order_polygon(pts: np.ndarray) -> np.ndarray:
-    """Order 2-D points counterclockwise around their mean."""
+    """Indices that order 2-D points counterclockwise around their mean."""
     c = pts.mean(axis=0)
-    ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
-    return pts[np.argsort(ang, kind="stable")]
+    return np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]), kind="stable")
 
 
-def triangulate_vertices(dim: int, pts: np.ndarray) -> list[np.ndarray]:
-    """Split the convex hull of pts into simplices sharing the vertex mean.
+def _cones(apex: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """The simplices from apex over each facet simplex of a stack (S, d, d)."""
+    cones = np.empty((len(facets), facets.shape[1] + 1, facets.shape[2]))
+    cones[:, 0] = apex
+    cones[:, 1:] = facets
+    return cones
 
-    Returns a list of (dim+1, dim) vertex arrays. Raises NumericError if the
-    point set is degenerate (lower-dimensional hull).
+
+def hull_simplices(pts: np.ndarray, hull: ConvexHull) -> np.ndarray:
+    """The cones from the mean of the hull's vertices over its facet
+    simplices: a stack (S, d+1, d) that splits the hull."""
+    return _cones(pts[hull.vertices].mean(axis=0), pts[hull.simplices])
+
+
+def triangulate_vertices(dim: int, pts: np.ndarray) -> np.ndarray:
+    """Split the convex hull of pts in R^dim into simplices, a stack
+    (S, dim+1, dim): cones from an interior apex over the boundary.
+
+    In R^1 that is the segment itself. In R^2 a vertex set (points in
+    convex position, as every intersection is) is fanned from its mean over
+    its counterclockwise ring; any other set, and every set from R^3 up,
+    goes through `hull_simplices` of its Qhull hull. Degenerate simplices
+    are kept (volume 0). Raises NumericError when Qhull finds the set
+    lower-dimensional.
     """
     pts = np.asarray(pts, dtype=float)
+    if len(pts) < dim + 1:
+        raise NumericError(f"degenerate {dim}-d point set")
     if dim == 1:
         lo, hi = pts.min(), pts.max()
         if hi - lo <= 0:
             raise NumericError("degenerate 1-d point set")
-        return [np.array([[lo], [hi]])]
+        return np.array([[[lo], [hi]]])
     if dim == 2:
-        if len(pts) < 3:
-            raise NumericError("degenerate 2-d point set")
-        ring = order_polygon(pts)
-        c = ring.mean(axis=0)
-        tris = []
-        for i in range(len(ring)):
-            a, b = ring[i], ring[(i + 1) % len(ring)]
-            u, v = a - c, b - c
-            if abs(u[0] * v[1] - u[1] * v[0]) > 1e-14:
-                tris.append(np.array([c, a, b]))
-        if not tris:
-            raise NumericError("degenerate 2-d point set")
-        return tris
-    if dim == 3:
-        from scipy.spatial import ConvexHull, QhullError
-
-        if len(pts) < 4:
-            raise NumericError("degenerate 3-d point set")
-        try:
-            hull = ConvexHull(pts)
-        except QhullError as exc:
-            raise NumericError(f"degenerate 3-d point set: {exc}") from exc
-        c = pts[hull.vertices].mean(axis=0)
-        tets = []
-        for simp in hull.simplices:
-            tri = pts[simp]
-            vol6 = abs(np.linalg.det(tri - c))
-            if vol6 > 1e-14:
-                tets.append(np.vstack([c[None, :], tri]))
-        if not tets:
-            raise NumericError("degenerate 3-d point set")
-        return tets
-    raise InputError(f"triangulate_vertices supports dim <= 3, got {dim}")
+        ring = pts[order_polygon(pts)]
+        edges = np.concatenate([ring[1:], ring[:1]]) - ring
+        following = np.concatenate([edges[1:], edges[:1]])
+        turns = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
+        # no reflex turn: the ring is the hull's boundary
+        if turns.min() >= -1e-12 * (edges * edges).sum(axis=1).max():
+            return _cones(ring.mean(axis=0), np.stack([ring, ring + edges], axis=1))
+    try:
+        return hull_simplices(pts, ConvexHull(pts))
+    except QhullError as exc:
+        raise NumericError(f"degenerate {dim}-d point set: {exc}") from exc

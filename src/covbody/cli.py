@@ -34,7 +34,7 @@ from .measure import (Concavity, WeightedMeasure, boundary_measure_total,
                       power_concavity)
 from .oracle import mc_measure, rng_for, sphere_quadrature
 from .polytope import (LinearMap, Polytope, StarBodyFn, intersect_translates,
-                       star_volume, volume)
+                       lifted_system, star_volume, volume)
 from .projection import (linear_covariance_check, polar_projection_radial,
                          polar_projection_volume, projection_support,
                          variational_check)
@@ -66,44 +66,9 @@ JOB_SCHEMA = {
     },
 }
 
-# Which operations each command exercises (directly or through the functions
-# it calls); the union over all commands covers the whole library surface.
-COMMAND_OPERATIONS: dict[str, tuple[str, ...]] = {
-    "covariogram": ("covariogram.covariogram", "covariogram.covariogram_slice",
-                    "polytope-core.intersect_translates", "polytope-core.volume",
-                    "measure.integrate_over_polytope", "oracle.mc_measure"),
-    "diffbody": ("covariogram.diffbody_radial", "covariogram.roof",
-                 "polytope-core.volume", "polytope-core.star_volume",
-                 "polytope-core.radial", "polytope-core.support",
-                 "oracle.sphere_quadrature"),
-    "projbody": ("projection.projection_support",
-                 "projection.polar_projection_radial",
-                 "measure.weighted_surface_measure",
-                 "measure.boundary_measure_total", "oracle.sphere_quadrature"),
-    "rmb": ("radialmean.rmb_radial_direct", "radialmean.rmb_radial_mellin",
-            "radialmean.rmb_radial_p0", "radialmean.rmb_limit_neg1",
-            "covariogram.diffbody_radial"),
-    "verify-chain": ("verify.chain_check", "verify.gen_binom",
-                     "verify.berwald_const_F", "verify.berwald_const_Q",
-                     "radialmean.rmb_radial_mellin",
-                     "covariogram.diffbody_radial"),
-    "verify-zhang": ("verify.zhang_check", "verify.general_zhang_check",
-                     "measure.integrate_over_polytope",
-                     "projection.polar_projection_radial"),
-    "verify-rs": ("verify.rogers_shephard_check", "covariogram.diffbody_radial",
-                  "polytope-core.volume", "polytope-core.star_volume"),
-    "verify-variational": ("projection.variational_check",
-                           "covariogram.covariogram"),
-    "verify-linear": ("projection.linear_covariance_check",
-                      "polytope-core.apply_linear", "measure.transform_measure"),
-    "verify-chord": ("genvol.chord_lower_check", "genvol.chord_upper_check",
-                     "genvol.dual_volume", "oracle.sphere_quadrature"),
-    "dualvol": ("genvol.dual_volume", "polytope-core.star_volume",
-                "oracle.sphere_quadrature"),
-}
-
-ALL_OPERATIONS = frozenset(
-    op for ops in COMMAND_OPERATIONS.values() for op in ops) | {"cli.run"}
+# Validates jobs against JOB_SCHEMA, built once: `jsonschema.validate` would
+# also check JOB_SCHEMA against its metaschema on every call.
+_VALIDATOR = jsonschema.validators.validator_for(JOB_SCHEMA)(JOB_SCHEMA)
 
 
 # -- job plumbing -----------------------------------------------------------
@@ -161,7 +126,8 @@ def _take(params: dict, allowed: set[str]) -> dict:
 
 
 def _refuse(params: dict, keys: tuple[str, ...], context: str) -> None:
-    """Reject params that the command would otherwise accept and ignore."""
+    """Reject params (or job fields) that the command would otherwise
+    accept and ignore."""
     given = [k for k in keys if k in params]
     if given:
         raise InputError(f"parameter(s) {', '.join(given)} have no effect {context}")
@@ -275,12 +241,10 @@ def _cmd_covariogram(job: _Job):
         if p.get("oracle", "oracle_samples" in p):
             samples = int(p.get("oracle_samples", 200_000))
             box = K.bounding_box()  # the intersection lies inside K
+            A, b, c = lifted_system(K, shifts)
 
             def member(X: np.ndarray) -> np.ndarray:
-                ok = (X @ K.A.T <= K.b[None, :] + 1e-12).all(axis=1)
-                for sh in shifts:
-                    ok &= ((X - sh) @ K.A.T <= K.b[None, :] + 1e-12).all(axis=1)
-                return ok
+                return (X @ A.T <= b + c + 1e-12).all(axis=1)
 
             est, err = mc_measure(mu.density, member, box,
                                   n_samples=samples, seed=job.seed,
@@ -298,6 +262,7 @@ def _cmd_covariogram(job: _Job):
 
 def _cmd_diffbody(job: _Job):
     p = _take(job.params, {"m", "direction", "count", "x"})
+    _refuse(job.raw, ("measure",), "on diffbody, which is a Lebesgue construction")
     K = job.body()
     n = K.dim
     m = int(p.get("m", 1))
@@ -368,6 +333,8 @@ def _cmd_rmb(job: _Job):
                              tolerance=job.tolerance or 0.01, seed=job.seed)
         return _report_payload("rmb", rep)
     _refuse(p, ("p_seq",), "unless p = -1")
+    if pval == math.inf:
+        _refuse(job.raw, ("measure",), "at p = inf, where R_p is the difference body")
     method = p.get("method", "mellin")
     body = RadialMeanBody(K, mu, pval, m, method=method)
     value = body.radial(theta)
@@ -434,6 +401,7 @@ def _cmd_verify_zhang(job: _Job):
 
 def _cmd_verify_rs(job: _Job):
     p = _take(job.params, {"m", "count"})
+    _refuse(job.raw, ("measure",), "on verify-rs, which is a Lebesgue volume ratio")
     K = job.body()
     rep = rogers_shephard_check(K, int(p.get("m", 1)),
                                 count=int(p.get("count", 200_000)),
@@ -537,6 +505,7 @@ def _cmd_verify_chord(job: _Job):
     else:
         _refuse(p, ("m", "s") + (() if fixture == "capped" else ("cap_cos",)),
                 f"on fixture {fixture!r}")
+        _refuse(job.raw, ("measure",), f"on fixture {fixture!r}")
         if job.has_body():
             _refuse(p, ("dim",), "when a body is given")
             K = job.body()
@@ -574,6 +543,7 @@ def _cmd_verify_chord(job: _Job):
 def _cmd_dualvol(job: _Job):
     p = _take(job.params, {"kernel", "dim", "radius", "base", "count",
                            "with_volume"})
+    _refuse(job.raw, ("measure",), "on dualvol, which integrates a kernel over the sphere")
     if job.has_body():
         _refuse(p, ("dim", "radius"), "when a body is given")
         K = job.body()
@@ -649,11 +619,10 @@ def _write_output(text: str, outfile: str | None) -> None:
 def run(job: dict) -> int:
     """Execute one job dict and write its report; returns the exit status."""
     try:
-        try:
-            jsonschema.validate(job, JOB_SCHEMA)
-        except jsonschema.ValidationError as e:
+        e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(job))
+        if e is not None:
             path = "/".join(str(k) for k in e.absolute_path) or "(top level)"
-            raise InputError(f"job spec rejected at {path}: {e.message}") from e
+            raise InputError(f"job spec rejected at {path}: {e.message}")
         parsed = _Job(job)
         payload, rep, code = _HANDLERS[parsed.command](parsed)
         if job.get("output", "json") == "csv":

@@ -25,7 +25,8 @@ import numpy as np
 from ._quad import _frozen, gauss_01
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure, _integrate_points
-from .polytope import Polytope, StarBodyFn, _build_from_points, _intersection_vertices
+from .polytope import (Polytope, StarBodyFn, _build_from_points, _intersection_vertices,
+                       _row_subsets, lifted_system)
 from .simplexlp import solve_lp_max
 
 
@@ -105,23 +106,15 @@ def diffbody_radial(K: Polytope, theta: MDirection | Sequence[Sequence[float]]) 
     n = K.dim
     if theta.n != n:
         raise InputError("direction dimension mismatch")
-    m = theta.m
-    A_rows = [np.hstack([K.A, np.zeros((len(K.b), 1))])]
-    for i in range(m):
-        A_rows.append(np.hstack([K.A, -(K.A @ theta.blocks[i])[:, None]]))
-    A = np.vstack(A_rows)
-    b = np.concatenate([K.b] * (m + 1))
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
+    # y - r theta_i in K for every i: A y - r c <= b in the lifted system
+    A, b, c = lifted_system(K, theta.blocks)
+    objective = np.zeros(n + 1)
+    objective[-1] = 1.0
     x0 = np.concatenate([K.interior_point, [0.0]])
-    res = solve_lp_max(c, A, b, x0)
+    res = solve_lp_max(objective, np.hstack([A, -c[:, None]]), b, x0)
     if res.status != "optimal":
         raise NumericError(f"difference-body LP did not converge ({res.status})")
     return float(res.value)
-
-
-def _fast_unique(pts: np.ndarray) -> np.ndarray:
-    return np.unique(np.round(pts, 9), axis=0)
 
 
 def diffbody_polytope(K: Polytope, m: int) -> Polytope:
@@ -133,12 +126,8 @@ def diffbody_polytope(K: Polytope, m: int) -> Polytope:
     if m < 1:
         raise InputError("m must be >= 1")
     V = K.vertices
-    cands = np.array([
-        np.concatenate([y - V[t] for t in tup])
-        for y in V
-        for tup in itertools.product(range(len(V)), repeat=m)
-    ])
-    cands = _fast_unique(cands)
+    tuples = V[np.array(list(itertools.product(range(len(V)), repeat=m)))]  # (T, m, n)
+    cands = (V[:, None, None, :] - tuples[None]).reshape(-1, K.dim * m)
     return _build_from_points(K.dim * m, cands, allow_degenerate=False)
 
 
@@ -179,14 +168,6 @@ def roof(L: Polytope | StarBodyFn, x: Sequence[float]) -> float:
 # missed breakpoint leaves inside a piece.
 BREAK_MERGE = 1e-9
 FIT_GATE = 1e-8
-
-
-@functools.lru_cache(maxsize=8)
-def _row_subsets(rows: int, k: int) -> np.ndarray:
-    """All k-subsets of range(rows) as a read-only (C(rows, k), k) array."""
-    idx = np.array(list(itertools.combinations(range(rows), k)), dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
 
 
 @functools.lru_cache(maxsize=4)
@@ -276,11 +257,8 @@ class CovRay:
         that meet for every r (d1 = 0, as at non-simple vertices) move no
         breakpoint. Roots closer than BREAK_MERGE * rho_D are merged.
         """
-        K, n = self.K, self.K.dim
-        blocks = self.theta.blocks
-        A = np.vstack([K.A] * (len(blocks) + 1))
-        b = np.concatenate([K.b] * (len(blocks) + 1))
-        c = np.concatenate([np.zeros(len(K.b))] + [K.A @ th for th in blocks])
+        n = self.K.dim
+        A, b, c = lifted_system(self.K, self.theta.blocks)
         S = _row_subsets(len(b), n + 1)
         AS = A[S]                                               # (N, n+1, n)
         last = np.stack([b[S], c[S]])[..., None]                # (2, N, n+1, 1)

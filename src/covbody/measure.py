@@ -23,7 +23,7 @@ import numpy as np
 from ._quad import gauss_01, simplex_rule, triangulate_vertices
 from .errors import DegenerateMeasureError, InputError, NumericError
 from .oracle import rng_for
-from .polytope import LinearMap, Polytope
+from .polytope import LinearMap, Polytope, _volume_of_points
 
 __all__ = [
     "Concavity", "Density", "ConstantDensity", "GaussianDensity",
@@ -212,14 +212,12 @@ def integrate_over_polytope(mu: WeightedMeasure, P: Polytope | None) -> float:
 def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray) -> float:
     """Integral of the density over the convex hull of pts."""
     if mu.exact:
-        from .polytope import _volume_of_points
-
         return mu.density.c * _volume_of_points(dim, pts)
     try:
         simplices = triangulate_vertices(dim, pts)
     except NumericError:
         return 0.0
-    X, w = simplex_rule(np.asarray(simplices), SIMPLEX_LEVEL)
+    X, w = simplex_rule(simplices, SIMPLEX_LEVEL)
     return float(w @ mu.density(X))
 
 

@@ -94,7 +94,10 @@ def mc_measure(density: Callable[[np.ndarray], np.ndarray],
                box: tuple[Sequence[float], Sequence[float]],
                n_samples: int = 100_000, seed: int = 42,
                tag: str = "mc-measure") -> tuple[float, float]:
-    """Rejection estimate of int phi * chi over the box: (estimate, stderr)."""
+    """Rejection estimate of int phi * chi over the box: (estimate, stderr).
+    The standard error needs at least 2 samples."""
+    if int(n_samples) < 2:
+        raise InputError(f"the Monte Carlo estimate needs at least 2 samples, got {n_samples}")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if (hi <= lo).any():

@@ -12,6 +12,7 @@ read-only use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from ._quad import order_polygon
+from ._quad import hull_simplices, order_polygon, simplex_volumes, triangulate_vertices
 from .errors import InputError, NumericError
 from .simplexlp import solve_lp_max
 
@@ -70,6 +71,14 @@ class Facet:
         self.vertices.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=16)
+def _row_subsets(rows: int, k: int) -> np.ndarray:
+    """All k-subsets of range(rows) as a read-only (C(rows, k), k) array."""
+    idx = np.array(list(itertools.combinations(range(rows), k)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
 def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = TOL) -> np.ndarray:
     """All vertices of {A x <= b}: basic solutions that satisfy every row.
 
@@ -93,7 +102,7 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = TOL) -> np.nda
         return np.array([[lo], [hi]])
     if H < n:
         return np.empty((0, n))
-    idx = np.array(list(itertools.combinations(range(H), n)))
+    idx = _row_subsets(H, n)
     M = A[idx]
     det = np.abs(np.linalg.det(M))
     ok = det > 1e-12
@@ -105,76 +114,71 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = TOL) -> np.nda
     return dedupe_points(pts)
 
 
+# Most floats a block of dedupe_points' pairwise differences may hold.
+DEDUPE_BLOCK = 1 << 16
+
+
 def dedupe_points(pts: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Merge points closer than tol (in max-norm); keeps first occurrences."""
-    if len(pts) <= 1:
+    """Merge points closer than tol (in max-norm), keeping first occurrences:
+    a point goes when it lies within tol of an earlier point that stays.
+
+    Pairs are compared a block of rows at a time, so memory stays below
+    DEDUPE_BLOCK floats however many points there are.
+    """
+    k = len(pts)
+    if k <= 1:
         return pts
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if all(np.abs(p - q).max() > tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    rows = max(1, DEDUPE_BLOCK // (k * pts.shape[1]))
+    first, later = [], []
+    for s in range(0, k - 1, rows):
+        close = np.abs(pts[s:s + rows, None, :] - pts[None, :, :]).max(axis=2) <= tol
+        i, j = np.nonzero(np.triu(close, s + 1))  # pairs with s + i < j
+        first.append(i + s)
+        later.append(j)
+    first, later = np.concatenate(first), np.concatenate(later)
+    # keep[j] = no kept i < j is close to j; iterating from all-kept settles
+    # one more link of any chain of close points per pass
+    keep = np.ones(k, dtype=bool)
+    while True:
+        nxt = np.ones(k, dtype=bool)
+        nxt[later[keep[first]]] = False
+        if (nxt == keep).all():
+            return pts[keep]
+        keep = nxt
 
 
 def _volume_of_points(dim: int, pts: np.ndarray) -> float:
-    """Volume of the convex hull of pts; 0 when degenerate."""
+    """Volume of the convex hull of pts: the sum over `triangulate_vertices`;
+    0 when degenerate."""
     if pts is None or len(pts) < dim + 1:
         return 0.0
-    if dim == 1:
-        return float(pts.max() - pts.min())
-    if dim == 2:
-        ring = order_polygon(pts)
-        x, y = ring[:, 0], ring[:, 1]
-        return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))) / 2.0
     try:
-        hull = ConvexHull(pts)
-    except QhullError:
+        return float(simplex_volumes(triangulate_vertices(dim, pts)).sum())
+    except NumericError:
         return 0.0
-    c = pts.mean(axis=0)
-    vol = 0.0
-    for simp in hull.simplices:
-        vol += abs(np.linalg.det(pts[simp] - c))
-    return vol / math.factorial(dim)
-
-
-def _simplex_facet_area(dim: int, verts: np.ndarray) -> float:
-    # verts: dim points spanning an (dim-1)-simplex in R^dim
-    if dim == 1:
-        return 1.0  # counting measure for endpoints
-    if dim == 2:
-        return float(np.linalg.norm(verts[1] - verts[0]))
-    edges = verts[1:] - verts[0]
-    gram = edges @ edges.T
-    return math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(dim - 1)
 
 
 def _order_facet_vertices(normal: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Order facet vertices along the facet (2-D edge) or around it (3-D)."""
     dim = pts.shape[1]
-    if dim >= 4:
+    if dim == 2:
+        d = pts[:, 0] if np.ptp(pts[:, 0]) >= np.ptp(pts[:, 1]) else pts[:, 1]
+        return pts[np.argsort(d, kind="stable")]
+    if dim != 3 or len(pts) <= 3:
         return pts  # ordering only matters for facet quadrature in dim <= 3
-    if dim <= 2 or len(pts) <= 3:
-        if dim == 3 and len(pts) == 3:
-            return pts
-        if dim == 2:
-            d = pts[:, 0] if np.ptp(pts[:, 0]) >= np.ptp(pts[:, 1]) else pts[:, 1]
-            return pts[np.argsort(d, kind="stable")]
-        return pts
     # project to a 2-D frame in the facet plane and sort by angle
     u = np.zeros(3)
     u[np.argmin(np.abs(normal))] = 1.0
     e1 = _unit(np.cross(normal, u))
     e2 = np.cross(normal, e1)
-    c = pts.mean(axis=0)
-    ang = np.arctan2((pts - c) @ e2, (pts - c) @ e1)
-    return pts[np.argsort(ang, kind="stable")]
+    return pts[order_polygon(pts @ np.stack([e1, e2], axis=1))]
 
 
 class Polytope:
     """Bounded convex polytope with cached halfspaces, vertices and facets."""
 
     def __init__(self, dim: int, A: np.ndarray, b: np.ndarray, vertices: np.ndarray,
-                 facets: tuple[Facet, ...], *, _degenerate: bool = False):
+                 facets: tuple[Facet, ...], volume: float, *, _degenerate: bool = False):
         self.dim = int(dim)
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
@@ -191,7 +195,7 @@ class Polytope:
             self.interior_radius = float((self.b - self.A @ c).min())
             if self.interior_radius <= 0:
                 raise InputError("polytope has empty interior")
-            self.volume = self._compute_volume()
+            self.volume = float(volume)
         for arr in (self.A, self.b, self.vertices):
             arr.setflags(write=False)
 
@@ -298,10 +302,7 @@ class Polytope:
             for f in self.facets
         )
         return Polytope(self.dim, self.A, self.b + self.A @ v, self.vertices + v, facets,
-                        _degenerate=self.is_degenerate)
-
-    def _compute_volume(self) -> float:
-        return _volume_of_points(self.dim, self.vertices)
+                        self.volume, _degenerate=self.is_degenerate)
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -314,7 +315,8 @@ def _build_from_points(dim: int, pts: np.ndarray, allow_degenerate: bool) -> Pol
         lo, hi = float(pts.min()), float(pts.max())
         if hi - lo <= TOL:
             if allow_degenerate:
-                return Polytope(1, np.zeros((0, 1)), np.zeros(0), pts[:1], (), _degenerate=True)
+                return Polytope(1, np.zeros((0, 1)), np.zeros(0), pts[:1], (), 0.0,
+                                _degenerate=True)
             raise InputError("1-d polytope is degenerate")
         A = np.array([[1.0], [-1.0]])
         b = np.array([hi, -lo])
@@ -323,17 +325,18 @@ def _build_from_points(dim: int, pts: np.ndarray, allow_degenerate: bool) -> Pol
             Facet(np.array([-1.0]), -lo, 1.0, np.array([[lo]])),
             Facet(np.array([1.0]), hi, 1.0, np.array([[hi]])),
         )
-        return Polytope(1, A, b, verts, facets)
+        return Polytope(1, A, b, verts, facets, hi - lo)
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
         if allow_degenerate:
-            return Polytope(dim, np.zeros((0, dim)), np.zeros(0), pts, (), _degenerate=True)
+            return Polytope(dim, np.zeros((0, dim)), np.zeros(0), pts, (), 0.0, _degenerate=True)
         raise InputError(f"vertex set is degenerate: {exc}") from exc
     verts = pts[hull.vertices]
     groups: dict[tuple, list[int]] = {}
     for i, eq in enumerate(np.round(hull.equations, 7)):
         groups.setdefault(tuple(eq), []).append(i)
+    areas = simplex_volumes(pts[hull.simplices])
     facets = []
     A_rows, b_rows = [], []
     for ids in groups.values():
@@ -342,11 +345,12 @@ def _build_from_points(dim: int, pts: np.ndarray, allow_degenerate: bool) -> Pol
         offset = float(-eqs[:, dim].mean())
         vid = sorted({v for i in ids for v in hull.simplices[i]})
         fverts = pts[vid]
-        area = sum(_simplex_facet_area(dim, pts[hull.simplices[i]]) for i in ids)
-        facets.append(Facet(normal, offset, float(area), _order_facet_vertices(normal, fverts)))
+        facets.append(Facet(normal, offset, float(areas[ids].sum()),
+                            _order_facet_vertices(normal, fverts)))
         A_rows.append(normal)
         b_rows.append(offset)
-    return Polytope(dim, np.array(A_rows), np.array(b_rows), verts, tuple(facets))
+    volume = simplex_volumes(hull_simplices(pts, hull)).sum()
+    return Polytope(dim, np.array(A_rows), np.array(b_rows), verts, tuple(facets), volume)
 
 
 def _check_bounded(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> None:
@@ -379,13 +383,23 @@ def intersect_translates(K: Polytope, shifts: Sequence[Sequence[float]]) -> Poly
     return _build_from_points(K.dim, pts, allow_degenerate=True)
 
 
+def lifted_system(K: Polytope, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K cap_i (K + r blocks_i) as {x : A x <= b + r c}: K's rows, then
+    each translate's, with c = 0 on K's rows and c = A blocks_i on the
+    i-th translate's."""
+    copies = len(blocks) + 1
+    A = np.vstack([K.A] * copies)
+    b = np.concatenate([K.b] * copies)
+    c = np.concatenate([np.zeros(len(K.b))] + [K.A @ th for th in blocks])
+    return A, b, c
+
+
 def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> np.ndarray | None:
     """Vertex set of K cap (shift_i + K), or None when empty. Fast path."""
     if len(shifts) == 0:
         return K.vertices
-    A = np.vstack([K.A] * (len(shifts) + 1))
-    b = np.concatenate([K.b] + [K.b + K.A @ s for s in shifts])
-    pts = enumerate_vertices(A, b)
+    A, b, c = lifted_system(K, shifts)
+    pts = enumerate_vertices(A, b + c)
     if len(pts) == 0:
         return None
     return pts
@@ -395,14 +409,6 @@ def volume(P: Polytope | None) -> float:
     if P is None:
         return 0.0
     return P.volume
-
-
-def support(P: Polytope, u: Sequence[float]) -> float:
-    return P.support(u)
-
-
-def radial(P: Polytope, base: Sequence[float] | None, u: Sequence[float]) -> float:
-    return P.radial(u, base)
 
 
 @dataclass
@@ -454,8 +460,8 @@ class StarBodyFn:
         return StarBodyFn(S.dim, lambda dirs: float(c) * S.radial(dirs))
 
 
-def star_volume(S: StarBodyFn, quad, with_error: bool = False):
-    """(1/d) * sum_i w_i rho(u_i)^d; stderr only meaningful for MC rules."""
+def star_volume(S: StarBodyFn, quad) -> float:
+    """(1/d) * sum_i w_i rho(u_i)^d."""
     if S.dim != quad.dim:
         raise InputError("star body and quadrature dimensions differ")
     rho = np.asarray(S.radial(quad.nodes), dtype=float)
@@ -463,12 +469,4 @@ def star_volume(S: StarBodyFn, quad, with_error: bool = False):
         raise InputError("radial function must be positive and finite on nodes")
     vals = rho**S.dim
     # einsum, not a BLAS dot: its sum does not depend on the thread count
-    vol = float(np.einsum("i,i->", quad.weights, vals)) / S.dim
-    if not with_error:
-        return vol
-    if quad.kind.startswith("mc"):
-        n = len(vals)
-        se = float(quad.weights.sum() * vals.std(ddof=1) / math.sqrt(n)) / S.dim
-    else:
-        se = 0.0
-    return vol, se
+    return float(np.einsum("i,i->", quad.weights, vals)) / S.dim

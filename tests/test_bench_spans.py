@@ -37,3 +37,34 @@ def test_method_spans_resolve(spans):
     missing = [f"{mod}.{cls}.{meth}" for mod, cls, meth in targets
                if meth not in vars(getattr(importlib.import_module(mod), cls, object))]
     assert not missing
+
+
+def test_qhull_callers_bind_convexhull_at_module_level():
+    # spans.py counts hulls by patching every covbody module that binds
+    # scipy's ConvexHull; a hull built through a function-local import or
+    # an attribute path would escape the `polytope.hull` counter
+    import ast
+
+    import scipy.spatial
+
+    package = Path(importlib.import_module("covbody").__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        uses = False
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                    a.name == "ConvexHull" for a in node.names):
+                uses = True
+                if id(node) not in top:
+                    offenders.append(f"{path.name}:{node.lineno} imports ConvexHull locally")
+            elif isinstance(node, ast.Attribute) and node.attr == "ConvexHull":
+                offenders.append(f"{path.name}:{node.lineno} reaches ConvexHull by attribute")
+            elif isinstance(node, ast.Name) and node.id == "ConvexHull":
+                uses = True
+        module = importlib.import_module(f"covbody.{path.stem}" if path.stem != "__init__"
+                                         else "covbody")
+        if uses and getattr(module, "ConvexHull", None) is not scipy.spatial.ConvexHull:
+            offenders.append(f"{path.name} does not bind scipy's ConvexHull")
+    assert not offenders

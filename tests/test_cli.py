@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from covbody import cli
@@ -16,45 +17,6 @@ TRIANGLE_BODY = {"name": "simplex", "dim": 2}
 SQUARE_BODY = {"name": "cube", "dim": 2}
 QUAD_BODY = {"type": "vrep",
              "vertices": [[0.0, 0.0], [1.3, 0.1], [1.1, 0.9], [0.2, 1.2]]}
-
-CANONICAL_OPERATIONS = {
-    "cli.run",
-    "covariogram.covariogram",
-    "covariogram.covariogram_slice",
-    "covariogram.diffbody_radial",
-    "covariogram.roof",
-    "genvol.chord_lower_check",
-    "genvol.chord_upper_check",
-    "genvol.dual_volume",
-    "measure.boundary_measure_total",
-    "measure.integrate_over_polytope",
-    "measure.transform_measure",
-    "measure.weighted_surface_measure",
-    "oracle.mc_measure",
-    "oracle.sphere_quadrature",
-    "polytope-core.apply_linear",
-    "polytope-core.intersect_translates",
-    "polytope-core.radial",
-    "polytope-core.star_volume",
-    "polytope-core.support",
-    "polytope-core.volume",
-    "projection.linear_covariance_check",
-    "projection.polar_projection_radial",
-    "projection.projection_support",
-    "projection.variational_check",
-    "radialmean.rmb_limit_neg1",
-    "radialmean.rmb_radial_direct",
-    "radialmean.rmb_radial_mellin",
-    "radialmean.rmb_radial_p0",
-    "verify.berwald_const_F",
-    "verify.berwald_const_Q",
-    "verify.chain_check",
-    "verify.gen_binom",
-    "verify.general_zhang_check",
-    "verify.rogers_shephard_check",
-    "verify.zhang_check",
-}
-
 
 def run_job(tmp_path, job, name="out.json"):
     out = tmp_path / name
@@ -72,15 +34,29 @@ def run_json(tmp_path, job, name="out.json"):
 class TestCoverage:
     def test_every_command_has_a_handler(self):
         assert set(cli._HANDLERS) == set(cli.COMMANDS)
-        assert set(cli.COMMAND_OPERATIONS) == set(cli.COMMANDS)
 
-    def test_operation_registry_is_canonical(self):
-        assert set(cli.ALL_OPERATIONS) == CANONICAL_OPERATIONS
 
-    def test_every_command_reaches_operations(self):
-        for command, ops in cli.COMMAND_OPERATIONS.items():
-            assert ops, command
-            assert set(ops) <= cli.ALL_OPERATIONS
+class TestSchema:
+    def test_job_schema_is_valid(self):
+        type(cli._VALIDATOR).check_schema(cli.JOB_SCHEMA)
+
+    def test_jobs_do_not_recheck_the_schema(self, tmp_path, monkeypatch):
+        # the validator is built once; a job must not check JOB_SCHEMA
+        # against the metaschema again
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_schema called while running a job")
+
+        monkeypatch.setattr(type(cli._VALIDATOR), "check_schema", refuse)
+        code, doc = run_json(tmp_path, {"command": "verify-rs", "body": TRIANGLE_BODY})
+        assert code == 0
+        assert doc["report"]["pass"] is True
+
+    def test_message_is_what_validate_gives(self, tmp_path, capsys):
+        job = {"command": "verify-rs", "seed": -1, "output": "xml"}
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(job, cli.JOB_SCHEMA)
+        assert run_job(tmp_path, job)[0] == 2
+        assert exc.value.message in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -189,6 +165,33 @@ class TestExitCodes:
         code, _ = run_job(tmp_path, job)
         assert code == 2
         assert f"{ignored} have no effect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, body, params", [
+        ("verify-rs", SQUARE_BODY, {}),
+        ("diffbody", SQUARE_BODY, {"m": 1}),
+        ("dualvol", SQUARE_BODY, {}),
+        ("dualvol", None, {"dim": 2}),
+        ("verify-chord", None, {"fixture": "affine"}),
+        ("verify-chord", SQUARE_BODY, {"fixture": "capped"}),
+        ("rmb", SQUARE_BODY, {"p": "inf", "direction": [1.0, 0.0]}),
+    ])
+    def test_ignored_measure_is_two(self, tmp_path, capsys, command, body, params):
+        job = {"command": command, "params": params,
+               "measure": {"type": "gaussian", "sigma": 0.3}}
+        if body is not None:
+            job["body"] = body
+        code, _ = run_job(tmp_path, job)
+        assert code == 2
+        assert "measure have no effect" in capsys.readouterr().err
+        del job["measure"]
+        assert run_job(tmp_path, job)[0] == 0
+
+    def test_single_oracle_sample_is_two(self, tmp_path, capsys):
+        code, _ = run_job(tmp_path, {
+            "command": "covariogram", "body": SQUARE_BODY,
+            "params": {"x": [0.5, 0.0], "oracle_samples": 1}})
+        assert code == 2
+        assert "at least 2 samples" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from covbody.errors import InputError
 from covbody.oracle import mc_measure, rng_for, sphere_quadrature
 from covbody.polytope import (Halfspace, LinearMap, Polytope, StarBodyFn,
-                              apply_linear, intersect_translates, radial,
-                              star_volume, support, volume)
+                              apply_linear, intersect_translates, star_volume,
+                              volume)
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -102,14 +102,14 @@ class TestSupportRadial:
     def test_support_values(self):
         assert CENTERED_SQUARE.support([1.0, 0.0]) == pytest.approx(1.0)
         assert TRIANGLE.support([1.0, 1.0]) == pytest.approx(1.0)
-        assert support(TRIANGLE, [0.0, 0.0]) == pytest.approx(0.0)
+        assert TRIANGLE.support([0.0, 0.0]) == pytest.approx(0.0)
 
     def test_radial_values(self):
         o = np.zeros(2)
         assert CENTERED_SQUARE.radial([1.0, 0.0], o) == pytest.approx(1.0)
         d = np.array([1.0, 1.0]) / math.sqrt(2)
         assert CENTERED_SQUARE.radial(d, o) == pytest.approx(math.sqrt(2))
-        assert radial(TRIANGLE, [0.25, 0.25], [1.0, 0.0]) == pytest.approx(0.5)
+        assert TRIANGLE.radial([1.0, 0.0], [0.25, 0.25]) == pytest.approx(0.5)
 
     def test_radial_needs_interior_base(self):
         with pytest.raises(InputError):
@@ -201,8 +201,7 @@ class TestStarVolume:
         with pytest.raises(InputError):
             star_volume(bad, quad)
 
-    def test_mc_reports_error(self):
+    def test_mc_rule_ball_volume(self):
         quad = sphere_quadrature(4, "mc", 20_000, 42)
-        val, err = star_volume(StarBodyFn.ball(4), quad, with_error=True)
+        val = star_volume(StarBodyFn.ball(4), quad)
         assert val == pytest.approx(math.pi**2 / 2, rel=3e-2)
-        assert err >= 0.0
