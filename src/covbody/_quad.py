@@ -7,11 +7,12 @@ The package builds its quadrature rules here and nowhere else:
 - `geometric_gauss` is the composite 1-D rule on intervals away from 0:
   Gauss-Legendre on geometric sub-intervals [s, 2s], for integrands that
   carry a power r^q of any size;
+- `jacobi_01` is the Gauss-Jacobi rule on [0, 1] for the weight t^q;
 - `simplex_rule` is the one simplex rule: a collapsed (Duffy) tensor Gauss
   rule on k-simplices embedded in R^d, one simplex or a stack of them.
 
-Both read the cached Gauss-Legendre table `gauss_01`; `simplex_rule` also
-caches its barycentric table per (k, level). All deterministic.
+The Legendre rules read the cached table `gauss_01`; `jacobi_01` and
+`simplex_rule` cache their own tables. All deterministic.
 
 The geometry kernel lives here too: `simplex_volumes` is the one simplex
 volume formula, and `triangulate_vertices` / `hull_simplices` the one
@@ -27,6 +28,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.spatial import ConvexHull, QhullError
+from scipy.special import roots_jacobi
 
 from .errors import InputError, NumericError
 
@@ -46,6 +48,13 @@ def gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = leggauss(int(n))
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
+
+
+@functools.lru_cache(maxsize=64)
+def jacobi_01(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes/weights on [0, 1] for the weight t^q, q > -1."""
+    x, w = roots_jacobi(int(n), 0.0, float(q))
+    return _frozen(0.5 * (x + 1.0), w / 2.0 ** (q + 1.0))
 
 
 def graded_gauss(rho: float, n: int, power: float = 2) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,10 @@ Two independent evaluation routes are kept deliberately separate: the direct
 route integrates min_i rho_{K-x}(-theta_i)^p over K on a fixed polar tensor
 grid and never touches the covariogram; the Mellin route integrates
 g(r thetabar) r^(p-1) along the ray. Their agreement is the identity under
-test. Which Mellin integrator runs follows from the density alone: a
-constant density integrates the exact piecewise-polynomial ray profile in
-closed form, any other density a graded Gauss rule with a refinement gate.
+test. One Mellin integrator serves every density: it runs over the pieces
+of the ray between its breakpoints, where g is smooth. Only the first
+piece's rule follows from the density: the closed form of the exact
+profile under a constant density, Gauss-Jacobi on samples of g otherwise.
 There is no integration strategy to choose.
 """
 
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import geometric_gauss, graded_gauss
+from ._quad import geometric_gauss, graded_gauss, jacobi_01
 from .covariogram import FIT_GATE, CovRay, MDirection, as_mdirection, diffbody_radial
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
@@ -119,9 +120,8 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
     algebraic identity for any constant h; the exact value makes the
     remaining integrand O(r^(p+1))).
 
-    Under a constant density g is integrated in closed form from its
-    piecewise-polynomial ray profile; otherwise a graded Gauss rule samples g
-    and must pass a refinement gate.
+    The integral runs piece by piece between the ray's breakpoints, where g
+    is smooth, for every density (see `_mellin`).
     """
     theta = as_mdirection(theta)
     if p == math.inf:
@@ -134,101 +134,83 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
         ray = CovRay(K, mu, theta)
     if h_pi is None and (p < 0 or mu.exact):
         h_pi = ProjectionBody(K, mu, theta.m).support(theta)
-    if not mu.exact:
-        return _mellin_graded(ray, p, h_pi)
     try:
-        return _mellin_exact(ray, p, h_pi)
+        return _mellin(ray, p, h_pi)
     except NumericError as exc:
         raise NumericError(f"Mellin ray integral at p={p:g}: {exc}") from exc
 
 
-def _mellin_exact(ray: CovRay, p: float, h_pi: float) -> float:
-    """rho_{R_p} from the exact profile of g, in the variable u = r/rho_D.
+# Under a non-constant density: Gauss nodes per piece of the coarse level,
+# and the relative gate between it and the level with twice as many.
+PIECE_NODES = 8
+PIECE_GATE = 1e-6
 
-    The first piece's constant and linear coefficients must reproduce mu(K)
-    and -h (the identity -g'(0+) = h_Pi) within FIT_GATE * mu(K) on its
-    local variable. It integrates term by term in closed form; for p < 0
-    only its quadratic and cubic terms remain in the bracket, since the
-    constant and linear ones are mu(K) and -h u rho_D exactly. Later
-    pieces use Gauss on geometric sub-intervals with enough nodes for
-    u^(p-1); they evaluate only the fitted polynomials.
+
+def _mellin(ray: CovRay, p: float, h_pi: float | None) -> float:
+    """rho_{R_p} in the variable u = r/rho_D, integrated over the pieces
+    [0, breakpoints..., rho_D] of the ray, between which g is smooth.
+
+    Later pieces use Gauss on geometric sub-intervals with enough nodes for
+    u^(p-1). The first piece depends on the density:
+
+    - constant: g is the exact profile, whose first piece must reproduce
+      mu(K) and -h (the identity -g'(0+) = h_Pi) within FIT_GATE * mu(K)
+      and integrates in closed form; for p < 0 only its quadratic and cubic
+      terms remain in the bracket. Later pieces sample the fit.
+    - otherwise: Gauss-Jacobi in the local variable t with weight t^(p-1),
+      or t^(p+1) on the bracket over u^2 when p < 0, samples g itself.
+      PIECE_NODES per piece and twice as many must agree within PIECE_GATE.
     """
-    prof = ray.profile()
     mu_K, rho_D = ray.mu_K, ray.rho_D
-    head, width = prof.coeffs[0], prof.breaks[1]
-    if (abs(head[0] - mu_K) > FIT_GATE * mu_K
-            or abs(head[1] + h_pi * width) > FIT_GATE * mu_K):
-        raise NumericError(
-            f"ray profile breaks -g'(0+) = h or g(0) = mu(K) on its first "
-            f"piece: fit {head[0]:.12g}, {-head[1] / width:.12g} against "
-            f"{mu_K:.12g}, {h_pi:.12g} ({prof.pieces} pieces, {ray.describe()})")
-    u = prof.breaks / rho_D
-    k = np.arange(len(head)) if p > 0 else np.arange(2, len(head))
-    J = u[1] ** p * float(np.sum(head[k] / (k + p)))
-    if prof.pieces > 1:
-        # u^(p-1) times a cubic, each sub-interval spanning a factor 2 in u
-        nodes = 12 + math.ceil(abs(p - 1.0) / 2.0)
+    # the nodes u^(p-1) adds on a sub-interval spanning a factor 2 in u
+    steep = math.ceil(abs(p - 1.0) / 2.0)
+    tail = 0.0 if p > 0 else 1.0 - (p / (p + 1.0)) * (h_pi * rho_D / mu_K)
+
+    def ratio(J: float, u: np.ndarray, nodes: int, g) -> float:
+        """(rho/rho_D)^p from the first piece's integral J and Gauss on
+        the later pieces (none when u has two entries)."""
         U, W = geometric_gauss(u[1:], nodes)
-        vals = prof(rho_D * U)
+        vals = g(rho_D * U)
         if p < 0:
             vals = vals - mu_K + h_pi * rho_D * U
-        J += float(np.sum(W * vals * U ** (p - 1.0)))
-    ratio = (p / mu_K) * J
-    if p < 0:
-        ratio += 1.0 - (p / (p + 1.0)) * (h_pi * rho_D / mu_K)
-    if ratio <= 0:
-        raise NumericError(f"nonpositive Mellin value {ratio:.6g} from "
-                           f"{prof.pieces} profile pieces, {ray.describe()}")
-    return float(rho_D * ratio ** (1.0 / p))
+        return (p / mu_K) * (J + float(np.sum(W * vals * U ** (p - 1.0)))) + tail
 
-
-# The graded route: node count of the coarse level and the relative gate
-# between it and the doubled level.
-GRADED_NODES = 96
-GRADED_GATE = 1e-6
-
-
-def _mellin_graded(ray: CovRay, p: float, h_pi: float | None) -> float:
-    """rho_{R_p} by graded Gauss sampling of g on GRADED_NODES and twice as
-    many nodes; a relative change above GRADED_GATE is an error. The route
-    for non-constant densities, and the reference the exact route is tested
-    against."""
-    rho_D, mu_K = ray.rho_D, ray.mu_K
-    if p > 0:
-        def level(n_nodes: int) -> float:
-            r, w = graded_gauss(rho_D, n_nodes)
-            g = ray.g_many(r)
-            return (p / mu_K) * float(np.sum(w * g * r ** (p - 1.0)))
+    if ray.mu.exact:
+        prof = ray.profile()
+        head, width = prof.coeffs[0], prof.breaks[1]
+        per_piece = f"{ray.K.dim + 2} evaluations per piece"
+        if (abs(head[0] - mu_K) > FIT_GATE * mu_K
+                or abs(head[1] + h_pi * width) > FIT_GATE * mu_K):
+            raise NumericError(
+                f"ray profile breaks -g'(0+) = h or g(0) = mu(K) on its first "
+                f"piece: fit {head[0]:.12g}, {-head[1] / width:.12g} against "
+                f"{mu_K:.12g}, {h_pi:.12g} ({prof.pieces} pieces, {per_piece}, "
+                f"{ray.describe()})")
+        u = prof.breaks / rho_D
+        k = np.arange(len(head)) if p > 0 else np.arange(2, len(head))
+        # later pieces: u^(p-1) times a cubic
+        value = ratio(u[1] ** p * float(np.sum(head[k] / (k + p))), u, 12 + steep, prof)
     else:
-        if h_pi is None:
-            h_pi = ProjectionBody(ray.K, ray.mu, ray.theta.m).support(ray.theta)
-        tail = -(p / (p + 1.0)) * (h_pi / mu_K) * rho_D ** (p + 1.0) + rho_D ** p
-        # The bracket g - mu(K) + h r is O(r^2), so below r_cut it is pure
-        # rounding/quadrature noise amplified by r^(p-1). Keep nodes on
-        # [r_cut, rho_D] and close [0, r_cut] with the quadratic model
-        # fitted at the innermost kept node.
-        r_cut = 1e-3 * rho_D
+        u = np.concatenate([[0.0], ray.breakpoints(), [rho_D]]) / rho_D
+        per_piece = f"{PIECE_NODES}/{2 * PIECE_NODES} nodes per piece"
+        q = p - 1.0 if p > 0 else p + 1.0
 
-        def level(n_nodes: int) -> float:
-            r, w = graded_gauss(rho_D - r_cut, n_nodes)
-            r = r_cut + r
-            g = ray.g_many(r)
-            bracket = g - mu_K + h_pi * r
-            J = float(np.sum(w * bracket * r ** (p - 1.0)))
-            q_fit = bracket[0] / (r[0] * r[0])
-            J += q_fit * r_cut ** (p + 2.0) / (p + 2.0)
-            return (p / mu_K) * J + tail
+        def level(n: int) -> float:
+            t, w = jacobi_01(n, q)
+            U = u[1] * t
+            vals = ray.g_many(rho_D * U)
+            if p < 0:
+                vals = (vals - mu_K + h_pi * rho_D * U) / (U * U)
+            return ratio(u[1] ** (q + 1.0) * float(np.sum(w * vals)), u, n + steep, ray.g_many)
 
-    coarse = level(GRADED_NODES)
-    fine = level(2 * GRADED_NODES)
-    if abs(fine - coarse) > GRADED_GATE * max(abs(fine), 1e-300):
-        raise NumericError(
-            f"Mellin quadrature did not converge at p={p:g}: {coarse} vs {fine} "
-            f"at {GRADED_NODES}/{2 * GRADED_NODES} nodes, {ray.describe()}")
-    if fine <= 0:
-        raise NumericError(f"nonpositive Mellin value at p={p:g}; ray integral "
-                           f"unstable at {2 * GRADED_NODES} nodes, {ray.describe()}")
-    return float(fine ** (1.0 / p))
+        coarse, value = level(PIECE_NODES), level(2 * PIECE_NODES)
+        if abs(value - coarse) > PIECE_GATE * abs(value):
+            raise NumericError(f"did not converge: {coarse} vs {value} at {per_piece} "
+                               f"on {len(u) - 1} pieces, {ray.describe()}")
+    if value <= 0:
+        raise NumericError(f"nonpositive value {value:.6g} at {per_piece} on "
+                           f"{len(u) - 1} pieces, {ray.describe()}")
+    return float(rho_D * value ** (1.0 / p))
 
 
 def rmb_limit_neg1(K: Polytope, mu: WeightedMeasure,

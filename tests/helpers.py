@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
+from covbody.covariogram import CovRay, covariogram
 from covbody.measure import WeightedMeasure
 from covbody.polytope import Polytope
 
@@ -35,6 +37,23 @@ def grid_covariogram(K: Polytope, mu: WeightedMeasure, shifts,
     if not ok.any():
         return 0.0
     return float(mu.density(pts[ok]).sum() * cell)
+
+
+def quad_mellin(ray: CovRay, p: float) -> float:
+    """rho_{R_p}(thetabar) for p > 0 by adaptive QUADPACK on each piece of
+    the ray between `ray.breakpoints()`, in u = r / rho_D; the first piece
+    carries u^(p-1) as the algebraic weight of `quad`. Samples g through
+    `covariogram`, not through the ray's cache."""
+    u = np.concatenate([[0.0], ray.breakpoints(), [ray.rho_D]]) / ray.rho_D
+
+    def g(s: float) -> float:
+        return covariogram(ray.K, ray.mu, ray.theta.shifts(ray.rho_D * s))
+
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    J = quad(g, 0.0, u[1], weight="alg", wvar=(p - 1.0, 0.0), **opts)[0]
+    for a, b in zip(u[1:-1], u[2:]):
+        J += quad(lambda s: g(s) * s ** (p - 1.0), a, b, **opts)[0]
+    return ray.rho_D * ((p / ray.mu_K) * J) ** (1.0 / p)
 
 
 def gauss_box_mass(sigma: float, lo, hi) -> float:

@@ -11,7 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import covbody.polytope as polytope_mod
 from covbody import cli
+from covbody.report import VerifyReport
 
 TRIANGLE_BODY = {"name": "simplex", "dim": 2}
 SQUARE_BODY = {"name": "cube", "dim": 2}
@@ -213,6 +215,23 @@ class TestCommands:
         assert code == 0
         assert "oracle_estimate" in doc["result"]
 
+    def test_covariogram_enumerates_the_intersection_once(self, tmp_path, monkeypatch):
+        calls = []
+        enumerate_vertices = polytope_mod.enumerate_vertices
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return enumerate_vertices(*args, **kwargs)
+
+        monkeypatch.setattr(polytope_mod, "enumerate_vertices", counted)
+        code, doc = run_json(tmp_path, {
+            "command": "covariogram", "body": {"name": "cross", "dim": 3},
+            "params": {"x": [0.2, 0.1, 0.05]}})
+        assert code == 0
+        assert len(calls) == 1
+        res = doc["result"]
+        assert res["value"] == pytest.approx(res["intersection_volume"], rel=1e-12)
+
     def test_covariogram_slice(self, tmp_path):
         code, doc = run_json(tmp_path, {
             "command": "covariogram", "body": SQUARE_BODY,
@@ -312,6 +331,38 @@ class TestCommands:
         res = doc["result"]
         assert res["value"] == pytest.approx(math.pi, rel=1e-9)
         assert res["value"] == pytest.approx(res["star_volume"], rel=1e-12)
+
+
+class TestAggregateReports:
+    # fabricated per-case reports: the aggregate takes margin and pass/fail
+    # from the smallest margin, and prints the first case within
+    # cli.WORST_TIE of it
+    @staticmethod
+    def _fake(margins):
+        reps = iter(VerifyReport(
+            name="case", lhs=float(i), rhs=10.0 + i, ratio=0.1 * i, bound=1.0,
+            margin=mg, passed=mg >= 0.0, samples=1, seed=0, tolerance=1e-3)
+            for i, mg in enumerate(margins))
+        return lambda *args, **kwargs: next(reps)
+
+    @pytest.mark.parametrize("command, target, count", [
+        pytest.param("verify-variational", "variational_check", "directions",
+                     id="variational"),
+        pytest.param("verify-linear", "linear_covariance_check", "trials",
+                     id="linear")])
+    @pytest.mark.parametrize("margins, shown, code", [
+        pytest.param((0.3, 0.1, 0.1 - 1e-12, 0.2), 1, 0, id="tie"),
+        pytest.param((0.3, -0.2 + 1e-12, 0.1, -0.2), 1, 1, id="failing-tie"),
+        pytest.param((0.3, 0.1, 0.1 - 1e-6, 0.2), 2, 0, id="no-tie")])
+    def test_worst_case_ties_go_to_the_first(self, tmp_path, monkeypatch, command,
+                                              target, count, margins, shown, code):
+        monkeypatch.setattr(cli, target, self._fake(margins))
+        got, doc = run_json(tmp_path, {"command": command, "body": SQUARE_BODY,
+                                       "params": {count: len(margins)}})
+        rep = doc["report"]
+        assert got == code and rep["pass"] is (code == 0)
+        assert rep["margin"] == min(margins)
+        assert (rep["lhs"], rep["rhs"], rep["ratio"]) == (shown, 10.0 + shown, 0.1 * shown)
 
 
 class TestDeterminism:

@@ -7,14 +7,13 @@ import pytest
 
 from covbody.covariogram import CovRay, MDirection, diffbody_radial
 from covbody.errors import InputError, NumericError
-from covbody.measure import GaussianDensity, WeightedMeasure
-from covbody.oracle import rng_for
+from covbody.measure import GaussianDensity, LinearPowerDensity, WeightedMeasure
+from covbody.oracle import rng_for, sphere_quadrature
 from covbody.polytope import Polytope
-from covbody.radialmean import (RadialMeanBody, _mellin_graded,
-                                rmb_limit_neg1, rmb_radial_direct,
+from covbody.radialmean import (RadialMeanBody, rmb_limit_neg1, rmb_radial_direct,
                                 rmb_radial_mellin, rmb_radial_p0)
 
-from helpers import random_polygon
+from helpers import quad_mellin, random_polygon
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -85,10 +84,11 @@ class TestRouteAgreement:
 
 
 class TestKinkedRays:
-    """Random polygons: g has kinks along most rays, where the graded rule
-    used to miss its refinement gate (exit 3) at p >= 2."""
+    """Random polygons: g has kinks along most rays. The Mellin route
+    integrates between them and must match QUADPACK on the same pieces."""
 
     CASES = [(k, m) for k in range(4, 9) for m in (1, 2)] + [(6, 1), (7, 2)]
+    GAUSS = WeightedMeasure(GaussianDensity(2, 1.0))
 
     @staticmethod
     def _case(i, k, m):
@@ -96,30 +96,59 @@ class TestKinkedRays:
         K = random_polygon(rng, k)
         return K, MDirection.normalized(rng.standard_normal((m, 2)))
 
+    def _check(self, i, mu):
+        K, theta = self._case(i, *self.CASES[i])
+        ray = CovRay(K, mu, theta)
+        got = {p: rmb_radial_mellin(K, mu, p, theta, ray=ray)
+               for p in (2.0, 3.0, 20.0, 200.0)}
+        for p, value in got.items():
+            assert 0.0 < value < ray.rho_D
+            assert value == pytest.approx(quad_mellin(ray, p), rel=1e-12)
+        return K, theta, got
+
     @pytest.mark.parametrize("i", range(12))
     def test_mellin_returns_a_value_at_every_p(self, i):
-        K, theta = self._case(i, *self.CASES[i])
-        ray = CovRay(K, LEB2, theta)
-        for p in (2.0, 3.0, 20.0, 200.0):
-            got = rmb_radial_mellin(K, LEB2, p, theta, ray=ray)
-            assert 0.0 < got < ray.rho_D
-            if p <= 3.0:
-                want = rmb_radial_direct(K, LEB2, p, theta)
-                assert got == pytest.approx(want, rel=1e-4)
-            try:
-                graded = _mellin_graded(ray, p, None)
-            except NumericError:
-                continue
-            assert got == pytest.approx(graded, rel=1e-7)
+        K, theta, got = self._check(i, LEB2)
+        for p in (2.0, 3.0):
+            want = rmb_radial_direct(K, LEB2, p, theta)
+            assert got[p] == pytest.approx(want, rel=1e-4)
 
-    def test_graded_failure_names_its_rerun(self):
+    @pytest.mark.parametrize("i", range(12))
+    def test_gaussian_mellin_returns_a_value_at_every_p(self, i):
+        self._check(i, self.GAUSS)
+
+    def test_piece_gate_failure_names_its_rerun(self, monkeypatch):
+        # without its breakpoints the first piece spans a kink of g, which
+        # 8 and 16 Gauss-Jacobi nodes resolve differently
+        monkeypatch.setattr(CovRay, "breakpoints", lambda self: np.empty(0))
         K, theta = self._case(0, *self.CASES[0])
-        ray = CovRay(K, LEB2, theta)
         with pytest.raises(NumericError) as info:
-            _mellin_graded(ray, 3.0, None)
+            rmb_radial_mellin(K, self.GAUSS, 3.0, theta)
         msg = str(info.value)
-        assert "p=3" in msg and "96/192 nodes" in msg
+        assert "p=3" in msg and "8/16 nodes per piece on 1 pieces" in msg
         assert f"direction {np.round(theta.flat, 6).tolist()}" in msg
+
+
+class TestIdentities:
+    # vol_2(R_2 K) = (1/2) int_S rho^2 = (1/mu(K)) int g dx = vol(K) for
+    # every density mu, by Fubini; the 64-direction midpoint rule on the
+    # angle limits the agreement (kinks of rho over the sphere)
+    DENSITIES = {"lebesgue": LEB2,
+                 "gaussian": WeightedMeasure(GaussianDensity(2, 0.8)),
+                 "linear-power": WeightedMeasure(LinearPowerDensity([0.3, 0.2], 1.0, 1.0))}
+    # at least twice the largest gap over the three densities
+    TOL = {"triangle": 4e-3, "hexagon": 2e-4}
+
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("body", sorted(TOL))
+    def test_second_mean_body_has_the_volume_of_K(self, body, density):
+        K = TRIANGLE if body == "triangle" else random_polygon(np.random.default_rng(4), 6)
+        mu = self.DENSITIES[density]
+        quad = sphere_quadrature(2, count=64)
+        rho = np.array([rmb_radial_mellin(K, mu, 2.0, MDirection(u[None]))
+                        for u in quad.nodes])
+        assert 0.5 * float(quad.weights @ rho ** 2) == pytest.approx(
+            K.volume, rel=self.TOL[body])
 
 
 class TestLimits:

@@ -119,12 +119,9 @@ class TestChain:
         assert rep.passed
         assert "rho_D" not in rep.rows[0]
 
-    # The graded Mellin rule that smooth densities use misses its 1e-6 gate
-    # at the kinks of g along the ray (exit 3 from the CLI). Per-piece
-    # Gauss on the ray's breakpoints would mend it and flip this test.
-    @pytest.mark.xfail(strict=True, raises=NumericError,
-                       reason="graded Mellin rule at p = 3 on kinked rays")
-    @pytest.mark.parametrize("seed", [4, 5])
+    # g has kinks along these rays, so the Mellin route must integrate
+    # between them to meet its gate at p = 3
+    @pytest.mark.parametrize("seed", range(8))
     def test_gaussian_q_branch_on_random_hexagon(self, seed):
         K = random_polygon(np.random.default_rng(seed), 6)
         mu = WeightedMeasure(GaussianDensity(2, 1.0))
