@@ -11,7 +11,6 @@ written as JSON (stable key order) or CSV to the chosen output.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import io
 import json
@@ -28,7 +27,7 @@ from .errors import InputError, NumericError
 from .genvol import (affine_ray_fn, capped_ray_fn, chord_lower_check,
                      chord_upper_check, covariogram_ray_fn, dual_volume,
                      kernel_from_spec, profile_ray_fn)
-from .measure import (Concavity, WeightedMeasure, _integrate_points,
+from .measure import (WeightedMeasure, _integrate_points,
                       boundary_measure_total, check_concavity_tag,
                       density_from_spec, log_concavity, power_concavity)
 from .oracle import mc_measure, rng_for, sphere_quadrature
@@ -177,13 +176,11 @@ def _concavity_from_spec(spec: Any):
     raise InputError(f"unknown concavity type {spec['type']!r}")
 
 
-def _check_declared_tag(mu: WeightedMeasure, K: Polytope, tag: Concavity) -> None:
-    """Spot-check that the requested concavity class fits the density."""
-    density = copy.copy(mu.density)
-    density.concavity = tag
-    ok, msg = check_concavity_tag(density, K.bounding_box())
+def _check_declared_tag(mu: WeightedMeasure, K: Polytope, s: float | None) -> None:
+    """Spot-check that the density is s-concave (log-concave if s is None)."""
+    ok, msg = check_concavity_tag(mu.density, s, K.bounding_box())
     if not ok:
-        label = tag.kind if tag.s is None else f"{tag.kind}({tag.s:g})"
+        label = "log" if s is None else f"s({s:g})"
         raise InputError(
             f"declared concavity {label} is inconsistent with the density: {msg}")
 
@@ -272,8 +269,7 @@ def _cmd_diffbody(job: _Job):
     if m == 1:
         vol = volume(diffbody_polytope(K, 1))
     else:
-        quad = sphere_quadrature(d, "auto", int(p.get("count", 200_000)),
-                                 job.seed)
+        quad = sphere_quadrature(d, int(p.get("count", 200_000)), job.seed)
         vol = star_volume(diffbody_star(K, m, "lp"), quad)
         result["quadrature_nodes"] = len(quad.nodes)
     result["volume"] = vol
@@ -308,8 +304,7 @@ def _cmd_projbody(job: _Job):
     if p.get("volume"):
         d = n * m
         quad = (None if d == 2 else
-                sphere_quadrature(d, "auto", int(p.get("count", 200_000)),
-                                  job.seed))
+                sphere_quadrature(d, int(p.get("count", 200_000)), job.seed))
         result["polar_volume"] = polar_projection_volume(K, mu, m, quad)
     return _result_payload("projbody", result)
 
@@ -344,34 +339,33 @@ def _cmd_rmb(job: _Job):
 
 
 def _cmd_verify_chain(job: _Job):
-    p = _take(job.params, {"branch", "s", "F", "p_list", "m", "directions",
-                           "slack"})
+    p = _take(job.params, {"branch", "s", "F", "p_list", "m", "directions"})
     K = job.body()
     mu = job.measure(K.dim)
     branch = p.get("branch", "s")
-    s = None
-    F = None
+    # the branch's s or F is the concavity class the chain's constants
+    # assume, spot-checked against the density
+    s = F = None
     if branch == "s":
+        _refuse(p, ("F",), "on the s-branch, whose class is params.s")
         if "s" not in p:
             raise InputError("the s-branch needs params.s")
         s = float(p["s"])
-        tag = Concavity("s", s)
+        _check_declared_tag(mu, K, s)
     elif branch in ("F", "Q"):
+        _refuse(p, ("s",), f"on the {branch}-branch, whose class is params.F")
         fspec = p.get("F", {"type": "log"} if branch == "Q" else None)
         if fspec is None:
             raise InputError("the F-branch needs params.F")
         F = _concavity_from_spec(fspec)
-        tag = (Concavity("log") if F.name == "log"
-               else Concavity("s", float(fspec["s"])))
+        _check_declared_tag(mu, K, None if F.name == "log" else float(fspec["s"]))
     else:
         raise InputError(f"unknown branch {branch!r}")
-    _check_declared_tag(mu, K, tag)
-    slack = job.tolerance if job.tolerance is not None else p.get("slack")
     spec = ChainSpec(branch=branch,
                      p_list=tuple(p.get("p_list", (0.5, 1.0, 2.0))),
                      s=s, F=F, m=int(p.get("m", 1)),
                      directions=int(p.get("directions", 200)),
-                     seed=job.seed, slack=slack)
+                     seed=job.seed, slack=job.tolerance)
     return _report_payload("verify-chain", chain_check(K, mu, spec))
 
 
@@ -393,6 +387,7 @@ def _cmd_verify_zhang(job: _Job):
     if "count" in p:
         kw["count"] = int(p["count"])
     if "F" in p:
+        _refuse(p, ("s",), "next to params.F, which states the concavity class")
         rep = general_zhang_check(K, mu, _concavity_from_spec(p["F"]),
                                   nu_list, **kw)
     else:
@@ -534,8 +529,7 @@ def _cmd_verify_chord(job: _Job):
                          d)
     G.validate(seed=job.seed)
     f.concavity_check(seed=job.seed)
-    quad = sphere_quadrature(d, "auto",
-                             int(p.get("count", 400 if d == 2 else 2000)),
+    quad = sphere_quadrature(d, int(p.get("count", 400 if d == 2 else 2000)),
                              job.seed)
     if bound == "lower":
         rep = chord_lower_check(f, h, G, quad, inner=inner, tolerance=tol)
@@ -563,8 +557,7 @@ def _cmd_dualvol(job: _Job):
     kspec = p.get("kernel", {"type": "power", "exponent": d - 1,
                              "scale": float(d)})
     G = kernel_from_spec(kspec, d)
-    quad = sphere_quadrature(d, "auto",
-                             int(p.get("count", 400 if d == 2 else 20_000)),
+    quad = sphere_quadrature(d, int(p.get("count", 400 if d == 2 else 20_000)),
                              job.seed)
     result: dict[str, Any] = {"dim": d, "value": dual_volume(G, L, quad)}
     if p.get("with_volume", True):

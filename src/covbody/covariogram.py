@@ -207,12 +207,14 @@ class RayProfile:
 
 
 class CovRay:
-    """Cached covariogram evaluations along one ray r -> g(r thetabar).
+    """Covariogram evaluations along one ray r -> g(r thetabar), shared by
+    the Mellin transforms, slices and chord-integral fixtures of a direction.
 
-    Shared by the Mellin transforms, slices, and chord-integral fixtures so
-    that expensive g evaluations are reused across p values and refinements.
     Under a constant density g is a polynomial of degree <= n between the
-    breakpoints of the ray, and `profile` fits it exactly piece by piece.
+    breakpoints of the ray; `profile` fits it exactly piece by piece, once,
+    and every p of the ray reuses that fit. Under any other density each
+    Mellin rule evaluates g at its own nodes, and the memo in `g` answers
+    only a radius asked for twice, which the rules seldom do.
     """
 
     def __init__(self, K: Polytope, mu: WeightedMeasure, theta: MDirection):

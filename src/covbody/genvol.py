@@ -52,15 +52,33 @@ MAX_GRADING = 100.0
 # Relative gate between the inner rule of dual_volume and its doubling.
 DUAL_GATE = 1e-6
 
+# KernelG.validate: random (u, r, theta) triples, drawn with r below
+# VALIDATE_RADIUS, and the radius of its integrability test near 0.
+VALIDATE_SAMPLES = 100
+VALIDATE_RADIUS = 1.0
+
+# ConcaveRayFn.concavity_check: midpoint tests and their relative slack.
+RAYFN_SAMPLES = 60
+RAYFN_TOL = 1e-8
+
+# Gauss nodes of beta_constant's 1-D rule.
+BETA_NODES = 96
+
+# chord_upper_check: a ray derivative at 0 within OMEGA_TOL of 0 puts the
+# direction in Omega_f.
+OMEGA_TOL = 1e-8
+
 
 def _grading(alpha: float) -> float:
     """Substitution exponent k for r = rho * u^k on a kernel ~ r^alpha.
 
-    For alpha < 0, k = 1/(alpha + 1) makes k (alpha + 1) = 1, so r^alpha dr
-    becomes the constant rho^(alpha+1) k du and a power kernel integrates
-    exactly. Raises NumericError when alpha + 1 < 1/MAX_GRADING.
+    A non-negative integer alpha keeps the plain rule (k = 1), exact for
+    power kernels and polynomial densities. Any other alpha takes
+    k = 1/(alpha + 1): then k (alpha + 1) = 1, so r^alpha dr becomes the
+    constant rho^(alpha+1) k du and a power kernel integrates exactly.
+    Raises NumericError when alpha + 1 < 1/MAX_GRADING.
     """
-    if alpha >= 0:
+    if alpha >= 0 and float(alpha).is_integer():
         return 1
     k = 1.0 / (alpha + 1.0)
     if k > MAX_GRADING:
@@ -91,15 +109,15 @@ class KernelG:
     def __call__(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(r, dtype=float), theta), dtype=float)
 
-    def validate(self, radius: float = 1.0, samples: int = 100, seed: int = 42) -> None:
+    def validate(self, seed: int = 42) -> None:
         """Spot-check positivity and the declared homogeneity side at random
         (u, r, theta), and integrability near 0 by quadrature refinement.
         Raises with the failed triple so callers can surface it."""
         rng = rng_for(seed, f"kernel-{self.label}")
-        for _ in range(samples):
+        for _ in range(VALIDATE_SAMPLES):
             theta = rng.standard_normal(self.dim)
             theta /= np.linalg.norm(theta)
-            r = float(rng.uniform(1e-3, radius))
+            r = float(rng.uniform(1e-3, VALIDATE_RADIUS))
             u = float(rng.uniform(0.0, 1.0))
             g_r = float(self(np.array([r]), theta)[0])
             g_ur = float(self(np.array([max(u * r, 1e-300)]), theta)[0])
@@ -122,7 +140,7 @@ class KernelG:
             theta /= np.linalg.norm(theta)
             vals = []
             for n in (64, 128):
-                r, w = graded_gauss(radius, n, _grading(self.alpha))
+                r, w = graded_gauss(VALIDATE_RADIUS, n, _grading(self.alpha))
                 vals.append(float(w @ self(r, theta)))
             if not all(math.isfinite(v) for v in vals) or (
                     abs(vals[1] - vals[0]) > 1e-4 * max(abs(vals[1]), 1e-12)):
@@ -201,18 +219,17 @@ class ConcaveRayFn:
     def __call__(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(r, dtype=float), theta), dtype=float)
 
-    def concavity_check(self, samples: int = 60, seed: int = 42,
-                        tol: float = 1e-8) -> None:
+    def concavity_check(self, seed: int = 42) -> None:
         """Midpoint concavity spot-check on sampled (theta, r-pair)."""
         rng = rng_for(seed, f"rayfn-{self.label}")
-        for _ in range(samples):
+        for _ in range(RAYFN_SAMPLES):
             theta = rng.standard_normal(self.dim)
             theta /= np.linalg.norm(theta)
             rho = self.support.radial_one(theta)
             r1, r2 = sorted(rng.uniform(0.0, rho, size=2))
             fm, f1, f2 = self(np.array([(r1 + r2) / 2, r1, r2]), theta)
             scale = max(abs(f1), abs(f2), 1.0)
-            if fm < (f1 + f2) / 2 - tol * scale:
+            if fm < (f1 + f2) / 2 - RAYFN_TOL * scale:
                 raise InputError(
                     f"ray function '{self.label}' fails midpoint concavity at "
                     f"theta={np.round(theta, 4).tolist()}, r={r1:.6g},{r2:.6g}")
@@ -329,10 +346,10 @@ def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64) -> float:
 
 
 def beta_constant(h: Callable[[np.ndarray], np.ndarray], f0: float,
-                  alpha: float, nodes: int = 96) -> float:
+                  alpha: float) -> float:
     """(alpha+1) int_0^1 h(f0 tau)(1-tau)^alpha dtau on the reflected rule
-    tau = 1 - r, graded toward tau = 1 when alpha < 0."""
-    r, w = graded_gauss(1.0, nodes, _grading(alpha))
+    tau = 1 - r, graded toward tau = 1 as `_grading` says."""
+    r, w = graded_gauss(1.0, BETA_NODES, _grading(alpha))
     vals = np.asarray(h(f0 * (1.0 - r)), dtype=float)
     return (alpha + 1.0) * float((vals * r**alpha) @ w)
 
@@ -371,8 +388,7 @@ def chord_lower_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
 
 
 def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
-                      inner: int = 64, tolerance: float = 1e-3,
-                      omega_tol: float = 1e-8) -> VerifyReport:
+                      inner: int = 64, tolerance: float = 1e-3) -> VerifyReport:
     """int int h(f) G dr dtheta <= beta_b * [integral of G over Ltilde off
     Omega_f] + [h(f(0,theta))-weighted G mass on Omega_f], where Omega_f
     holds the directions with vanishing ray derivative at 0 and
@@ -400,11 +416,11 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
         hvals = np.asarray(h(fvals), dtype=float)
         lhs += float(quad.weights[i]) * float(w @ (hvals * G(r, theta)))
         fp = float(f.ray_derivative_at_zero(theta))
-        if fp > omega_tol:
+        if fp > OMEGA_TOL:
             raise InputError(
                 "positive ray derivative at 0 contradicts the maximum "
                 f"condition on direction {np.round(theta, 4).tolist()}")
-        if abs(fp) <= omega_tol:
+        if abs(fp) <= OMEGA_TOL:
             n_omega += 1
             h0 = float(np.asarray(h(np.array([f0])), dtype=float)[0])
             omega_term += float(quad.weights[i]) * h0 * float(w @ G(r, theta))

@@ -1,5 +1,6 @@
-"""Weighted measures d(mu) = phi d(lambda): densities with concavity metadata,
-integration over polytopes, and the weighted surface-area measure.
+"""Weighted measures d(mu) = phi d(lambda): densities, integration over
+polytopes, the weighted surface-area measure, the concavity functions F of
+the chain checks, and a midpoint spot-check of a density's concavity class.
 
 A measure is its density; there is no integration strategy to choose. A
 constant density c integrates exactly, as c * volume over a polytope and
@@ -9,7 +10,8 @@ uses Monte Carlo; `oracle.mc_measure` is the independent Monte Carlo check.
 
 Densities are assumed continuous on a neighborhood of the bodies they are
 integrated over (facet integrals are otherwise ambiguous at jump points).
-The concavity metadata is declarative and spot-checkable, never proven.
+A density carries no concavity class: the check that relies on one states
+it, and `check_concavity_tag` spot-checks it against the density.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .oracle import rng_for
 from .polytope import LinearMap, Polytope, _volume_of_points
 
 __all__ = [
-    "Concavity", "Density", "ConstantDensity", "GaussianDensity",
+    "Density", "ConstantDensity", "GaussianDensity",
     "LinearPowerDensity", "ProductDensity", "ComposedDensity",
     "WeightedMeasure", "FacetMeasure", "ConcavityF",
     "integrate_over_polytope", "weighted_surface_measure",
@@ -36,27 +38,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Concavity:
-    """Declared concavity class of a measure: s-concave, log-concave,
-    F-concave (named), or none."""
-
-    kind: str  # "s" | "log" | "f" | "none"
-    s: float | None = None
-    tag: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("s", "log", "f", "none"):
-            raise InputError(f"unknown concavity kind {self.kind!r}")
-        if self.kind == "s" and (self.s is None or self.s <= 0):
-            raise InputError("s-concavity needs s > 0")
-
-
 class Density:
     """Nonnegative weight phi; subclasses implement pointwise evaluation."""
 
     dim: int
-    concavity: Concavity
     radially_nondecreasing: bool
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -68,12 +53,11 @@ class Density:
 
 
 class ConstantDensity(Density):
-    def __init__(self, dim: int, c: float = 1.0, concavity: Concavity | None = None):
+    def __init__(self, dim: int, c: float = 1.0):
         if c <= 0:
             raise InputError("constant density must be positive")
         self.dim = dim
         self.c = float(c)
-        self.concavity = concavity or Concavity("s", 1.0 / dim)
         self.radially_nondecreasing = True
 
     def __call__(self, X):
@@ -86,12 +70,11 @@ class ConstantDensity(Density):
 class GaussianDensity(Density):
     """phi(x) = exp(-|x|^2 / (2 sigma^2)); log-concave, radially decreasing."""
 
-    def __init__(self, dim: int, sigma: float = 1.0, concavity: Concavity | None = None):
+    def __init__(self, dim: int, sigma: float = 1.0):
         if sigma <= 0:
             raise InputError("gaussian sigma must be positive")
         self.dim = dim
         self.sigma = float(sigma)
-        self.concavity = concavity or Concavity("log")
         self.radially_nondecreasing = False
 
     def __call__(self, X):
@@ -103,7 +86,7 @@ class GaussianDensity(Density):
         MtM = M.T @ M
         c2 = MtM[0, 0]
         if np.abs(MtM - c2 * np.eye(self.dim)).max() < 1e-12 and c2 > 0:
-            return GaussianDensity(self.dim, self.sigma / math.sqrt(c2), self.concavity)
+            return GaussianDensity(self.dim, self.sigma / math.sqrt(c2))
         return ComposedDensity(self, M)
 
 
@@ -114,8 +97,7 @@ class LinearPowerDensity(Density):
     is 1/k-concave on its support). Radially nondecreasing only when b = 0.
     """
 
-    def __init__(self, a: Sequence[float], b: float = 0.0, k: float = 1.0,
-                 concavity: Concavity | None = None):
+    def __init__(self, a: Sequence[float], b: float = 0.0, k: float = 1.0):
         self.a = np.asarray(a, dtype=float)
         self.a.setflags(write=False)
         self.dim = len(self.a)
@@ -123,7 +105,6 @@ class LinearPowerDensity(Density):
         self.k = float(k)
         if self.k < 0:
             raise InputError("linear-power exponent must be >= 0")
-        self.concavity = concavity or Concavity("s", 1.0 / (self.dim + self.k))
         self.radially_nondecreasing = (self.b == 0.0)
 
     def __call__(self, X):
@@ -131,17 +112,15 @@ class LinearPowerDensity(Density):
         return v**self.k
 
     def compose_linear(self, M):
-        return LinearPowerDensity(np.asarray(M, dtype=float).T @ self.a, self.b,
-                                  self.k, self.concavity)
+        return LinearPowerDensity(np.asarray(M, dtype=float).T @ self.a, self.b, self.k)
 
 
 class ProductDensity(Density):
     """phi(x) = prod_i phi_i(x_i) over consecutive coordinate blocks."""
 
-    def __init__(self, factors: Sequence[Density], concavity: Concavity | None = None):
+    def __init__(self, factors: Sequence[Density]):
         self.factors = tuple(factors)
         self.dim = sum(f.dim for f in self.factors)
-        self.concavity = concavity or Concavity("none")
         self.radially_nondecreasing = all(f.radially_nondecreasing for f in self.factors)
 
     def __call__(self, X):
@@ -164,7 +143,6 @@ class ComposedDensity(Density):
             raise InputError("composition matrix shape mismatch")
         self.M.setflags(write=False)
         self.dim = inner.dim
-        self.concavity = inner.concavity  # affine-invariant classes
         self.radially_nondecreasing = inner.radially_nondecreasing
 
     def __call__(self, X):
@@ -395,24 +373,30 @@ def log_concavity() -> ConcavityF:
     )
 
 
-def check_concavity_tag(density: Density, box: tuple[Sequence[float], Sequence[float]],
-                        pairs: int = 200, seed: int = 42) -> tuple[bool, str]:
-    """Spot-check the declared concavity by midpoint tests inside the box.
+# Midpoint pairs drawn by check_concavity_tag.
+CONCAVITY_PAIRS = 200
 
-    s-concave with s = 1/n demands a constant density; s < 1/n checks
-    midpoint concavity of phi^gamma with gamma = s/(1 - n s) on pairs where
-    phi > 0; log-concave checks midpoint concavity of log phi.
+
+def check_concavity_tag(density: Density, s: float | None,
+                        box: tuple[Sequence[float], Sequence[float]],
+                        seed: int = 42) -> tuple[bool, str]:
+    """Spot-check that the density is s-concave (s > 0), or log-concave
+    (s None), by midpoint tests inside the box.
+
+    s = 1/n demands a constant density; s < 1/n checks midpoint concavity of
+    phi^gamma with gamma = s/(1 - n s) on pairs where phi > 0; log-concave
+    checks midpoint concavity of log phi.
     """
+    if s is not None and s <= 0:
+        raise InputError("s-concavity needs s > 0")
+    pairs = CONCAVITY_PAIRS
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     rng = rng_for(seed, "concavity-spotcheck")
     n = density.dim
-    tag = density.concavity
     X = lo + (hi - lo) * rng.random((4 * pairs, n))
     vals = density(X)
-    if tag.kind == "none":
-        return True, "no concavity declared"
-    if tag.kind == "log":
+    if s is None:
         mask = vals > 0
         X = X[mask]
         if len(X) < 2 * pairs:
@@ -423,49 +407,34 @@ def check_concavity_tag(density: Density, box: tuple[Sequence[float], Sequence[f
         rhs = 0.5 * (np.log(density(A)) + np.log(density(B)))
         bad = int((lhs < rhs - 1e-9).sum())
         return bad == 0, f"log-concavity midpoint check: {bad} violations / {pairs}"
-    if tag.kind == "s":
-        s = tag.s
-        if abs(s - 1.0 / n) < 1e-12:
-            spread = float(vals.max() - vals.min())
-            ok = spread <= 1e-9 * max(1.0, float(vals.max()))
-            return ok, f"s = 1/n requires constant density (spread {spread:.2e})"
-        if s > 1.0 / n:
-            return False, f"s = {s} > 1/n is infeasible for a density on R^{n}"
-        gamma = s / (1.0 - n * s)
-        mask = vals > 1e-12
-        X = X[mask]
-        if len(X) < 2 * pairs:
-            return False, "density vanishes on too much of the test box"
-        A, B = X[:pairs], X[pairs:2 * pairs]
-        mid = 0.5 * (A + B)
-        lhs = density(mid)**gamma
-        rhs = 0.5 * (density(A)**gamma + density(B)**gamma)
-        bad = int((lhs < rhs - 1e-9).sum())
-        return bad == 0, f"{gamma:.3g}-concavity midpoint check: {bad} violations / {pairs}"
-    return True, "f-concavity tags are validated via their ConcavityF object"
+    if abs(s - 1.0 / n) < 1e-12:
+        spread = float(vals.max() - vals.min())
+        ok = spread <= 1e-9 * max(1.0, float(vals.max()))
+        return ok, f"s = 1/n requires constant density (spread {spread:.2e})"
+    if s > 1.0 / n:
+        return False, f"s = {s} > 1/n is infeasible for a density on R^{n}"
+    gamma = s / (1.0 - n * s)
+    mask = vals > 1e-12
+    X = X[mask]
+    if len(X) < 2 * pairs:
+        return False, "density vanishes on too much of the test box"
+    A, B = X[:pairs], X[pairs:2 * pairs]
+    mid = 0.5 * (A + B)
+    lhs = density(mid)**gamma
+    rhs = 0.5 * (density(A)**gamma + density(B)**gamma)
+    bad = int((lhs < rhs - 1e-9).sum())
+    return bad == 0, f"{gamma:.3g}-concavity midpoint check: {bad} violations / {pairs}"
 
 
 def density_from_spec(spec: dict, dim: int | None = None) -> Density:
     """Parse the density input schema."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("density spec must be an object with a 'type'")
-    concavity = None
-    if "concavity" in spec:
-        c = spec["concavity"]
-        kind = c.get("kind")
-        if kind == "s":
-            concavity = Concavity("s", float(c["s"]))
-        elif kind == "log":
-            concavity = Concavity("log")
-        elif kind == "none":
-            concavity = Concavity("none")
-        else:
-            raise InputError(f"unknown concavity kind {kind!r}")
     kind = spec["type"]
-    allowed = {"constant": {"type", "concavity", "c"},
-               "gaussian": {"type", "concavity", "sigma"},
-               "linear-power": {"type", "concavity", "a", "b", "k"},
-               "product": {"type", "concavity", "factors", "dims"}}.get(kind)
+    allowed = {"constant": {"type", "c"},
+               "gaussian": {"type", "sigma"},
+               "linear-power": {"type", "a", "b", "k"},
+               "product": {"type", "factors", "dims"}}.get(kind)
     if allowed is None:
         raise InputError(f"unknown density type {kind!r}")
     extra = set(spec) - allowed
@@ -474,17 +443,17 @@ def density_from_spec(spec: dict, dim: int | None = None) -> Density:
     if kind == "constant":
         if dim is None:
             raise InputError("constant density needs an ambient dimension")
-        return ConstantDensity(dim, float(spec.get("c", 1.0)), concavity)
+        return ConstantDensity(dim, float(spec.get("c", 1.0)))
     if kind == "gaussian":
         if dim is None:
             raise InputError("gaussian density needs an ambient dimension")
-        return GaussianDensity(dim, float(spec.get("sigma", 1.0)), concavity)
+        return GaussianDensity(dim, float(spec.get("sigma", 1.0)))
     if kind == "linear-power":
         return LinearPowerDensity(spec["a"], float(spec.get("b", 0.0)),
-                                  float(spec.get("k", 1.0)), concavity)
+                                  float(spec.get("k", 1.0)))
     dims = spec.get("dims")
     factors = []
     for i, f in enumerate(spec["factors"]):
         fdim = dims[i] if dims else None
         factors.append(density_from_spec(f, fdim))
-    return ProductDensity(factors, concavity)
+    return ProductDensity(factors)

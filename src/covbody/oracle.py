@@ -41,19 +41,14 @@ class SphereQuadrature:
     dim: int
     nodes: np.ndarray  # (N, d) unit vectors
     weights: np.ndarray  # (N,)
-    kind: str
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
 
-
-def sphere_quadrature(d: int, kind: str = "auto", count: int = 1000,
-                      seed: int = 42) -> SphereQuadrature:
-    """Quadrature rule on S^(d-1).
+def sphere_quadrature(d: int, count: int = 1000, seed: int = 42) -> SphereQuadrature:
+    """Quadrature rule on S^(d-1); the dimension picks the rule.
 
     d=2: midpoint rule on the angle (spectrally accurate for smooth and
     excellent for piecewise-smooth integrands); d=3: spherical Fibonacci;
@@ -61,32 +56,24 @@ def sphere_quadrature(d: int, kind: str = "auto", count: int = 1000,
     """
     if d < 2:
         raise InputError(f"sphere quadrature needs d >= 2, got {d}")
-    if kind == "auto":
-        kind = "angular" if d == 2 else ("fibonacci" if d == 3 else "mc")
-    if kind == "angular":
-        if d != 2:
-            raise InputError("angular quadrature is 2-d only")
+    if d == 2:
         ang = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
         nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         weights = np.full(count, 2.0 * math.pi / count)
-        return SphereQuadrature(2, nodes, weights, "angular")
-    if kind == "fibonacci":
-        if d != 3:
-            raise InputError("fibonacci quadrature is 3-d only")
+        return SphereQuadrature(2, nodes, weights)
+    if d == 3:
         i = np.arange(count, dtype=float)
         z = 1.0 - (2.0 * i + 1.0) / count
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = GOLDEN_ANGLE * i
         nodes = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
         weights = np.full(count, sphere_area(3) / count)
-        return SphereQuadrature(3, nodes, weights, "fibonacci")
-    if kind == "mc":
-        rng = rng_for(seed, f"sphere-mc-d{d}")
-        raw = rng.standard_normal((count, d))
-        nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        weights = np.full(count, sphere_area(d) / count)
-        return SphereQuadrature(d, nodes, weights, f"mc(seed={seed})")
-    raise InputError(f"unknown sphere quadrature kind {kind!r}")
+        return SphereQuadrature(3, nodes, weights)
+    rng = rng_for(seed, f"sphere-mc-d{d}")
+    raw = rng.standard_normal((count, d))
+    nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    weights = np.full(count, sphere_area(d) / count)
+    return SphereQuadrature(d, nodes, weights)
 
 
 def mc_measure(density: Callable[[np.ndarray], np.ndarray],

@@ -79,7 +79,7 @@ def _row_subsets(rows: int, k: int) -> np.ndarray:
     return idx
 
 
-def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = TOL) -> np.ndarray:
+def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All vertices of {A x <= b}: basic solutions that satisfy every row.
 
     Batched over the n-subsets of rows. Suitable for the small systems this
@@ -89,15 +89,15 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = TOL) -> np.nda
     b = np.asarray(b, dtype=float)
     H, n = A.shape
     if n == 1:
-        pos = A[:, 0] > tol
-        neg = A[:, 0] < -tol
+        pos = A[:, 0] > TOL
+        neg = A[:, 0] < -TOL
         if not pos.any() or not neg.any():
             return np.empty((0, 1))
         hi = (b[pos] / A[pos, 0]).min()
         lo = (b[neg] / A[neg, 0]).max()
-        if lo > hi + tol:
+        if lo > hi + TOL:
             return np.empty((0, 1))
-        if hi - lo <= tol:
+        if hi - lo <= TOL:
             return np.array([[0.5 * (lo + hi)]])
         return np.array([[lo], [hi]])
     if H < n:
@@ -109,7 +109,7 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = TOL) -> np.nda
     if not ok.any():
         return np.empty((0, n))
     X = np.linalg.solve(M[ok], b[idx[ok]][..., None])[..., 0]
-    feas = (A @ X.T <= b[:, None] + tol).all(axis=0)
+    feas = (A @ X.T <= b[:, None] + TOL).all(axis=0)
     pts = X[feas]
     return dedupe_points(pts)
 
@@ -117,10 +117,14 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = TOL) -> np.nda
 # Most floats a block of dedupe_points' pairwise differences may hold.
 DEDUPE_BLOCK = 1 << 16
 
+# Max-norm distance within which dedupe_points merges two points.
+DEDUPE_TOL = 1e-8
 
-def dedupe_points(pts: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Merge points closer than tol (in max-norm), keeping first occurrences:
-    a point goes when it lies within tol of an earlier point that stays.
+
+def dedupe_points(pts: np.ndarray) -> np.ndarray:
+    """Merge points closer than DEDUPE_TOL (in max-norm), keeping first
+    occurrences: a point goes when it lies within DEDUPE_TOL of an earlier
+    point that stays.
 
     Pairs are compared a block of rows at a time, so memory stays below
     DEDUPE_BLOCK floats however many points there are.
@@ -131,7 +135,8 @@ def dedupe_points(pts: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     rows = max(1, DEDUPE_BLOCK // (k * pts.shape[1]))
     first, later = [], []
     for s in range(0, k - 1, rows):
-        close = np.abs(pts[s:s + rows, None, :] - pts[None, :, :]).max(axis=2) <= tol
+        gap = np.abs(pts[s:s + rows, None, :] - pts[None, :, :]).max(axis=2)
+        close = gap <= DEDUPE_TOL
         i, j = np.nonzero(np.triu(close, s + 1))  # pairs with s + i < j
         first.append(i + s)
         later.append(j)

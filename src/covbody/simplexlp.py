@@ -20,6 +20,10 @@ from .errors import InputError, NumericError
 
 _TOL = 1e-9
 
+# Pivots after which solve_lp_max gives up; Bland's rule cannot cycle, so
+# reaching it means a numerically broken tableau.
+MAX_ITER = 20000
+
 
 @dataclass(frozen=True)
 class LPResult:
@@ -33,7 +37,6 @@ def solve_lp_max(
     A: np.ndarray,
     b: np.ndarray,
     x0: np.ndarray,
-    max_iter: int = 20000,
 ) -> LPResult:
     """Maximize c.x over {A x <= b} starting from feasible x0."""
     c = np.asarray(c, dtype=float)
@@ -59,15 +62,11 @@ def solve_lp_max(
     T[m, n : 2 * n] = c
     basis = list(range(2 * n, 2 * n + m))
 
-    for _ in range(max_iter):
-        red = T[m, :ncols]
-        entering = -1
-        for j in range(ncols):  # Bland: smallest eligible index
-            if red[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+    for _ in range(MAX_ITER):
+        eligible = np.flatnonzero(T[m, :ncols] < -_TOL)
+        if not eligible.size:
             break
+        entering = eligible[0]  # Bland: smallest eligible index
         col = T[:m, entering]
         pos = col > _TOL
         if not np.any(pos):
@@ -79,11 +78,10 @@ def solve_lp_max(
         # basic variable with the smallest index
         rows = np.nonzero(ratios <= rmin + _TOL * (1 + abs(rmin)))[0]
         leave = min(rows, key=lambda r: basis[r])
-        piv = T[leave, entering]
-        T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and T[r, entering] != 0.0:
-                T[r] -= T[r, entering] * T[leave]
+        T[leave] /= T[leave, entering]
+        factor = T[:, entering].copy()
+        factor[leave] = 0.0
+        T -= factor[:, None] * T[leave]
         basis[leave] = entering
     else:
         raise NumericError("simplex iteration limit reached")

@@ -268,14 +268,18 @@ def rogers_shephard_check(K: Polytope, m: int, *, count: int = 200_000,
     )
 
 
+# Gauss nodes per direction of _nu_mass_of_star's radial rule.
+NU_MASS_NODES = 32
+
+
 def _nu_mass_of_star(nu_list, radial_fn, d: int, n: int, count: int,
-                     seed: int, nodes: int = 32) -> float:
+                     seed: int) -> float:
     """Mass, under the product of the factor measures, of the star body with
     the given radial function: per-direction Gauss quadrature of
     int_0^rho prod_i phi_i(r u_i) r^(d-1) dr."""
     sphere = sphere_quadrature(d, count=count, seed=seed)
     rho = radial_fn(sphere.nodes)
-    t, w = gauss_01(nodes)
+    t, w = gauss_01(NU_MASS_NODES)
     R = rho[:, None] * t[None, :]
     X = R[:, :, None] * sphere.nodes[:, None, :]
     phi = np.ones(R.shape)
@@ -321,7 +325,7 @@ def _denominator_integral(K: Polytope, mu: WeightedMeasure, nu_list,
     return total / kept * K.volume
 
 
-def zhang_check(K: Polytope, mu: WeightedMeasure, s_or_F, nu_list,
+def zhang_check(K: Polytope, mu: WeightedMeasure, s: float, nu_list,
                 *, count: int | None = None, n_mc: int = 2000,
                 tolerance: float = 0.02, seed: int = 42) -> VerifyReport:
     """Volume-ratio bound for the polar projection body:
@@ -329,12 +333,9 @@ def zhang_check(K: Polytope, mu: WeightedMeasure, s_or_F, nu_list,
       mu(K) nu((1/s) mu(K) polar-Pi) / int_K prod nu_i(y-K) dmu
           >= C(nm + 1/s, nm)
 
-    with nu the product of the radially non-decreasing factor measures.
-    Passing a ConcavityF instead of s runs the general-F form."""
-    if isinstance(s_or_F, ConcavityF):
-        return general_zhang_check(K, mu, s_or_F, nu_list, count=count,
-                                   n_mc=n_mc, tolerance=tolerance, seed=seed)
-    s = float(s_or_F)
+    with nu the product of the radially non-decreasing factor measures;
+    `general_zhang_check` is the general-F form."""
+    s = float(s)
     if s <= 0:
         raise InputError("s must be positive")
     _require_nondecreasing(nu_list)

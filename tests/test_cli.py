@@ -110,6 +110,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "declared concavity s(0.5)" in err
 
+    def test_density_concavity_key_is_two(self, tmp_path, capsys):
+        # the chain's s or F states the class; a density carries none
+        code, _ = run_job(tmp_path, {
+            "command": "verify-chain", "body": SQUARE_BODY,
+            "measure": {"type": "gaussian", "concavity": {"kind": "log"}},
+            "params": {"branch": "Q", "directions": 2}})
+        assert code == 2
+        assert "unknown density spec keys ['concavity']" in capsys.readouterr().err
+
+    def test_chain_slack_is_two(self, tmp_path, capsys):
+        # the job's tolerance is the chain's one slack
+        code, _ = run_job(tmp_path, {
+            "command": "verify-chain", "body": SQUARE_BODY,
+            "params": {"s": 0.5, "directions": 2, "slack": 0.1}})
+        assert code == 2
+        assert "unknown parameter(s): slack" in capsys.readouterr().err
+
     def test_numeric_failure_is_three(self, tmp_path, capsys):
         code, _ = run_job(tmp_path, {
             "command": "dualvol",
@@ -158,6 +175,12 @@ class TestExitCodes:
         ("dualvol", SQUARE_BODY, {"dim": 2}, "dim"),
         ("dualvol", SQUARE_BODY, {"radius": 2.0}, "radius"),
         ("dualvol", None, {"base": [0.0, 0.0]}, "base"),
+        ("verify-chain", SQUARE_BODY,
+         {"branch": "Q", "s": 0.5, "directions": 2}, "s"),
+        ("verify-chain", SQUARE_BODY,
+         {"s": 0.5, "F": {"type": "log"}, "directions": 2}, "F"),
+        ("verify-zhang", SQUARE_BODY,
+         {"s": 0.5, "F": {"type": "power", "s": 0.5}}, "s"),
     ])
     def test_ignored_param_is_two(self, tmp_path, capsys, command, body, params,
                                   ignored):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, gammainc
 
 from covbody.errors import InputError, NumericError
 from covbody.genvol import (KernelG, affine_ray_fn, beta_constant,
@@ -59,6 +60,23 @@ class TestDualVolume:
         G = power_kernel(2, alpha)
         got = dual_volume(G, StarBodyFn.ball(2), sphere_quadrature(2, count=32))
         assert got == pytest.approx(math.pi / (alpha + 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.5, 2.5])
+    def test_fractional_power_kernel_is_exact(self, alpha):
+        # a non-integer alpha >= 0 is graded by 1/(alpha+1) as well
+        G = power_kernel(2, alpha)
+        got = dual_volume(G, DISK, sphere_quadrature(2, count=32))
+        assert got == pytest.approx(math.pi / (alpha + 1.0), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_fractional_power_density_kernel_converges(self, alpha):
+        # pi int_0^1 r^alpha exp(-r^2/2) dr, by the lower incomplete gamma
+        G = power_density_kernel(2, alpha, GaussianDensity(2, 1.0))
+        G.validate()
+        a = (alpha + 1.0) / 2.0
+        want = math.pi * 2.0 ** (a - 1.0) * gamma(a) * gammainc(a, 0.5)
+        got = dual_volume(G, DISK, sphere_quadrature(2, count=32))
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_nonconvergent_kernel_raises(self):
         quad = sphere_quadrature(2, count=16)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from covbody.errors import InputError
-from covbody.measure import (Concavity, ConstantDensity, GaussianDensity,
+from covbody.measure import (ConstantDensity, GaussianDensity,
                              LinearPowerDensity, ProductDensity,
                              WeightedMeasure, boundary_measure_total,
                              check_concavity_tag, density_from_spec,
@@ -158,38 +158,36 @@ class TestTransform:
         rhs = integrate_over_polytope(mu, apply_linear(T, TRIANGLE)) / T.det_abs
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
-    def test_concavity_tag_preserved(self):
-        T = LinearMap(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        mu = WeightedMeasure(GaussianDensity(2, 1.0))
-        assert transform_measure(mu, T).density.concavity.kind == "log"
-
 
 class TestConcavityTags:
     BOX = ([0.0, 0.0], [1.0, 1.0])
 
     def test_constant_is_one_over_n_concave(self):
-        ok, _ = check_concavity_tag(ConstantDensity(2), self.BOX)
+        ok, _ = check_concavity_tag(ConstantDensity(2), 0.5, self.BOX)
         assert ok
 
     def test_gaussian_log_concave(self):
-        ok, _ = check_concavity_tag(GaussianDensity(2, 1.0), self.BOX)
+        ok, _ = check_concavity_tag(GaussianDensity(2, 1.0), None, self.BOX)
         assert ok
 
     def test_gaussian_fails_s_tag(self):
-        bad = GaussianDensity(2, 1.0, concavity=Concavity("s", 0.5))
-        ok, msg = check_concavity_tag(bad, self.BOX)
+        ok, msg = check_concavity_tag(GaussianDensity(2, 1.0), 0.5, self.BOX)
         assert not ok
         assert "constant" in msg
 
     def test_s_above_dimension_bound_rejected(self):
-        bad = LinearPowerDensity([1.0, 0.0], concavity=Concavity("s", 0.9))
-        ok, msg = check_concavity_tag(bad, self.BOX)
+        ok, msg = check_concavity_tag(LinearPowerDensity([1.0, 0.0]), 0.9, self.BOX)
         assert not ok
         assert "infeasible" in msg
 
     def test_linear_power_default_tag(self):
-        ok, _ = check_concavity_tag(LinearPowerDensity([1.0, 0.0]), self.BOX)
+        # (<a, x>)_+^k is 1/(n+k)-concave: 1/3 for n = 2, k = 1
+        ok, _ = check_concavity_tag(LinearPowerDensity([1.0, 0.0]), 1.0 / 3, self.BOX)
         assert ok
+
+    def test_class_must_be_positive(self):
+        with pytest.raises(InputError, match="s > 0"):
+            check_concavity_tag(ConstantDensity(2), 0.0, self.BOX)
 
 
 class TestDensitySpec:
@@ -206,11 +204,6 @@ class TestDensitySpec:
             {"type": "constant"}, {"type": "gaussian"}]}, 2)
         assert isinstance(p, ProductDensity)
 
-    def test_concavity_override(self):
-        d = density_from_spec({"type": "gaussian",
-                               "concavity": {"kind": "none"}}, 2)
-        assert d.concavity.kind == "none"
-
     def test_unknown_type(self):
         with pytest.raises(InputError):
             density_from_spec({"type": "cauchy"}, 2)
@@ -218,6 +211,11 @@ class TestDensitySpec:
     def test_unknown_key(self):
         with pytest.raises(InputError, match="sd"):
             density_from_spec({"type": "gaussian", "sd": 2.0}, 2)
+
+    def test_concavity_key_is_unknown(self):
+        with pytest.raises(InputError, match="concavity"):
+            density_from_spec({"type": "gaussian",
+                               "concavity": {"kind": "log"}}, 2)
 
 
 class TestConcavityF:

@@ -31,19 +31,19 @@ class TestSphereQuadrature:
             sphere_quadrature(1)
 
     def test_circle_total_measure(self):
-        quad = sphere_quadrature(2, "auto", 256, 42)
+        quad = sphere_quadrature(2, 256, 42)
         assert quad.weights.sum() == pytest.approx(2.0 * math.pi, abs=1e-12)
         assert np.allclose(np.linalg.norm(quad.nodes, axis=1), 1.0)
 
     def test_circle_moment(self):
         # int cos^2 over S^1 = pi; midpoint rule is spectrally accurate
-        quad = sphere_quadrature(2, "auto", 256, 42)
+        quad = sphere_quadrature(2, 256, 42)
         val = float(quad.weights @ quad.nodes[:, 0] ** 2)
         assert val == pytest.approx(math.pi, abs=1e-12)
 
     def test_fibonacci_abs_moment(self):
         # int_{S^2} |u_3| du = 2 pi (two polar caps of int |cos| sin dphi = 1)
-        quad = sphere_quadrature(3, "auto", 10_000, 42)
+        quad = sphere_quadrature(3, 10_000, 42)
         assert quad.weights.sum() == pytest.approx(SPHERE_AREA_3, rel=1e-12)
         val = float(quad.weights @ np.abs(quad.nodes[:, 2]))
         assert val == pytest.approx(2.0 * math.pi, rel=1e-3)
@@ -51,7 +51,7 @@ class TestSphereQuadrature:
     def test_gaussian_directions_second_moment(self):
         # int <u, e_1>^2 over S^3 = |S^3| / 4
         count = 200_000
-        quad = sphere_quadrature(4, "auto", count, 42)
+        quad = sphere_quadrature(4, count, 42)
         assert quad.weights.sum() == pytest.approx(SPHERE_AREA_4, rel=1e-12)
         samples = quad.nodes[:, 0] ** 2
         val = float(quad.weights @ samples)
@@ -59,8 +59,8 @@ class TestSphereQuadrature:
         assert abs(val - SPHERE_AREA_4 / 4.0) <= 3.0 * stderr
 
     def test_seed_reproducibility(self):
-        a = sphere_quadrature(4, "mc", 1000, 7)
-        b = sphere_quadrature(4, "mc", 1000, 7)
+        a = sphere_quadrature(4, 1000, 7)
+        b = sphere_quadrature(4, 1000, 7)
         assert np.array_equal(a.nodes, b.nodes)
 
 

@@ -186,22 +186,22 @@ class TestFacets:
 
 class TestStarVolume:
     def test_disk(self):
-        quad = sphere_quadrature(2, "auto", 512, 42)
+        quad = sphere_quadrature(2, 512, 42)
         assert star_volume(StarBodyFn.ball(2), quad) == pytest.approx(
             math.pi, rel=1e-9)
 
     def test_square_radial(self):
-        quad = sphere_quadrature(2, "auto", 4096, 42)
+        quad = sphere_quadrature(2, 4096, 42)
         S = StarBodyFn.of_polytope(CENTERED_SQUARE, np.zeros(2))
         assert star_volume(S, quad) == pytest.approx(4.0, rel=1e-3)
 
     def test_nonpositive_radial_rejected(self):
-        quad = sphere_quadrature(2, "auto", 64, 42)
+        quad = sphere_quadrature(2, 64, 42)
         bad = StarBodyFn(2, lambda dirs: np.full(len(dirs), -1.0))
         with pytest.raises(InputError):
             star_volume(bad, quad)
 
     def test_mc_rule_ball_volume(self):
-        quad = sphere_quadrature(4, "mc", 20_000, 42)
+        quad = sphere_quadrature(4, 20_000, 42)
         val = star_volume(StarBodyFn.ball(4), quad)
         assert val == pytest.approx(math.pi**2 / 2, rel=3e-2)

@@ -232,10 +232,6 @@ class TestZhang:
         assert rep.passed
         assert rep.ratio > 1.01
 
-    def test_dispatch_on_concavity_object(self):
-        rep = zhang_check(TRIANGLE, LEB2, power_concavity(0.5), [LEB2])
-        assert rep.name == "general-zhang"
-
     def test_factor_measures_must_be_nondecreasing(self):
         gauss = WeightedMeasure(GaussianDensity(2, 1.0))
         with pytest.raises(InputError):
