@@ -7,12 +7,15 @@ The package builds its quadrature rules here and nowhere else:
 - `geometric_gauss` is the composite 1-D rule on intervals away from 0:
   Gauss-Legendre on geometric sub-intervals [s, 2s], for integrands that
   carry a power r^q of any size;
-- `jacobi_01` is the Gauss-Jacobi rule on [0, 1] for the weight t^q;
+- `chebyshev_01` gives the Chebyshev points of [0, 1] and the map from
+  values at them to the coefficients of their interpolant, and
+  `chebyshev_jacobi_01` the weights that integrate that interpolant
+  against t^q (moments by Gauss-Jacobi);
 - `simplex_rule` is the one simplex rule: a collapsed (Duffy) tensor Gauss
   rule on k-simplices embedded in R^d, one simplex or a stack of them.
 
-The Legendre rules read the cached table `gauss_01`; `jacobi_01` and
-`simplex_rule` cache their own tables. All deterministic.
+The Legendre rules read the cached table `gauss_01`; the Chebyshev tables
+and `simplex_rule` cache their own. All deterministic.
 
 The geometry kernel lives here too: `simplex_volumes` is the one simplex
 volume formula, and `triangulate_vertices` / `hull_simplices` the one
@@ -26,6 +29,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import roots_jacobi
@@ -50,11 +54,25 @@ def gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
+@functools.lru_cache(maxsize=8)
+def chebyshev_01(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree+1 Chebyshev points t_j of [0, 1], and the matrix taking
+    values at them to the coefficients of their interpolant in the
+    Chebyshev polynomials T_k(2t - 1), k = 0..degree."""
+    j = np.arange(degree + 1)
+    x = -np.cos((2 * j + 1) * np.pi / (2 * (degree + 1)))
+    return _frozen(0.5 * (x + 1.0), np.linalg.inv(chebvander(x, degree)))
+
+
 @functools.lru_cache(maxsize=64)
-def jacobi_01(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes/weights on [0, 1] for the weight t^q, q > -1."""
-    x, w = roots_jacobi(int(n), 0.0, float(q))
-    return _frozen(0.5 * (x + 1.0), w / 2.0 ** (q + 1.0))
+def chebyshev_jacobi_01(degree: int, q: float) -> np.ndarray:
+    """Weights w on the points t_j of `chebyshev_01(degree)` with
+    sum_j w_j f(t_j) = int_0^1 f(t) t^q dt, q > -1, for every polynomial f
+    of degree <= degree: the moments of the interpolant's basis, taken by
+    Gauss-Jacobi in x = 2t - 1 with enough nodes to be exact."""
+    x, w = roots_jacobi(degree // 2 + 1, 0.0, float(q))
+    weights = (w / 2.0 ** (q + 1.0)) @ chebvander(x, degree) @ chebyshev_01(degree)[1]
+    return _frozen(weights)[0]
 
 
 def graded_gauss(rho: float, n: int, power: float = 2) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from .errors import InputError, NumericError
 from .genvol import (affine_ray_fn, capped_ray_fn, chord_lower_check,
                      chord_upper_check, covariogram_ray_fn, dual_volume,
                      kernel_from_spec, profile_ray_fn)
-from .measure import (WeightedMeasure, _integrate_points,
+from .measure import (ConcavityF, WeightedMeasure, _integrate_points,
                       boundary_measure_total, check_concavity_tag,
                       density_from_spec, log_concavity, power_concavity)
 from .oracle import mc_measure, rng_for, sphere_quadrature
@@ -164,15 +164,16 @@ def _shifts(params: dict, n: int) -> np.ndarray:
     return arr
 
 
-def _concavity_from_spec(spec: Any):
+def _concavity_from_spec(spec: Any) -> tuple[ConcavityF, float | None]:
+    """F and the class it states: its s, or None for log-concave."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("concavity spec must be an object with a 'type'")
     if spec["type"] == "power":
         if "s" not in spec:
             raise InputError("power concavity needs 's'")
-        return power_concavity(float(spec["s"]))
+        return power_concavity(float(spec["s"])), float(spec["s"])
     if spec["type"] == "log":
-        return log_concavity()
+        return log_concavity(), None
     raise InputError(f"unknown concavity type {spec['type']!r}")
 
 
@@ -357,8 +358,8 @@ def _cmd_verify_chain(job: _Job):
         fspec = p.get("F", {"type": "log"} if branch == "Q" else None)
         if fspec is None:
             raise InputError("the F-branch needs params.F")
-        F = _concavity_from_spec(fspec)
-        _check_declared_tag(mu, K, None if F.name == "log" else float(fspec["s"]))
+        F, s_F = _concavity_from_spec(fspec)
+        _check_declared_tag(mu, K, s_F)
     else:
         raise InputError(f"unknown branch {branch!r}")
     spec = ChainSpec(branch=branch,
@@ -386,12 +387,17 @@ def _cmd_verify_zhang(job: _Job):
                           "n_mc": int(p.get("n_mc", 2000))}
     if "count" in p:
         kw["count"] = int(p["count"])
+    # params.F or params.s is the concavity class the bound assumes,
+    # spot-checked against the density as verify-chain does
     if "F" in p:
         _refuse(p, ("s",), "next to params.F, which states the concavity class")
-        rep = general_zhang_check(K, mu, _concavity_from_spec(p["F"]),
-                                  nu_list, **kw)
+        F, s = _concavity_from_spec(p["F"])
+        _check_declared_tag(mu, K, s)
+        rep = general_zhang_check(K, mu, F, nu_list, **kw)
     else:
-        rep = zhang_check(K, mu, float(p.get("s", 1.0 / n)), nu_list, **kw)
+        s = float(p.get("s", 1.0 / n))
+        _check_declared_tag(mu, K, s)
+        rep = zhang_check(K, mu, s, nu_list, **kw)
     return _report_payload("verify-zhang", rep)
 
 

@@ -7,22 +7,23 @@ difference body D^m(K) in R^(nm), whose radial function is computed two ways:
 a per-direction linear program (the reference route) and an exact polytope
 built as the linear image of K^(m+1), used for batched evaluation.
 
-Along one ray, `CovRay` caches evaluations of g and, under a constant
-density, fits g exactly as a polynomial of degree <= n between the
-breakpoints where the intersection changes combinatorial type.
+Along one ray, `CovRay` caches evaluations of g and fits g piece by piece
+between the breakpoints where the intersection changes combinatorial type:
+one Chebyshev series per piece, exact (degree n) under a constant density
+and of degree FIT_DEGREE under any other.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
-from ._quad import _frozen, gauss_01
+from ._quad import _frozen, chebyshev_01, gauss_01
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure, _integrate_points
 from .polytope import (Polytope, StarBodyFn, _build_from_points, _intersection_vertices,
@@ -168,53 +169,54 @@ def roof(L: Polytope | StarBodyFn, x: Sequence[float]) -> float:
 # missed breakpoint leaves inside a piece.
 BREAK_MERGE = 1e-9
 FIT_GATE = 1e-8
-
-
-@functools.lru_cache(maxsize=4)
-def _fit_table(n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fit nodes of one piece in its local variable t in [0, 1]: the n+1
-    Chebyshev points, the inverse of their Vandermonde matrix (values ->
-    ascending coefficients in t), and a check node distinct from them."""
-    j = np.arange(n + 1)
-    t = 0.5 * (1.0 - np.cos((2 * j + 1) * np.pi / (2 * (n + 1))))
-    inv = np.linalg.inv(np.vander(t, increasing=True))
-    return _frozen(t, inv) + (0.5 * (math.sqrt(5.0) - 1.0),)
+# Degree of each piece's fit under a non-constant density, where g is
+# smooth but no polynomial (a constant density takes degree n, which is
+# exact), and the local t of each piece's check node, which falls well
+# inside a gap between the fit nodes of every degree used.
+FIT_DEGREE = 20
+CHECK_NODE = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
 class RayProfile:
-    """g(r thetabar) under a constant density: on piece k, r in
-    [breaks[k], breaks[k+1]], g is the polynomial sum_j coeffs[k, j] t^j in
-    the local variable t = (r - breaks[k]) / (breaks[k+1] - breaks[k])."""
+    """g(r thetabar) fitted piece by piece: on piece k, r in [breaks[k],
+    breaks[k+1]], g is the Chebyshev series sum_j coeffs[k, j] T_j(2t - 1)
+    in the local variable t = (r - breaks[k]) / (breaks[k+1] - breaks[k]),
+    interpolating `values[k]`, the evaluations of g at the points t_j of
+    `_quad.chebyshev_01(degree)`."""
 
     breaks: np.ndarray  # (P + 1,), 0 = breaks[0] < ... < breaks[P] = rho_D
-    coeffs: np.ndarray  # (P, n + 1), ascending powers of t
+    values: np.ndarray  # (P, degree + 1)
+    coeffs: np.ndarray  # (P, degree + 1)
 
     def __post_init__(self):
-        self.breaks.setflags(write=False)
-        self.coeffs.setflags(write=False)
+        _frozen(self.breaks, self.values, self.coeffs)
 
     @property
     def pieces(self) -> int:
         return len(self.coeffs)
 
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[1] - 1
+
     def __call__(self, r) -> np.ndarray:
         """The fitted g at each r in [0, rho_D]."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         k = np.clip(np.searchsorted(self.breaks, r, side="right") - 1, 0, self.pieces - 1)
-        t = (r - self.breaks[k]) / (self.breaks[k + 1] - self.breaks[k])
-        return np.polynomial.polynomial.polyval(t, self.coeffs[k].T, tensor=False)
+        x = 2.0 * (r - self.breaks[k]) / (self.breaks[k + 1] - self.breaks[k]) - 1.0
+        return chebval(x, self.coeffs[k].T, tensor=False)
 
 
 class CovRay:
     """Covariogram evaluations along one ray r -> g(r thetabar), shared by
     the Mellin transforms, slices and chord-integral fixtures of a direction.
 
-    Under a constant density g is a polynomial of degree <= n between the
-    breakpoints of the ray; `profile` fits it exactly piece by piece, once,
-    and every p of the ray reuses that fit. Under any other density each
-    Mellin rule evaluates g at its own nodes, and the memo in `g` answers
-    only a radius asked for twice, which the rules seldom do.
+    Between the breakpoints of the ray g is smooth for every density, and
+    a polynomial of degree <= n under a constant density. `profile` fits it
+    piece by piece, once, from degree + 2 evaluations per piece, and every
+    p of the ray integrates that one fit. The memo in `g` holds each
+    evaluation, so a second fit or slice of the ray asks for none twice.
     """
 
     def __init__(self, K: Polytope, mu: WeightedMeasure, theta: MDirection):
@@ -291,33 +293,35 @@ class CovRay:
         return r[np.concatenate([[True], np.diff(r) > tol])]
 
     def profile(self) -> RayProfile:
-        """The exact piecewise-polynomial g along the ray (constant density).
+        """The piecewise fit of g along the ray.
 
-        Each piece is fitted from n+1 evaluations through `g` at Chebyshev
-        nodes of its local variable; one more evaluation at a check node
-        must match the fit within FIT_GATE * mu(K), or NumericError is
-        raised (a missed breakpoint leaves a visible residual). Cached, so
-        every p of one ray shares one fit.
+        Each piece between breakpoints is fitted from degree + 1 evaluations
+        through `g` at Chebyshev points of its local variable: degree n
+        under a constant density, where the fit is exact, and FIT_DEGREE
+        otherwise. One more evaluation at CHECK_NODE must match the fit
+        within FIT_GATE * mu(K), or NumericError is raised (a missed
+        breakpoint, or a density too narrow for the degree, leaves a
+        visible residual). Cached, so every p of one ray shares one fit.
         """
         if self._profile is not None:
             return self._profile
-        if not self.mu.exact:
-            raise InputError("the ray profile is piecewise polynomial only "
-                             "under a constant density")
-        t, inv, t_check = _fit_table(self.K.dim)
+        degree = self.K.dim if self.mu.exact else FIT_DEGREE
+        t, to_coeffs = chebyshev_01(degree)
         breaks = np.concatenate([[0.0], self.breakpoints(), [self.rho_D]])
-        coeffs = np.empty((len(breaks) - 1, len(t)))
+        values = np.empty((len(breaks) - 1, degree + 1))
+        coeffs = np.empty_like(values)
         for k, (a, w) in enumerate(zip(breaks[:-1], np.diff(breaks))):
-            coeffs[k] = inv @ self.g_many(a + w * t)
-            fit = np.polynomial.polynomial.polyval(t_check, coeffs[k])
-            resid = abs(self.g(a + w * t_check) - fit)
+            values[k] = self.g_many(a + w * t)
+            coeffs[k] = to_coeffs @ values[k]
+            fit = chebval(2.0 * CHECK_NODE - 1.0, coeffs[k])
+            resid = abs(self.g(a + w * CHECK_NODE) - fit)
             if resid > FIT_GATE * self.mu_K:
                 raise NumericError(
                     f"ray profile fit misses its check node on piece {k + 1} of "
-                    f"{len(coeffs)} (r in [{a:.9g}, {a + w:.9g}], {len(t) + 1} "
+                    f"{len(coeffs)} (r in [{a:.9g}, {a + w:.9g}], {degree + 2} "
                     f"evaluations per piece): residual {resid:.3g} against gate "
                     f"{FIT_GATE * self.mu_K:.3g}, {self.describe()}")
-        self._profile = RayProfile(breaks, coeffs)
+        self._profile = RayProfile(breaks, values, coeffs)
         return self._profile
 
 

@@ -5,11 +5,10 @@ Two independent evaluation routes are kept deliberately separate: the direct
 route integrates min_i rho_{K-x}(-theta_i)^p over K on a fixed polar tensor
 grid and never touches the covariogram; the Mellin route integrates
 g(r thetabar) r^(p-1) along the ray. Their agreement is the identity under
-test. One Mellin integrator serves every density: it runs over the pieces
-of the ray between its breakpoints, where g is smooth. Only the first
-piece's rule follows from the density: the closed form of the exact
-profile under a constant density, Gauss-Jacobi on samples of g otherwise.
-There is no integration strategy to choose.
+test. One Mellin integrator serves every density: it integrates the one
+fit of g along the ray (`CovRay.profile`), piece by piece between the
+ray's breakpoints, so every p of a ray shares the same covariogram
+evaluations. There is no integration strategy to choose.
 """
 
 from __future__ import annotations
@@ -19,9 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
-from ._quad import geometric_gauss, graded_gauss, jacobi_01
-from .covariogram import FIT_GATE, CovRay, MDirection, as_mdirection, diffbody_radial
+from ._quad import chebyshev_01, chebyshev_jacobi_01, geometric_gauss, graded_gauss
+from .covariogram import (CHECK_NODE, FIT_GATE, CovRay, MDirection, as_mdirection,
+                          diffbody_radial)
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
 from .oracle import sphere_quadrature
@@ -132,7 +133,7 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
         raise InputError("p = 0 has no Mellin form; use rmb_radial_p0")
     if ray is None:
         ray = CovRay(K, mu, theta)
-    if h_pi is None and (p < 0 or mu.exact):
+    if h_pi is None and p < 0:
         h_pi = ProjectionBody(K, mu, theta.m).support(theta)
     try:
         return _mellin(ray, p, h_pi)
@@ -140,77 +141,55 @@ def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,
         raise NumericError(f"Mellin ray integral at p={p:g}: {exc}") from exc
 
 
-# Under a non-constant density: Gauss nodes per piece of the coarse level,
-# and the relative gate between it and the level with twice as many.
-PIECE_NODES = 8
-PIECE_GATE = 1e-6
-
-
 def _mellin(ray: CovRay, p: float, h_pi: float | None) -> float:
-    """rho_{R_p} in the variable u = r/rho_D, integrated over the pieces
-    [0, breakpoints..., rho_D] of the ray, between which g is smooth.
+    """rho_{R_p} in the variable u = r/rho_D, integrated over the pieces of
+    `ray.profile()`, the one fit of g along the ray for every density.
 
-    Later pieces use Gauss on geometric sub-intervals with enough nodes for
-    u^(p-1). The first piece depends on the density:
-
-    - constant: g is the exact profile, whose first piece must reproduce
-      mu(K) and -h (the identity -g'(0+) = h_Pi) within FIT_GATE * mu(K)
-      and integrates in closed form; for p < 0 only its quadratic and cubic
-      terms remain in the bracket. Later pieces sample the fit.
-    - otherwise: Gauss-Jacobi in the local variable t with weight t^(p-1),
-      or t^(p+1) on the bracket over u^2 when p < 0, samples g itself.
-      PIECE_NODES per piece and twice as many must agree within PIECE_GATE.
+    The first piece [0, u_1] integrates its fit exactly against u^(p-1) by
+    the cached weights of `chebyshev_jacobi_01`: on g itself when p > 0,
+    and when p < 0 on the fit of (g - mu(K) + h r)/r^2 from the same
+    evaluations, against u^(p+1). That fit must reproduce g at the piece's
+    check node within FIT_GATE * mu(K); it fails when -g'(0+) = h does not
+    hold. Later pieces use Gauss on geometric sub-intervals of the fit.
     """
+    prof = ray.profile()
     mu_K, rho_D = ray.mu_K, ray.rho_D
-    # the nodes u^(p-1) adds on a sub-interval spanning a factor 2 in u
-    steep = math.ceil(abs(p - 1.0) / 2.0)
-    tail = 0.0 if p > 0 else 1.0 - (p / (p + 1.0)) * (h_pi * rho_D / mu_K)
-
-    def ratio(J: float, u: np.ndarray, nodes: int, g) -> float:
-        """(rho/rho_D)^p from the first piece's integral J and Gauss on
-        the later pieces (none when u has two entries)."""
-        U, W = geometric_gauss(u[1:], nodes)
-        vals = g(rho_D * U)
-        if p < 0:
-            vals = vals - mu_K + h_pi * rho_D * U
-        return (p / mu_K) * (J + float(np.sum(W * vals * U ** (p - 1.0)))) + tail
-
-    if ray.mu.exact:
-        prof = ray.profile()
-        head, width = prof.coeffs[0], prof.breaks[1]
-        per_piece = f"{ray.K.dim + 2} evaluations per piece"
-        if (abs(head[0] - mu_K) > FIT_GATE * mu_K
-                or abs(head[1] + h_pi * width) > FIT_GATE * mu_K):
-            raise NumericError(
-                f"ray profile breaks -g'(0+) = h or g(0) = mu(K) on its first "
-                f"piece: fit {head[0]:.12g}, {-head[1] / width:.12g} against "
-                f"{mu_K:.12g}, {h_pi:.12g} ({prof.pieces} pieces, {per_piece}, "
-                f"{ray.describe()})")
-        u = prof.breaks / rho_D
-        k = np.arange(len(head)) if p > 0 else np.arange(2, len(head))
-        # later pieces: u^(p-1) times a cubic
-        value = ratio(u[1] ** p * float(np.sum(head[k] / (k + p))), u, 12 + steep, prof)
+    u = prof.breaks / rho_D
+    if p > 0:
+        J = u[1] ** p * float(chebyshev_jacobi_01(prof.degree, p - 1.0) @ prof.values[0])
+        tail = 0.0
     else:
-        u = np.concatenate([[0.0], ray.breakpoints(), [rho_D]]) / rho_D
-        per_piece = f"{PIECE_NODES}/{2 * PIECE_NODES} nodes per piece"
-        q = p - 1.0 if p > 0 else p + 1.0
-
-        def level(n: int) -> float:
-            t, w = jacobi_01(n, q)
-            U = u[1] * t
-            vals = ray.g_many(rho_D * U)
-            if p < 0:
-                vals = (vals - mu_K + h_pi * rho_D * U) / (U * U)
-            return ratio(u[1] ** (q + 1.0) * float(np.sum(w * vals)), u, n + steep, ray.g_many)
-
-        coarse, value = level(PIECE_NODES), level(2 * PIECE_NODES)
-        if abs(value - coarse) > PIECE_GATE * abs(value):
-            raise NumericError(f"did not converge: {coarse} vs {value} at {per_piece} "
-                               f"on {len(u) - 1} pieces, {ray.describe()}")
+        t, to_coeffs = chebyshev_01(prof.degree)
+        U = u[1] * t
+        bracket = (prof.values[0] - mu_K + h_pi * rho_D * U) / (U * U)
+        J = u[1] ** (p + 2.0) * float(chebyshev_jacobi_01(prof.degree, p + 1.0) @ bracket)
+        tail = 1.0 - (p / (p + 1.0)) * (h_pi * rho_D / mu_K)
+        r = prof.breaks[1] * CHECK_NODE  # the first piece's check node
+        U = r / rho_D
+        fit = mu_K - h_pi * r + U * U * chebval(2.0 * CHECK_NODE - 1.0, to_coeffs @ bracket)
+        resid = abs(ray.g(r) - fit)
+        if resid > FIT_GATE * mu_K:
+            raise NumericError(
+                f"first piece breaks -g'(0+) = h: the fit of (g - mu(K) + h r)/r^2 "
+                f"misses its check node by {resid:.3g} against gate "
+                f"{FIT_GATE * mu_K:.3g} with h = {h_pi:.12g} ({_where(ray, prof)})")
+    # Gauss with N nodes on a sub-interval spanning a factor 2 in u takes the
+    # fit times u^(p-1) to rounding once 2N exceeds degree + 21 + |p - 1|
+    nodes = (prof.degree + 22) // 2 + math.ceil(abs(p - 1.0) / 2.0)
+    U, W = geometric_gauss(u[1:], nodes)
+    vals = prof(rho_D * U)
+    if p < 0:
+        vals = vals - mu_K + h_pi * rho_D * U
+    value = (p / mu_K) * (J + float(np.sum(W * vals * U ** (p - 1.0)))) + tail
     if value <= 0:
-        raise NumericError(f"nonpositive value {value:.6g} at {per_piece} on "
-                           f"{len(u) - 1} pieces, {ray.describe()}")
+        raise NumericError(f"nonpositive value {value:.6g} ({_where(ray, prof)})")
     return float(rho_D * value ** (1.0 / p))
+
+
+def _where(ray: CovRay, prof) -> str:
+    """The piece count, evaluations per piece and direction of a failure."""
+    return (f"{prof.pieces} pieces, {prof.degree + 2} evaluations per piece, "
+            f"{ray.describe()}")
 
 
 def rmb_limit_neg1(K: Polytope, mu: WeightedMeasure,
@@ -265,8 +244,6 @@ class RadialMeanBody:
         theta = as_mdirection(theta, self.m)
         if theta.m != self.m:
             raise InputError("direction block count mismatch")
-        if self.p == math.inf:
-            return diffbody_radial(self.K, theta)
         if abs(self.p) < P0_SWITCH:
             return rmb_radial_p0(self.K, self.mu, theta)
         if self.method == "direct":

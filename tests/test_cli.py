@@ -110,6 +110,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "declared concavity s(0.5)" in err
 
+    @pytest.mark.parametrize("params", [{"s": 0.5}, {}, {"F": {"type": "power", "s": 0.5}}])
+    def test_zhang_concavity_class_is_checked(self, tmp_path, capsys, params):
+        # s = 1/n, stated or by default, demands a constant density
+        code, _ = run_job(tmp_path, {
+            "command": "verify-zhang", "body": TRIANGLE_BODY,
+            "measure": {"type": "gaussian", "sigma": 0.5}, "params": params})
+        assert code == 2
+        assert "declared concavity s(0.5)" in capsys.readouterr().err
+
     def test_density_concavity_key_is_two(self, tmp_path, capsys):
         # the chain's s or F states the class; a density carries none
         code, _ = run_job(tmp_path, {
@@ -315,6 +324,12 @@ class TestCommands:
             "params": {"s": 0.5, "directions": 8}})
         assert code == 0
         assert doc["report"]["name"] == "chain-s"
+
+    def test_verify_zhang(self, tmp_path):
+        code, doc = run_json(tmp_path, {
+            "command": "verify-zhang", "body": TRIANGLE_BODY, "params": {"count": 500}})
+        assert code == 0
+        assert doc["report"]["name"] == "zhang"
 
     def test_verify_zhang_general_dispatch(self, tmp_path):
         code, doc = run_json(tmp_path, {

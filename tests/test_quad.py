@@ -1,5 +1,5 @@
 """Quadrature rules: exactness of the simplex rule, the graded 1-D rule
-and the geometric composite rule."""
+the geometric composite rule and the Chebyshev-Jacobi weights."""
 
 import itertools
 import math
@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covbody._quad import R_FLOOR, geometric_gauss, graded_gauss, simplex_rule
+from covbody._quad import (R_FLOOR, chebyshev_01, chebyshev_jacobi_01, geometric_gauss,
+                          graded_gauss, simplex_rule)
 from covbody.errors import InputError
 from covbody.genvol import _grading
 
@@ -121,3 +122,13 @@ def test_graded_gauss_floor_keeps_matched_power_exact():
     r, w = graded_gauss(2.0, 64, 100.0)
     assert r.min() == R_FLOOR
     assert float(w @ r ** -0.99) == pytest.approx(100.0 * 2.0 ** 0.01, rel=1e-13)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 20])
+@pytest.mark.parametrize("q", [-0.75, -0.5, 0.0, 1.5, 19.0, 199.0])
+def test_chebyshev_jacobi_weights_integrate_the_interpolant(degree, q):
+    # int_0^1 t^k t^q dt = 1/(k+q+1) for every power the interpolant holds
+    t, _ = chebyshev_01(degree)
+    w = chebyshev_jacobi_01(degree, q)
+    for k in range(degree + 1):
+        assert float(w @ t ** k) == pytest.approx(1.0 / (k + q + 1.0), rel=1e-12, abs=1e-15)

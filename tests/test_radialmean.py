@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from covbody.covariogram import CovRay, MDirection, diffbody_radial
+from covbody.covariogram import FIT_DEGREE, CovRay, MDirection, diffbody_radial
 from covbody.errors import InputError, NumericError
 from covbody.measure import GaussianDensity, LinearPowerDensity, WeightedMeasure
 from covbody.oracle import rng_for, sphere_quadrature
@@ -117,15 +117,34 @@ class TestKinkedRays:
     def test_gaussian_mellin_returns_a_value_at_every_p(self, i):
         self._check(i, self.GAUSS)
 
+    @pytest.mark.parametrize("i", range(12))
+    def test_narrow_gaussian_matches_quadpack(self, i):
+        mu = WeightedMeasure(GaussianDensity(2, 0.5))
+        K, theta = self._case(i, *self.CASES[i])
+        ray = CovRay(K, mu, theta)
+        for p in (0.5, 2.0, 20.0):
+            got = rmb_radial_mellin(K, mu, p, theta, ray=ray)
+            assert got == pytest.approx(quad_mellin(ray, p), rel=1e-6)
+
+    def test_every_p_shares_the_evaluations_of_the_fit(self):
+        K, theta = self._case(0, *self.CASES[0])
+        ray = CovRay(K, self.GAUSS, theta)
+        for p in (-0.5, 0.5, 1.0, 2.0, 3.0):
+            rmb_radial_mellin(K, self.GAUSS, p, theta, ray=ray)
+        pieces = ray.profile().pieces
+        assert pieces >= 2
+        assert len(ray._cache) == (FIT_DEGREE + 2) * pieces
+
     def test_piece_gate_failure_names_its_rerun(self, monkeypatch):
         # without its breakpoints the first piece spans a kink of g, which
-        # 8 and 16 Gauss-Jacobi nodes resolve differently
+        # no smooth fit follows to its check node
         monkeypatch.setattr(CovRay, "breakpoints", lambda self: np.empty(0))
         K, theta = self._case(0, *self.CASES[0])
         with pytest.raises(NumericError) as info:
             rmb_radial_mellin(K, self.GAUSS, 3.0, theta)
         msg = str(info.value)
-        assert "p=3" in msg and "8/16 nodes per piece on 1 pieces" in msg
+        assert "p=3" in msg and "check node on piece 1 of 1" in msg
+        assert f"{FIT_DEGREE + 2} evaluations per piece" in msg
         assert f"direction {np.round(theta.flat, 6).tolist()}" in msg
 
 

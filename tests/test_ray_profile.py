@@ -1,16 +1,17 @@
-"""The exact ray profile of the covariogram under constant density:
-breakpoints, the piecewise-polynomial fit and its gates, and the paper's
-identities checked on it as properties over random bodies."""
+"""The ray profile of the covariogram: breakpoints, the piecewise fit (exact
+under a constant density) and its gates, and the paper's identities
+checked on it as properties over random bodies."""
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covbody.covariogram as covariogram_mod
 from covbody.covariogram import CovRay, MDirection, covariogram
-from covbody.errors import InputError, NumericError
-from covbody.measure import GaussianDensity, WeightedMeasure
+from covbody.errors import NumericError
+from covbody.measure import GaussianDensity, LinearPowerDensity, WeightedMeasure
 from covbody.polytope import Polytope
 from covbody.projection import ProjectionBody
 from covbody.radialmean import rmb_radial_mellin
@@ -47,16 +48,26 @@ def bodies_and_rays(draw):
     return K, MDirection.normalized(rng.standard_normal((m, K.dim)))
 
 
+def _measure(name: str, n: int) -> WeightedMeasure:
+    if name == "gaussian":
+        return WeightedMeasure(GaussianDensity(n, 1.0))
+    if name == "linear-power":
+        return WeightedMeasure(LinearPowerDensity([0.3, 0.2, 0.1][:n], 1.0, 1.0))
+    return WeightedMeasure.lebesgue(n)
+
+
 @PROPERTY
-@given(bodies_and_rays())
-def test_first_piece_is_mass_and_projection_support(case):
+@given(bodies_and_rays(), st.sampled_from(("lebesgue", "gaussian")))
+def test_first_piece_is_mass_and_projection_support(case, density):
+    # g(0) = mu(K) and -g'(0+) = h_Pi hold for every density
     K, theta = case
-    mu = WeightedMeasure.lebesgue(K.dim)
+    mu = _measure(density, K.dim)
     ray = CovRay(K, mu, theta)
     prof = ray.profile()
     h = ProjectionBody(K, mu, theta.m).support(theta)
-    assert prof.coeffs[0, 0] == pytest.approx(K.volume, rel=1e-9)
-    assert -prof.coeffs[0, 1] / prof.breaks[1] == pytest.approx(h, rel=1e-9)
+    slope = 2.0 / prof.breaks[1] * chebval(-1.0, chebder(prof.coeffs[0]))
+    assert float(prof(0.0)[0]) == pytest.approx(ray.mu_K, rel=1e-9)
+    assert -slope == pytest.approx(h, rel=1e-9)
 
 
 @PROPERTY
@@ -68,6 +79,29 @@ def test_profile_matches_direct_evaluation(case, frac):
     r = frac * ray.rho_D
     want = covariogram(K, mu, theta.shifts(r))
     assert float(ray.profile()(r)[0]) == pytest.approx(want, abs=1e-12 * K.volume)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(bodies_and_rays(), st.sampled_from(("gaussian", "linear-power")),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_profile_matches_covariogram_under_smooth_densities(case, density, fracs):
+    # the FIT_DEGREE fit between breakpoints is no exact polynomial, but
+    # matches g far below the check-node gate
+    K, theta = case
+    mu = _measure(density, K.dim)
+    ray = CovRay(K, mu, theta)
+    r = np.array(fracs) * ray.rho_D
+    want = [covariogram(K, mu, theta.shifts(x)) for x in r]
+    assert np.abs(ray.profile()(r) - want).max() <= 1e-10 * ray.mu_K
+
+
+@PROPERTY
+@given(bodies_and_rays())
+def test_covariogram_vanishes_beyond_the_difference_body(case):
+    K, theta = case
+    rho_D = CovRay(K, WeightedMeasure.lebesgue(K.dim), theta).rho_D
+    assert covariogram(K, WeightedMeasure.lebesgue(K.dim),
+                       theta.shifts(rho_D * (1.0 + 1e-6))) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -124,12 +158,6 @@ class TestBreakpoints:
         evals = len(ray._cache)
         assert ray.profile() is prof
         assert len(ray._cache) == evals
-
-    def test_profile_needs_constant_density(self):
-        ray = CovRay(Polytope.named("cube", 2), WeightedMeasure(GaussianDensity(2, 1.0)),
-                     MDirection.normalized([[0.2, 0.9]]))
-        with pytest.raises(InputError):
-            ray.profile()
 
     def test_gate_failure_names_direction_and_pieces(self, monkeypatch):
         monkeypatch.setattr(covariogram_mod, "FIT_GATE", -1.0)
