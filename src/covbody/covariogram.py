@@ -26,8 +26,8 @@ from numpy.polynomial.chebyshev import chebval
 from ._quad import _frozen, chebyshev_01, gauss_01
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure, _integrate_points
-from .polytope import (Polytope, StarBodyFn, _build_from_points, _intersection_vertices,
-                       _row_subsets, lifted_system)
+from .polytope import (TOL, Polytope, StarBodyFn, _basic_solutions, _build_from_points,
+                       _intersection_vertices, lifted_system)
 from .simplexlp import solve_lp_max
 
 
@@ -254,40 +254,21 @@ class CovRay:
         theta_i) changes combinatorial type, so that g is one polynomial
         between consecutive breakpoints.
 
-        The intersection is {A x <= b + r c} with c = 0 on K's rows and
-        c = A theta_i on the i-th translate. Its type changes only where n+1
-        rows meet in one point of it; det[A_S | b_S + r c_S] = d0 + r d1 is
-        linear in r, so each (n+1)-subset S gives one candidate root. Rows
-        that meet for every r (d1 = 0, as at non-simple vertices) move no
-        breakpoint. Roots closer than BREAK_MERGE * rho_D are merged.
+        The intersection is the height-r slice of one polytope in R^(n+1),
+        P = {(x, r) : A x - r c <= b} (`lifted_system`), whose top height is
+        rho_D. A slice changes type only at the height of a vertex of P, so
+        the breakpoints are the vertex heights strictly inside (0, rho_D),
+        from the vertex-enumeration kernel. Heights closer than
+        BREAK_MERGE * rho_D are merged.
         """
-        n = self.K.dim
         A, b, c = lifted_system(self.K, self.theta.blocks)
-        S = _row_subsets(len(b), n + 1)
-        AS = A[S]                                               # (N, n+1, n)
-        last = np.stack([b[S], c[S]])[..., None]                # (2, N, n+1, 1)
-        d0, d1 = np.linalg.det(np.concatenate([np.stack([AS, AS]), last], axis=-1))
+        A = np.hstack([A, -c[:, None]])
+        X = _basic_solutions(A, b)
         tol = BREAK_MERGE * self.rho_D
-        # rows are unit normals and |c| <= 1, so d1 of rows that meet for
-        # every r is rounding noise far below this cut
-        moving = np.abs(d1) > 1e-11
-        r = -d0[moving] / d1[moving]
-        inside = (r > tol) & (r < self.rho_D - tol)
-        S, r = S[moving][inside], r[inside]
-        if len(r) == 0:
-            return np.empty(0)
-        # the common point of S: solve the best-conditioned n of its n+1 rows
-        keep = np.array([[k for k in range(n + 1) if k != j] for j in range(n + 1)])
-        sub = A[S][:, keep]                                     # (C, n+1, n, n)
-        best = np.argmax(np.abs(np.linalg.det(sub)), axis=1)
-        rows = np.arange(len(r))
-        sub = sub[rows, best]
-        regular = np.abs(np.linalg.det(sub)) > 1e-12
-        beta = np.take_along_axis(b[S] + r[:, None] * c[S], keep[best], axis=1)
-        x = np.linalg.solve(sub[regular], beta[regular][..., None])[..., 0]
-        r = r[regular]
-        slack = b[:, None] + c[:, None] * r[None, :] - A @ x.T
-        r = np.sort(r[(slack >= -1e-9 * (1.0 + self.rho_D)).all(axis=0)])
+        # the r = 0 slice is degenerate and holds most of the points, so cut
+        # by height before testing every row
+        X = X[(X[:, -1] > tol) & (X[:, -1] < self.rho_D - tol)]
+        r = np.sort(X[(A @ X.T <= b[:, None] + TOL).all(axis=0), -1])
         if len(r) == 0:
             return r
         return r[np.concatenate([[True], np.diff(r) > tol])]

@@ -367,17 +367,23 @@ def check_concavity_tag(density: Density, s: float | None,
     """Spot-check that the density is s-concave (s > 0), or log-concave
     (s None), by midpoint tests inside the box.
 
-    s = 1/n demands a constant density; s < 1/n checks midpoint concavity of
-    phi^gamma with gamma = s/(1 - n s) on pairs where phi > 0; log-concave
-    checks midpoint concavity of log phi.
+    s > 1/n fails for every density, and a constant density, which is
+    log-concave and s-concave for every s <= 1/n, passes without a sample.
+    Otherwise s = 1/n demands a constant density; s < 1/n checks midpoint
+    concavity of phi^gamma with gamma = s/(1 - n s) on pairs where phi > 0;
+    log-concave checks midpoint concavity of log phi.
     """
     if s is not None and s <= 0:
         raise InputError("s-concavity needs s > 0")
+    n = density.dim
+    if s is not None and s >= 1.0 / n + 1e-12:
+        return False, f"s = {s} > 1/n is infeasible for a density on R^{n}"
+    if isinstance(density, ConstantDensity):
+        return True, "a constant density is log-concave and s-concave for s <= 1/n"
     pairs = CONCAVITY_PAIRS
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     rng = rng_for(seed, "concavity-spotcheck")
-    n = density.dim
     X = lo + (hi - lo) * rng.random((4 * pairs, n))
     vals = density(X)
     if s is None:
@@ -395,8 +401,6 @@ def check_concavity_tag(density: Density, s: float | None,
         spread = float(vals.max() - vals.min())
         ok = spread <= 1e-9 * max(1.0, float(vals.max()))
         return ok, f"s = 1/n requires constant density (spread {spread:.2e})"
-    if s > 1.0 / n:
-        return False, f"s = {s} > 1/n is infeasible for a density on R^{n}"
     gamma = s / (1.0 - n * s)
     mask = vals > 1e-12
     X = X[mask]

@@ -100,18 +100,22 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if hi - lo <= TOL:
             return np.array([[0.5 * (lo + hi)]])
         return np.array([[lo], [hi]])
+    X = _basic_solutions(A, b)
+    return dedupe_points(X[(A @ X.T <= b[:, None] + TOL).all(axis=0)])
+
+
+def _basic_solutions(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The common point of every regular n-subset of the rows of
+    {A x <= b}, feasible or not; (0, n) when there is none."""
+    H, n = A.shape
     if H < n:
         return np.empty((0, n))
     idx = _row_subsets(H, n)
     M = A[idx]
-    det = np.abs(np.linalg.det(M))
-    ok = det > 1e-12
+    ok = np.abs(np.linalg.det(M)) > 1e-12
     if not ok.any():
         return np.empty((0, n))
-    X = np.linalg.solve(M[ok], b[idx[ok]][..., None])[..., 0]
-    feas = (A @ X.T <= b[:, None] + TOL).all(axis=0)
-    pts = X[feas]
-    return dedupe_points(pts)
+    return np.linalg.solve(M[ok], b[idx[ok]][..., None])[..., 0]
 
 
 # Most floats a block of dedupe_points' pairwise differences may hold.

@@ -25,7 +25,7 @@ from .measure import (
     integrate_over_polytope,
 )
 from .oracle import rng_for, sphere_quadrature
-from .polytope import Polytope, star_volume
+from .polytope import Polytope, StarBodyFn, star_volume
 from .projection import ProjectionBody
 from .radialmean import rmb_radial_mellin
 from .report import VerifyReport
@@ -275,15 +275,21 @@ NU_MASS_NODES = 32
 def _nu_mass_of_star(nu_list, radial_fn, d: int, n: int, count: int,
                      seed: int) -> float:
     """Mass, under the product of the factor measures, of the star body with
-    the given radial function: per-direction Gauss quadrature of
-    int_0^rho prod_i phi_i(r u_i) r^(d-1) dr."""
+    the given radial function. Constant factors contribute their c_i; with
+    no other factor the mass is prod_i c_i times the star body's volume,
+    and otherwise a per-direction Gauss quadrature of
+    int_0^rho prod_i phi_i(r u_i) r^(d-1) dr over the varying factors."""
     sphere = sphere_quadrature(d, count=count, seed=seed)
+    const_part = math.prod((nu.density.c for nu in nu_list if nu.exact), start=1.0)
+    varying = [(i, nu) for i, nu in enumerate(nu_list) if not nu.exact]
+    if not varying:
+        return const_part * star_volume(StarBodyFn(d, radial_fn), sphere)
     rho = radial_fn(sphere.nodes)
     t, w = gauss_01(NU_MASS_NODES)
     R = rho[:, None] * t[None, :]
     X = R[:, :, None] * sphere.nodes[:, None, :]
-    phi = np.ones(R.shape)
-    for i, nu in enumerate(nu_list):
+    phi = np.full(R.shape, const_part)
+    for i, nu in varying:
         block = X[:, :, i * n:(i + 1) * n].reshape(-1, n)
         phi *= nu.density(block).reshape(R.shape)
     # einsum, not a BLAS product: its sums do not depend on the thread count

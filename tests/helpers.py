@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
-from covbody.covariogram import CovRay, covariogram
+from covbody.covariogram import BREAK_MERGE, CovRay, covariogram
 from covbody.measure import WeightedMeasure
-from covbody.polytope import Polytope
+from covbody.polytope import Polytope, lifted_system
 
 
 def grid_covariogram(K: Polytope, mu: WeightedMeasure, shifts,
@@ -54,6 +56,29 @@ def quad_mellin(ray: CovRay, p: float) -> float:
     for a, b in zip(u[1:-1], u[2:]):
         J += quad(lambda s: g(s) * s ** (p - 1.0), a, b, **opts)[0]
     return ray.rho_D * ((p / ray.mu_K) * J) ** (1.0 / p)
+
+
+def qhull_breakpoints(ray: CovRay) -> np.ndarray:
+    """The ray's breakpoints as Qhull sees them: the heights r in
+    (0, rho_D) of the vertices of P = {(x, r) : A x - r c <= b}, whose
+    height-r slice is K cap_i (K + r theta_i), merged within
+    BREAK_MERGE * rho_D. Qhull intersects the halfspaces about P's
+    Chebyshev centre, found by `linprog`."""
+    A, b, c = lifted_system(ray.K, ray.theta.blocks)
+    M = np.hstack([A, -c[:, None]])
+    # the centre z and radius t: maximize t subject to M z + t |M_i| <= b
+    dim = M.shape[1]
+    res = linprog(-np.eye(dim + 1)[-1],
+                  A_ub=np.hstack([M, np.linalg.norm(M, axis=1)[:, None]]), b_ub=b,
+                  bounds=[(None, None)] * dim + [(0.0, None)])
+    assert res.status == 0 and res.x[-1] > 0
+    hs = HalfspaceIntersection(np.hstack([M, -b[:, None]]), res.x[:-1])
+    tol = BREAK_MERGE * ray.rho_D
+    r = np.sort(hs.intersections[:, -1])
+    r = r[(r > tol) & (r < ray.rho_D - tol)]
+    if len(r) == 0:
+        return r
+    return r[np.concatenate([[True], np.diff(r) > tol])]
 
 
 def gauss_box_mass(sigma: float, lo, hi) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import covbody.measure as measure_mod
 from covbody.errors import InputError
 from covbody.measure import (ConstantDensity, GaussianDensity,
                              LinearPowerDensity, ProductDensity,
@@ -188,6 +189,19 @@ class TestConcavityTags:
     def test_class_must_be_positive(self):
         with pytest.raises(InputError, match="s > 0"):
             check_concavity_tag(ConstantDensity(2), 0.0, self.BOX)
+
+    def test_constant_density_needs_no_sample(self, monkeypatch):
+        # a constant density is log-concave and s-concave for every s <= 1/n
+        def no_draw(*args):
+            raise AssertionError("the spot check drew a sample")
+
+        monkeypatch.setattr(measure_mod, "rng_for", no_draw)
+        for s in (0.5, 0.3, None):
+            ok, _ = check_concavity_tag(ConstantDensity(2), s, self.BOX)
+            assert ok
+        ok, msg = check_concavity_tag(ConstantDensity(2), 0.6, self.BOX)
+        assert not ok
+        assert "infeasible" in msg
 
 
 class TestDensitySpec:

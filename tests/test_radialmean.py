@@ -13,7 +13,7 @@ from covbody.polytope import Polytope
 from covbody.radialmean import (RadialMeanBody, rmb_limit_neg1, rmb_radial_direct,
                                 rmb_radial_mellin, rmb_radial_p0)
 
-from helpers import quad_mellin, random_polygon
+from helpers import qhull_breakpoints, quad_mellin, random_polygon
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -112,6 +112,14 @@ class TestKinkedRays:
         for p in (2.0, 3.0):
             want = rmb_radial_direct(K, LEB2, p, theta)
             assert got[p] == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("i", range(12))
+    def test_breakpoints_match_qhull(self, i):
+        K, theta = self._case(i, *self.CASES[i])
+        ray = CovRay(K, LEB2, theta)
+        got, want = ray.breakpoints(), qhull_breakpoints(ray)
+        assert len(got) == len(want) > 0
+        assert np.abs(got - want).max() <= 1e-12 * ray.rho_D
 
     @pytest.mark.parametrize("i", range(12))
     def test_gaussian_mellin_returns_a_value_at_every_p(self, i):

@@ -17,7 +17,7 @@ from covbody.projection import ProjectionBody
 from covbody.radialmean import rmb_radial_mellin
 from covbody.verify import ChainSpec, chain_check
 
-from helpers import random_polygon
+from helpers import qhull_breakpoints, random_polygon
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -69,6 +69,17 @@ def test_first_piece_is_mass_and_projection_support(case, density):
     assert float(prof(0.0)[0]) == pytest.approx(ray.mu_K, rel=1e-9)
     assert -slope == pytest.approx(h, rel=1e-9)
 
+
+@PROPERTY
+@given(bodies_and_rays())
+def test_breakpoints_are_the_vertex_heights_qhull_finds(case):
+    # a missed breakpoint fails a check node, but a spurious one only costs
+    # n + 2 evaluations; an independent route catches both
+    K, theta = case
+    ray = CovRay(K, WeightedMeasure.lebesgue(K.dim), theta)
+    got, want = ray.breakpoints(), qhull_breakpoints(ray)
+    assert len(got) == len(want)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * ray.rho_D
 
 @PROPERTY
 @given(bodies_and_rays(), st.floats(0.01, 0.99))

@@ -1,6 +1,7 @@
 """Inequality harness: constants, chains, and volume-ratio checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ from scipy.integrate import quad
 
 from covbody.covariogram import CovRay, MDirection
 from covbody.errors import InputError, NumericError
-from covbody.measure import (ConcavityF, GaussianDensity, WeightedMeasure,
+from covbody.measure import (ConcavityF, ConstantDensity, GaussianDensity,
+                             LinearPowerDensity, WeightedMeasure,
                              log_concavity, power_concavity)
-from covbody.polytope import Polytope
+from covbody.oracle import sphere_quadrature
+from covbody.polytope import Polytope, StarBodyFn, star_volume
 from covbody.projection import ProjectionBody
 from covbody.radialmean import rmb_radial_mellin
 from covbody.verify import (ChainSpec, berwald_const_F, berwald_const_Q,
                             chain_check, direction_mesh, gen_binom,
                             general_zhang_check, rogers_shephard_check,
-                            zhang_check)
+                            zhang_check, _nu_mass_of_star)
 from helpers import random_polygon
 
 SQUARE = Polytope.named("cube", 2)
@@ -232,6 +235,16 @@ class TestZhang:
         assert rep.passed
         assert rep.ratio > 1.01
 
+    def test_second_order_numerator_stays_small(self):
+        # constant factors need no radial rule over the 200 000 directions
+        tracemalloc.start()
+        try:
+            zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, LEB2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_factor_measures_must_be_nondecreasing(self):
         gauss = WeightedMeasure(GaussianDensity(2, 1.0))
         with pytest.raises(InputError):
@@ -240,6 +253,43 @@ class TestZhang:
             zhang_check(TRIANGLE, LEB2, 0.5, [])
         with pytest.raises(InputError):
             zhang_check(TRIANGLE, LEB2, -0.5, [LEB2])
+
+
+class TestNuMass:
+    """The numerator's mass of a star body under the product of the factor
+    measures, against closed forms on the same sphere rule."""
+
+    COUNT, SEED = 2000, 7
+
+    @staticmethod
+    def _radial(dirs):
+        return 0.8 + 0.3 * dirs[:, 0] ** 2 - 0.1 * dirs[:, -1]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_constant_factors_scale_the_star_volume(self, m):
+        nus = [WeightedMeasure(ConstantDensity(2, c)) for c in (1.7, 0.6)[:m]]
+        d = 2 * m
+        got = _nu_mass_of_star(nus, self._radial, d, 2, self.COUNT, self.SEED)
+        want = math.prod((1.7, 0.6)[:m]) * star_volume(
+            StarBodyFn(d, self._radial), sphere_quadrature(d, self.COUNT, self.SEED))
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_linear_power_factor_takes_the_radial_rule(self, m):
+        # (<a, r u> + 0)_+^k = r^k (<a, u>)_+^k, so the radial integral is
+        # (<a, u>)_+^k rho^(d+k) / (d+k), which the Gauss rule integrates
+        # exactly; at m = 2 a constant factor stands next to it
+        a, k, c = np.array([0.6, -0.8]), 1.0, 1.7
+        nus = [WeightedMeasure(LinearPowerDensity(a, 0.0, k)),
+               WeightedMeasure(ConstantDensity(2, c))][:m]
+        d = 2 * m
+        got = _nu_mass_of_star(nus, self._radial, d, 2, self.COUNT, self.SEED)
+        sphere = sphere_quadrature(d, self.COUNT, self.SEED)
+        rho = self._radial(sphere.nodes)
+        phi = np.maximum(sphere.nodes[:, :2] @ a, 0.0) ** k
+        want = (c if m == 2 else 1.0) * float(
+            sphere.weights @ (phi * rho ** (d + k))) / (d + k)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_direction_mesh_deterministic():
