@@ -7,10 +7,10 @@ difference body D^m(K) in R^(nm), whose radial function is computed two ways:
 a per-direction linear program (the reference route) and an exact polytope
 built as the linear image of K^(m+1), used for batched evaluation.
 
-Along one ray, `CovRay` caches evaluations of g and fits g piece by piece
-between the breakpoints where the intersection changes combinatorial type:
-one Chebyshev series per piece, exact (degree n) under a constant density
-and of degree FIT_DEGREE under any other.
+Along one ray, every consumer reads g from one fit (`CovRay.profile`), piece
+by piece between the breakpoints where the intersection changes combinatorial
+type: one Chebyshev series per piece, exact (degree n) under a constant
+density and of degree FIT_DEGREE under any other.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -175,6 +175,9 @@ FIT_GATE = 1e-8
 # inside a gap between the fit nodes of every degree used.
 FIT_DEGREE = 20
 CHECK_NODE = 0.5 * (math.sqrt(5.0) - 1.0)
+# Halvings of a non-constant density's piece whose check node misses, before
+# the fit gives up: a narrow density needs shorter pieces, not a higher degree.
+SPLIT_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,8 @@ class RayProfile:
     breaks[k+1]], g is the Chebyshev series sum_j coeffs[k, j] T_j(2t - 1)
     in the local variable t = (r - breaks[k]) / (breaks[k+1] - breaks[k]),
     interpolating `values[k]`, the evaluations of g at the points t_j of
-    `_quad.chebyshev_01(degree)`."""
+    `_quad.chebyshev_01(degree)`. The breaks are the ray's breakpoints and
+    the midpoints of any piece `CovRay.profile` halved."""
 
     breaks: np.ndarray  # (P + 1,), 0 = breaks[0] < ... < breaks[P] = rho_D
     values: np.ndarray  # (P, degree + 1)
@@ -201,22 +205,22 @@ class RayProfile:
         return self.coeffs.shape[1] - 1
 
     def __call__(self, r) -> np.ndarray:
-        """The fitted g at each r in [0, rho_D]."""
+        """The fitted g at each r >= 0; 0 from rho_D on, where g vanishes."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         k = np.clip(np.searchsorted(self.breaks, r, side="right") - 1, 0, self.pieces - 1)
         x = 2.0 * (r - self.breaks[k]) / (self.breaks[k + 1] - self.breaks[k]) - 1.0
-        return chebval(x, self.coeffs[k].T, tensor=False)
+        return np.where(r < self.breaks[-1], chebval(x, self.coeffs[k].T, tensor=False), 0.0)
 
 
 class CovRay:
-    """Covariogram evaluations along one ray r -> g(r thetabar), shared by
-    the Mellin transforms, slices and chord-integral fixtures of a direction.
+    """g(r thetabar) along one ray, described once by `profile` for the
+    Mellin transforms, slices and chord-integral fixtures of a direction.
 
     Between the breakpoints of the ray g is smooth for every density, and
     a polynomial of degree <= n under a constant density. `profile` fits it
     piece by piece, once, from degree + 2 evaluations per piece, and every
-    p of the ray integrates that one fit. The memo in `g` holds each
-    evaluation, so a second fit or slice of the ray asks for none twice.
+    consumer reads that one fit. The memo in `g` holds each evaluation, so
+    a gate that re-asks for a check node costs nothing.
     """
 
     def __init__(self, K: Polytope, mu: WeightedMeasure, theta: MDirection):
@@ -241,9 +245,6 @@ class CovRay:
             val = covariogram(self.K, self.mu, self.theta.shifts(r))
             self._cache[r] = val
         return val
-
-    def g_many(self, rs: np.ndarray) -> np.ndarray:
-        return np.array([self.g(r) for r in np.asarray(rs, dtype=float)])
 
     def describe(self) -> str:
         """The direction, rounded, for error messages that name a rerun."""
@@ -280,42 +281,53 @@ class CovRay:
         through `g` at Chebyshev points of its local variable: degree n
         under a constant density, where the fit is exact, and FIT_DEGREE
         otherwise. One more evaluation at CHECK_NODE must match the fit
-        within FIT_GATE * mu(K), or NumericError is raised (a missed
-        breakpoint, or a density too narrow for the degree, leaves a
-        visible residual). Cached, so every p of one ray shares one fit.
+        within FIT_GATE * mu(K). Under a constant density a miss means a
+        missed breakpoint, and NumericError is raised at once; under any
+        other density the piece is halved and each half refitted, at most
+        SPLIT_DEPTH times, before NumericError is raised (a density too
+        narrow for the degree leaves a residual that shrinks with the
+        width). Cached, so every consumer of one ray shares one fit.
         """
         if self._profile is not None:
             return self._profile
         degree = self.K.dim if self.mu.exact else FIT_DEGREE
+        depth = 0 if self.mu.exact else SPLIT_DEPTH
         t, to_coeffs = chebyshev_01(degree)
-        breaks = np.concatenate([[0.0], self.breakpoints(), [self.rho_D]])
-        values = np.empty((len(breaks) - 1, degree + 1))
-        coeffs = np.empty_like(values)
-        for k, (a, w) in enumerate(zip(breaks[:-1], np.diff(breaks))):
-            values[k] = self.g_many(a + w * t)
-            coeffs[k] = to_coeffs @ values[k]
-            fit = chebval(2.0 * CHECK_NODE - 1.0, coeffs[k])
-            resid = abs(self.g(a + w * CHECK_NODE) - fit)
-            if resid > FIT_GATE * self.mu_K:
+        ends = np.concatenate([[0.0], self.breakpoints(), [self.rho_D]])
+        todo = [(ends[k], ends[k + 1], k, 0) for k in reversed(range(len(ends) - 1))]
+        gate = FIT_GATE * self.mu_K
+        fits = []  # (right end, values, coeffs) of each interval, left to right
+        while todo:  # a stack: the leftmost interval still to fit on top
+            a, b, k, halvings = todo.pop()
+            vals = np.array([self.g(x) for x in a + (b - a) * t])
+            c = to_coeffs @ vals
+            resid = abs(self.g(a + (b - a) * CHECK_NODE) - chebval(2.0 * CHECK_NODE - 1.0, c))
+            if resid <= gate:
+                fits.append((b, vals, c))
+            elif halvings < depth:
+                mid = 0.5 * (a + b)
+                todo += [(mid, b, k, halvings + 1), (a, mid, k, halvings + 1)]
+            else:
                 raise NumericError(
-                    f"ray profile fit misses its check node on piece {k + 1} of "
-                    f"{len(coeffs)} (r in [{a:.9g}, {a + w:.9g}], {degree + 2} "
-                    f"evaluations per piece): residual {resid:.3g} against gate "
-                    f"{FIT_GATE * self.mu_K:.3g}, {self.describe()}")
-        self._profile = RayProfile(breaks, values, coeffs)
+                    f"ray profile fit misses its check node on r in [{a:.9g}, {b:.9g}] "
+                    f"of piece {k + 1} of {len(ends) - 1} ({degree + 2} evaluations per "
+                    f"piece, halved {halvings} times): residual {resid:.3g} against "
+                    f"gate {gate:.3g}, {self.describe()}")
+        right, values, coeffs = zip(*fits)
+        self._profile = RayProfile(np.array([0.0, *right]), np.array(values), np.array(coeffs))
         return self._profile
 
 
 @dataclass(frozen=True)
 class CovariogramSlice:
     """g along one ray, tabulated on a Gauss grid of [0, rho_D] plus the
-    endpoints; `values` recomputes g exactly at arbitrary r."""
+    endpoints; `values` is the ray's fit of g, which takes any r >= 0."""
 
     direction: MDirection
     rho_D: float
     nodes: np.ndarray
     node_values: np.ndarray
-    values: Callable[[float], float]
+    values: RayProfile
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -325,8 +337,9 @@ class CovariogramSlice:
 def covariogram_slice(K: Polytope, mu: WeightedMeasure,
                       theta: MDirection | Sequence[Sequence[float]],
                       grid: int = 32) -> CovariogramSlice:
+    """`CovRay.profile` tabulated at `grid` Gauss nodes of [0, rho_D] and both ends."""
     ray = CovRay(K, mu, as_mdirection(theta))
     u, _ = gauss_01(grid)
     nodes = np.concatenate([[0.0], ray.rho_D * u, [ray.rho_D]])
-    vals = ray.g_many(nodes)
-    return CovariogramSlice(ray.theta, ray.rho_D, nodes, vals, ray.g)
+    prof = ray.profile()
+    return CovariogramSlice(ray.theta, ray.rho_D, nodes, prof(nodes), prof)

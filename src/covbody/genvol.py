@@ -294,10 +294,10 @@ def capped_ray_fn(L: StarBodyFn, cap_cos: float = 0.5,
 
 def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> ConcaveRayFn:
     """f(r, thetabar) = F(g(K, r thetabar)) for the m-th order covariogram g
-    of the weighted body: support is the m-th difference body, the center
-    value is F(mu(K)), and the ray derivative at 0 is the exact
-    -F'(mu(K)) * h of the projection body. F must be increasing with
-    F(0) = 0 so f stays non-negative."""
+    of the weighted body, read from each ray's fit (`CovRay.profile`):
+    support is the m-th difference body, the center value is F(mu(K)), and
+    the ray derivative at 0 is the exact -F'(mu(K)) * h of the projection
+    body. F must be increasing with F(0) = 0 so f stays non-negative."""
     n = K.dim
     muK = float(mu.mass(K))
     body = ProjectionBody(K, mu, m)
@@ -310,7 +310,7 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> Concave
         return cache[key]
 
     def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        g = ray_for(theta).g_many(np.asarray(r, dtype=float))
+        g = ray_for(theta).profile()(r)
         return np.array([F.F(v) if v > 0 else 0.0 for v in g])
 
     support = StarBodyFn(n * m, lambda dirs: np.array(

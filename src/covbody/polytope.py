@@ -464,10 +464,6 @@ class StarBodyFn:
     def ball(dim: int, r: float = 1.0) -> "StarBodyFn":
         return StarBodyFn(dim, lambda dirs: np.full(len(dirs), float(r)))
 
-    @staticmethod
-    def scaled(S: "StarBodyFn", c: float) -> "StarBodyFn":
-        return StarBodyFn(S.dim, lambda dirs: float(c) * S.radial(dirs))
-
 
 def star_volume(S: StarBodyFn, quad) -> float:
     """(1/d) * sum_i w_i rho(u_i)^d."""

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._quad import gauss_01
 from .covariogram import CovRay, MDirection, diffbody_polytope, diffbody_star
@@ -54,6 +53,7 @@ def gen_binom(a: float, k: float) -> float:
 
 
 def _quad_checked(fn, lo: float, hi: float, what: str) -> float:
+    from scipy.integrate import quad  # here: loading it would cost every CLI call
     val, err = quad(fn, lo, hi, epsrel=1e-12, epsabs=1e-14, limit=400)
     if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-12):
         raise NumericError(f"{what}: quadrature did not converge "

@@ -1,11 +1,13 @@
 """Dual volumes with general kernels and the two chord-integral bounds."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
 
+from covbody.covariogram import CovRay, covariogram
 from covbody.errors import InputError, NumericError
 from covbody.genvol import (KernelG, affine_ray_fn, beta_constant,
                             capped_ray_fn, chord_lower_check,
@@ -17,6 +19,8 @@ from covbody.measure import (GaussianDensity, LinearPowerDensity,
 from covbody.oracle import sphere_quadrature
 from covbody.polytope import Polytope, StarBodyFn, star_volume
 from covbody.projection import ProjectionBody
+
+from helpers import random_polygon
 
 TRIANGLE = Polytope.named("simplex", 2)
 SQUARE = Polytope.named("cube", 2)
@@ -266,6 +270,42 @@ class TestCovariogramFixture:
             muK = K.volume
             got = beta_constant(self.H, math.sqrt(muK), 1.0)
             assert got == pytest.approx(muK / 6.0, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("density", ["lebesgue", "gaussian"])
+    def test_fixture_is_F_of_the_covariogram(self, density, m):
+        # relative to the fixture's maximum F(mu(K)): near rho_D g vanishes,
+        # and both routes round at the level of 1e-16 mu(K)
+        K = random_polygon(np.random.default_rng(4), 6)
+        mu = LEB2 if density == "lebesgue" else WeightedMeasure(GaussianDensity(2, 1.0))
+        F = power_concavity(0.5)
+        f = covariogram_ray_fn(K, mu, m, F)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            theta = rng.standard_normal(2 * m)
+            theta /= np.linalg.norm(theta)
+            r = rng.uniform(0.0, f.support.radial_one(theta), size=16)
+            want = [F.F(covariogram(K, mu, x * theta.reshape(m, 2))) for x in r]
+            assert np.abs(f(r, theta) - want).max() <= 1e-10 * F.F(mu.mass(K))
+
+    def test_chord_check_reads_one_fit_per_ray(self, monkeypatch):
+        # the chord rules' radii cost no evaluation beyond the ray's fit:
+        # n + 2 per piece under a constant density
+        g = CovRay.g
+        asked = collections.Counter()
+
+        def counting_g(ray, r):
+            asked[ray] += 1
+            return g(ray, r)
+
+        monkeypatch.setattr(CovRay, "g", counting_g)
+        K = random_polygon(np.random.default_rng(4), 6)
+        f = covariogram_ray_fn(K, LEB2, 1, power_concavity(0.5))
+        chord_upper_check(f, self.H, power_kernel(2, 1.0), sphere_quadrature(2, count=32))
+        asked = dict(asked)
+        assert len(asked) == 32
+        for ray, calls in asked.items():
+            assert calls <= (K.dim + 2) * ray.profile().pieces
 
     def test_non_concave_f_rejected(self):
         f = covariogram_ray_fn(TRIANGLE, LEB2, 1, power_concavity(2.0))

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from covbody.covariogram import FIT_DEGREE, CovRay, MDirection, diffbody_radial
+from covbody.covariogram import (FIT_DEGREE, SPLIT_DEPTH, CovRay, MDirection,
+                                 diffbody_radial)
 from covbody.errors import InputError, NumericError
 from covbody.measure import GaussianDensity, LinearPowerDensity, WeightedMeasure
 from covbody.oracle import rng_for, sphere_quadrature
@@ -76,7 +77,7 @@ class TestRouteAgreement:
         # rho_{R_1} mu(K) = int_0^rho_D g dr = -int_0^rho_D g'(r) r dr
         ray = CovRay(TRIANGLE, LEB2, E1)
         r = np.linspace(0.0, ray.rho_D, 4001)
-        g = ray.g_many(r)
+        g = np.array([ray.g(x) for x in r])
         lhs = rmb_radial_mellin(TRIANGLE, LEB2, 1.0, E1) * ray.mu_K
         assert np.trapezoid(g, r) == pytest.approx(lhs, rel=1e-6)
         dg = np.gradient(g, r)
@@ -134,6 +135,18 @@ class TestKinkedRays:
             got = rmb_radial_mellin(K, mu, p, theta, ray=ray)
             assert got == pytest.approx(quad_mellin(ray, p), rel=1e-6)
 
+    @pytest.mark.parametrize("i", range(12))
+    def test_narrower_gaussian_halves_long_pieces(self, i):
+        # at sigma 0.3 the degree-FIT_DEGREE fit of some long pieces misses
+        # its check node; their halves meet it, at every p
+        mu = WeightedMeasure(GaussianDensity(2, 0.3))
+        K, theta = self._case(i, *self.CASES[i])
+        ray = CovRay(K, mu, theta)
+        assert 0.0 < rmb_radial_mellin(K, mu, -0.5, theta, ray=ray) < ray.rho_D
+        for p in (0.5, 2.0, 20.0):
+            got = rmb_radial_mellin(K, mu, p, theta, ray=ray)
+            assert got == pytest.approx(quad_mellin(ray, p), rel=1e-10)
+
     def test_every_p_shares_the_evaluations_of_the_fit(self):
         K, theta = self._case(0, *self.CASES[0])
         ray = CovRay(K, self.GAUSS, theta)
@@ -145,14 +158,15 @@ class TestKinkedRays:
 
     def test_piece_gate_failure_names_its_rerun(self, monkeypatch):
         # without its breakpoints the first piece spans a kink of g, which
-        # no smooth fit follows to its check node
+        # no smooth fit follows to its check node, however often halved
         monkeypatch.setattr(CovRay, "breakpoints", lambda self: np.empty(0))
         K, theta = self._case(0, *self.CASES[0])
         with pytest.raises(NumericError) as info:
             rmb_radial_mellin(K, self.GAUSS, 3.0, theta)
         msg = str(info.value)
-        assert "p=3" in msg and "check node on piece 1 of 1" in msg
-        assert f"{FIT_DEGREE + 2} evaluations per piece" in msg
+        assert "p=3" in msg and "check node on r in [" in msg
+        assert f"of piece 1 of 1 ({FIT_DEGREE + 2} evaluations per piece, " \
+            f"halved {SPLIT_DEPTH} times)" in msg
         assert f"direction {np.round(theta.flat, 6).tolist()}" in msg
 
 

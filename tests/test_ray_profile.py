@@ -109,10 +109,12 @@ def test_profile_matches_covariogram_under_smooth_densities(case, density, fracs
 @PROPERTY
 @given(bodies_and_rays())
 def test_covariogram_vanishes_beyond_the_difference_body(case):
+    # and so does the ray's fit, which no consumer may extrapolate there
     K, theta = case
-    rho_D = CovRay(K, WeightedMeasure.lebesgue(K.dim), theta).rho_D
-    assert covariogram(K, WeightedMeasure.lebesgue(K.dim),
-                       theta.shifts(rho_D * (1.0 + 1e-6))) == 0.0
+    ray = CovRay(K, WeightedMeasure.lebesgue(K.dim), theta)
+    beyond = ray.rho_D * np.array([1.0 + 1e-6, 1.5, 10.0])
+    assert covariogram(K, ray.mu, theta.shifts(beyond[0])) == 0.0
+    assert (ray.profile()(beyond) == 0.0).all()
 
 
 @pytest.mark.parametrize("n", [2, 3])
