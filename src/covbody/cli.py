@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariogram import (MDirection, covariogram_slice, diffbody_polytope,
                           diffbody_radial, diffbody_star, roof)
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, job_number
 from .genvol import (affine_ray_fn, capped_ray_fn, chord_lower_check,
                      chord_upper_check, covariogram_ray_fn, dual_volume,
                      kernel_from_spec, profile_ray_fn)
@@ -135,7 +135,7 @@ def _direction(params: dict, n: int, m: int, key: str = "direction") -> MDirecti
     raw = params.get(key)
     if raw is None:
         raise InputError(f"params.{key} is required")
-    arr = np.asarray(raw, dtype=float)
+    arr = job_number(raw, f"params.{key}", None)
     if arr.ndim == 1:
         if arr.size == n * m:
             arr = arr.reshape(m, n)
@@ -149,7 +149,7 @@ def _direction(params: dict, n: int, m: int, key: str = "direction") -> MDirecti
 
 
 def _shifts(params: dict, n: int) -> np.ndarray:
-    arr = np.asarray(params["x"], dtype=float)
+    arr = job_number(params["x"], "params.x", None)
     m = params.get("m")
     if arr.ndim == 1:
         if m is None:
@@ -171,7 +171,8 @@ def _concavity_from_spec(spec: Any) -> tuple[ConcavityF, float | None]:
     if spec["type"] == "power":
         if "s" not in spec:
             raise InputError("power concavity needs 's'")
-        return power_concavity(float(spec["s"])), float(spec["s"])
+        s = job_number(spec["s"], "params.F.s")
+        return power_concavity(s), s
     if spec["type"] == "log":
         return log_concavity(), None
     raise InputError(f"unknown concavity type {spec['type']!r}")
@@ -283,7 +284,7 @@ def _cmd_diffbody(job: _Job):
             result["radial_hull"] = D.radial(theta.flat, np.zeros(d))
             result["support"] = D.support(theta.flat)
     if "x" in p:
-        x = np.asarray(p["x"], dtype=float)
+        x = job_number(p["x"], "params.x", None)
         if x.shape != (d,):
             raise InputError(f"params.x must be a point in R^{d}")
         result["roof"] = roof(diffbody_polytope(K, m), x)
@@ -322,11 +323,11 @@ def _cmd_rmb(job: _Job):
             raise InputError(f"bad p value {raw_p!r}")
         pval = math.inf
     else:
-        pval = float(raw_p)
+        pval = job_number(raw_p, "params.p")
     if pval == -1.0:
         _refuse(p, ("method",), "at p = -1, which tabulates the Mellin route")
-        rep = rmb_limit_neg1(K, mu, theta,
-                             tuple(p.get("p_seq", (-0.9, -0.99, -0.999))),
+        p_seq = job_number(p.get("p_seq", (-0.9, -0.99, -0.999)), "params.p_seq", 1)
+        rep = rmb_limit_neg1(K, mu, theta, tuple(p_seq.tolist()),
                              tolerance=job.tolerance or 0.01, seed=job.seed)
         return _report_payload("rmb", rep)
     _refuse(p, ("p_seq",), "unless p = -1")
@@ -351,7 +352,7 @@ def _cmd_verify_chain(job: _Job):
         _refuse(p, ("F",), "on the s-branch, whose class is params.s")
         if "s" not in p:
             raise InputError("the s-branch needs params.s")
-        s = float(p["s"])
+        s = job_number(p["s"], "params.s")
         _check_declared_tag(mu, K, s)
     elif branch in ("F", "Q"):
         _refuse(p, ("s",), f"on the {branch}-branch, whose class is params.F")
@@ -362,8 +363,8 @@ def _cmd_verify_chain(job: _Job):
         _check_declared_tag(mu, K, s_F)
     else:
         raise InputError(f"unknown branch {branch!r}")
-    spec = ChainSpec(branch=branch,
-                     p_list=tuple(p.get("p_list", (0.5, 1.0, 2.0))),
+    p_list = job_number(p.get("p_list", (0.5, 1.0, 2.0)), "params.p_list", 1)
+    spec = ChainSpec(branch=branch, p_list=tuple(p_list.tolist()),
                      s=s, F=F, m=int(p.get("m", 1)),
                      directions=int(p.get("directions", 200)),
                      seed=job.seed, slack=job.tolerance)
@@ -395,7 +396,7 @@ def _cmd_verify_zhang(job: _Job):
         _check_declared_tag(mu, K, s)
         rep = general_zhang_check(K, mu, F, nu_list, **kw)
     else:
-        s = float(p.get("s", 1.0 / n))
+        s = job_number(p.get("s", 1.0 / n), "params.s")
         _check_declared_tag(mu, K, s)
         rep = zhang_check(K, mu, s, nu_list, **kw)
     return _report_payload("verify-zhang", rep)
@@ -433,7 +434,8 @@ def _cmd_verify_variational(job: _Job):
     n = K.dim
     m = int(p.get("m", 1))
     count = int(p.get("directions", 20))
-    steps = tuple(float(h) for h in p.get("steps", (1e-2, 5e-3, 2.5e-3)))
+    steps = tuple(job_number(p.get("steps", (1e-2, 5e-3, 2.5e-3)),
+                             "params.steps", 1).tolist())
     tol = job.tolerance or 1e-3
     dirs = direction_mesh(n * m, count, job.seed)
     reps, rows = [], []
@@ -485,7 +487,7 @@ def _h_from_spec(spec: Any) -> Callable[[np.ndarray], np.ndarray]:
     if spec["type"] == "identity":
         return lambda t: np.asarray(t, dtype=float)
     if spec["type"] == "power":
-        k = float(spec.get("k", 1.0))
+        k = job_number(spec.get("k", 1.0), "params.h.k")
         if k <= 0:
             raise InputError("power h needs k > 0")
         return lambda t: np.asarray(t, dtype=float) ** k
@@ -503,7 +505,10 @@ def _cmd_verify_chord(job: _Job):
         K = job.body()
         mu = job.measure(K.dim)
         m = int(p.get("m", 1))
-        s = float(p.get("s", 1.0 / K.dim))
+        # params.s is the class the bound assumes; g^s is concave on the
+        # difference body when the density is s-concave
+        s = job_number(p.get("s", 1.0 / K.dim), "params.s")
+        _check_declared_tag(mu, K, s)
         F = power_concavity(s)
         d = K.dim * m
         f = covariogram_ray_fn(K, mu, m, F)
@@ -524,9 +529,9 @@ def _cmd_verify_chord(job: _Job):
         if fixture == "affine":
             f = affine_ray_fn(L)
         elif fixture == "parabola":
-            f = profile_ray_fn(L, lambda t: 1.0 - t ** 2, 0.0, label="parabola")
+            f = profile_ray_fn(L, lambda t: 1.0 - t ** 2, 0.0)
         elif fixture == "capped":
-            f = capped_ray_fn(L, cap_cos=float(p.get("cap_cos", 0.5)))
+            f = capped_ray_fn(L, job_number(p.get("cap_cos", 0.5), "params.cap_cos"))
         else:
             raise InputError(f"unknown fixture {fixture!r}")
         h = _h_from_spec(p.get("h", {"type": "identity"}))
@@ -534,7 +539,6 @@ def _cmd_verify_chord(job: _Job):
     G = kernel_from_spec(p.get("kernel", {"type": "power", "exponent": d - 1}),
                          d)
     G.validate(seed=job.seed)
-    f.concavity_check(seed=job.seed)
     quad = sphere_quadrature(d, int(p.get("count", 400 if d == 2 else 2000)),
                              job.seed)
     if bound == "lower":
@@ -554,11 +558,13 @@ def _cmd_dualvol(job: _Job):
         _refuse(p, ("dim", "radius"), "when a body is given")
         K = job.body()
         d = K.dim
-        L = StarBodyFn.of_polytope(K, p.get("base"))
+        base = p.get("base")
+        L = StarBodyFn.of_polytope(
+            K, None if base is None else job_number(base, "params.base", 1))
     else:
         _refuse(p, ("base",), "without a body")
         d = int(p.get("dim", 2))
-        L = StarBodyFn.ball(d, float(p.get("radius", 1.0)))
+        L = StarBodyFn.ball(d, job_number(p.get("radius", 1.0), "params.radius"))
     # default kernel d * r^(d-1) makes the dual volume equal the volume
     kspec = p.get("kernel", {"type": "power", "exponent": d - 1,
                              "scale": float(d)})

@@ -1,4 +1,11 @@
-"""Exception types shared across covbody modules."""
+"""Exception types shared across covbody modules, and the conversion of a
+job's numbers that raises them."""
+
+from __future__ import annotations
+
+from typing import Any
+
+import numpy as np
 
 
 class CovbodyError(Exception):
@@ -22,3 +29,17 @@ class NumericError(CovbodyError, RuntimeError):
 
     Mapped to exit status 3 by the CLI.
     """
+
+
+def job_number(value: Any, key: str, ndim: int | None = 0):
+    """A job's number as a float (ndim 0), or its list of numbers as a float
+    array of `ndim` dimensions (any number of them for None). Anything else,
+    JSON strings, nulls and booleans included, raises InputError naming
+    `key`."""
+    arr = np.asarray(value, dtype=object)  # a ragged list holds lists
+    if ndim not in (None, arr.ndim) or not all(
+            isinstance(x, (int, float, np.number)) and not isinstance(x, bool)
+            for x in arr.flat):
+        want = {0: "a number", 1: "a list of numbers"}.get(ndim, "an array of numbers")
+        raise InputError(f"{key} must be {want}, got {value!r}")
+    return float(arr) if ndim == 0 else arr.astype(float)

@@ -8,6 +8,12 @@ upper bound integrates over the tangent-extension body Ltilde with radial
 -f(0,theta)/(df/dr at 0). Equality holds exactly for ray-affine f with
 constant center value and exactly homogeneous G, and both checkers share one
 inner quadrature rule so those fixtures cancel to machine precision.
+
+Concavity of f along rays is the caller's precondition; nothing here samples
+it. The covariogram fixture F(g) = g^s gets it from the density's s-concavity,
+which the caller checks (for s-concave mu, g^s is concave on D^m K by the
+Borell-Brascamp-Lieb inequality); the closed-form fixtures are concave by
+construction.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from ._quad import graded_gauss
 from .covariogram import CovRay, MDirection
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, job_number
 from .measure import ConcavityF, ConstantDensity, Density, WeightedMeasure
 from .oracle import rng_for
 from .polytope import StarBodyFn
@@ -56,10 +62,6 @@ DUAL_GATE = 1e-6
 # VALIDATE_RADIUS, and the radius of its integrability test near 0.
 VALIDATE_SAMPLES = 100
 VALIDATE_RADIUS = 1.0
-
-# ConcaveRayFn.concavity_check: midpoint tests and their relative slack.
-RAYFN_SAMPLES = 60
-RAYFN_TOL = 1e-8
 
 # Gauss nodes of beta_constant's 1-D rule.
 BETA_NODES = 96
@@ -194,9 +196,10 @@ def kernel_from_spec(spec: dict, dim: int) -> KernelG:
     extra = set(spec) - allowed
     if extra:
         raise InputError(f"unknown kernel spec keys {sorted(extra)}")
-    alpha = float(spec.get("exponent", dim - 1))
+    alpha = job_number(spec.get("exponent", dim - 1), "kernel exponent")
     if kind == "power":
-        return power_kernel(dim, alpha, float(spec.get("scale", 1.0)))
+        return power_kernel(dim, alpha,
+                            job_number(spec.get("scale", 1.0), "kernel scale"))
     return power_density_kernel(dim, alpha, density_from_spec(spec["density"], dim))
 
 
@@ -204,13 +207,13 @@ def kernel_from_spec(spec: dict, dim: int) -> KernelG:
 class ConcaveRayFn:
     """Non-negative function f(r, theta), concave in r on [0, rho_L(theta)]
     and zero beyond, carrying its support star body and the two ray values
-    the chord bounds need at r = 0."""
+    the chord bounds need at r = 0. Concavity is the constructor's
+    precondition and is not checked."""
 
     support: StarBodyFn
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (r (N,), theta (d,)) -> (N,)
     value_at_zero: Callable[[np.ndarray], float]
     ray_derivative_at_zero: Callable[[np.ndarray], float]
-    label: str = "rayfn"
 
     @property
     def dim(self) -> int:
@@ -218,21 +221,6 @@ class ConcaveRayFn:
 
     def __call__(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(r, dtype=float), theta), dtype=float)
-
-    def concavity_check(self, seed: int = 42) -> None:
-        """Midpoint concavity spot-check on sampled (theta, r-pair)."""
-        rng = rng_for(seed, f"rayfn-{self.label}")
-        for _ in range(RAYFN_SAMPLES):
-            theta = rng.standard_normal(self.dim)
-            theta /= np.linalg.norm(theta)
-            rho = self.support.radial_one(theta)
-            r1, r2 = sorted(rng.uniform(0.0, rho, size=2))
-            fm, f1, f2 = self(np.array([(r1 + r2) / 2, r1, r2]), theta)
-            scale = max(abs(f1), abs(f2), 1.0)
-            if fm < (f1 + f2) / 2 - RAYFN_TOL * scale:
-                raise InputError(
-                    f"ray function '{self.label}' fails midpoint concavity at "
-                    f"theta={np.round(theta, 4).tolist()}, r={r1:.6g},{r2:.6g}")
 
 
 def affine_ray_fn(L: StarBodyFn, peak: float = 1.0) -> ConcaveRayFn:
@@ -248,14 +236,14 @@ def affine_ray_fn(L: StarBodyFn, peak: float = 1.0) -> ConcaveRayFn:
     return ConcaveRayFn(
         support=L, fn=fn,
         value_at_zero=lambda theta: peak,
-        ray_derivative_at_zero=lambda theta: -peak / L.radial_one(theta),
-        label="affine")
+        ray_derivative_at_zero=lambda theta: -peak / L.radial_one(theta))
 
 
 def profile_ray_fn(L: StarBodyFn, profile: Callable[[np.ndarray], np.ndarray],
-                   dprofile0: float, label: str = "profile") -> ConcaveRayFn:
-    """f(r, theta) = profile(r / rho_L(theta)) for a concave profile on [0,1]
-    with profile(t) = 0 for t >= 1; dprofile0 is profile'(0+)."""
+                   dprofile0: float) -> ConcaveRayFn:
+    """f(r, theta) = profile(r / rho_L(theta)) for a profile on [0,1] with
+    profile(t) = 0 for t >= 1; dprofile0 is profile'(0+). The profile must
+    be concave: the caller's precondition, which is not checked."""
 
     def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         t = np.asarray(r, dtype=float) / L.radial_one(theta)
@@ -265,8 +253,7 @@ def profile_ray_fn(L: StarBodyFn, profile: Callable[[np.ndarray], np.ndarray],
     return ConcaveRayFn(
         support=L, fn=fn,
         value_at_zero=lambda theta: p0,
-        ray_derivative_at_zero=lambda theta: dprofile0 / L.radial_one(theta),
-        label=label)
+        ray_derivative_at_zero=lambda theta: dprofile0 / L.radial_one(theta))
 
 
 def capped_ray_fn(L: StarBodyFn, cap_cos: float = 0.5,
@@ -288,8 +275,7 @@ def capped_ray_fn(L: StarBodyFn, cap_cos: float = 0.5,
         support=L, fn=fn,
         value_at_zero=lambda theta: peak,
         ray_derivative_at_zero=lambda theta: (
-            0.0 if in_cap(theta) else -peak / L.radial_one(theta)),
-        label="capped")
+            0.0 if in_cap(theta) else -peak / L.radial_one(theta)))
 
 
 def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> ConcaveRayFn:
@@ -297,7 +283,9 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> Concave
     of the weighted body, read from each ray's fit (`CovRay.profile`):
     support is the m-th difference body, the center value is F(mu(K)), and
     the ray derivative at 0 is the exact -F'(mu(K)) * h of the projection
-    body. F must be increasing with F(0) = 0 so f stays non-negative."""
+    body. F must be increasing with F(0) = 0 so f stays non-negative. For
+    F = t^s, f is concave along rays when mu is s-concave; the caller checks
+    that class."""
     n = K.dim
     muK = float(mu.mass(K))
     body = ProjectionBody(K, mu, m)
@@ -319,8 +307,7 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> Concave
         support=support, fn=fn,
         value_at_zero=lambda theta: F.F(muK),
         ray_derivative_at_zero=lambda theta: -F.F_prime(muK) * body.support(
-            MDirection(np.asarray(theta, dtype=float).reshape(m, n))),
-        label="covariogram")
+            MDirection(np.asarray(theta, dtype=float).reshape(m, n))))
 
 
 def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64) -> float:
@@ -368,7 +355,8 @@ def chord_lower_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
                       inner: int = 64, tolerance: float = 1e-3) -> VerifyReport:
     """int int h(f) G dr dtheta >= d * beta_alpha * dual_volume(G, supp f),
     with beta_alpha the infimum over directions of the 1-D concavity
-    constant. Needs the lower homogeneity side."""
+    constant. Needs the lower homogeneity side, and f concave along rays
+    (a precondition of the caller, not checked here)."""
     if G.side not in ("lower", "both"):
         raise InputError("chord lower bound needs a kernel with the lower side")
     if f.dim != G.dim or quad.dim != G.dim:
@@ -392,8 +380,9 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
     """int int h(f) G dr dtheta <= beta_b * [integral of G over Ltilde off
     Omega_f] + [h(f(0,theta))-weighted G mass on Omega_f], where Omega_f
     holds the directions with vanishing ray derivative at 0 and
-    rho_Ltilde = -f(0,theta) / (df/dr at 0). Needs the upper side and the
-    ray maximum at r = 0."""
+    rho_Ltilde = -f(0,theta) / (df/dr at 0). Needs the upper side, the
+    ray maximum at r = 0 (checked) and f concave along rays (a precondition
+    of the caller, not checked here)."""
     if G.side not in ("upper", "both"):
         raise InputError("chord upper bound needs a kernel with the upper side")
     if f.dim != G.dim or quad.dim != G.dim:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quad import gauss_01, simplex_rule, triangulate_vertices
-from .errors import DegenerateMeasureError, InputError, NumericError
+from .errors import DegenerateMeasureError, InputError, NumericError, job_number
 from .oracle import rng_for
 from .polytope import LinearMap, Polytope, _volume_of_points
 
@@ -431,17 +431,18 @@ def density_from_spec(spec: dict, dim: int | None = None) -> Density:
     if kind == "constant":
         if dim is None:
             raise InputError("constant density needs an ambient dimension")
-        return ConstantDensity(dim, float(spec.get("c", 1.0)))
+        return ConstantDensity(dim, job_number(spec.get("c", 1.0), "density c"))
     if kind == "gaussian":
         if dim is None:
             raise InputError("gaussian density needs an ambient dimension")
-        return GaussianDensity(dim, float(spec.get("sigma", 1.0)))
+        return GaussianDensity(dim, job_number(spec.get("sigma", 1.0), "density sigma"))
     if kind == "linear-power":
-        return LinearPowerDensity(spec["a"], float(spec.get("b", 0.0)),
-                                  float(spec.get("k", 1.0)))
-    dims = spec.get("dims")
+        return LinearPowerDensity(job_number(spec["a"], "density a", 1),
+                                  job_number(spec.get("b", 0.0), "density b"),
+                                  job_number(spec.get("k", 1.0), "density k"))
+    dims = job_number(spec.get("dims", []), "density dims", 1)
     factors = []
     for i, f in enumerate(spec["factors"]):
-        fdim = dims[i] if dims else None
+        fdim = int(dims[i]) if len(dims) else None
         factors.append(density_from_spec(f, fdim))
     return ProductDensity(factors)

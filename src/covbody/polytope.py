@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ._quad import hull_simplices, order_polygon, simplex_volumes, triangulate_vertices
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, job_number
 from .simplexlp import solve_lp_max
 
 TOL = 1e-9
@@ -260,12 +260,15 @@ class Polytope:
             raise InputError("body spec must be an object with a 'type'")
         kind = spec["type"]
         if kind == "vrep":
-            return Polytope.from_vertices(spec["vertices"])
+            return Polytope.from_vertices(
+                job_number(spec["vertices"], "body.vertices", 2))
         if kind == "hrep":
-            hs = [Halfspace.of(h["a"], h["b"]) for h in spec["halfspaces"]]
+            hs = [Halfspace.of(job_number(h["a"], "body.halfspaces.a", 1),
+                               job_number(h["b"], "body.halfspaces.b"))
+                  for h in spec["halfspaces"]]
             return Polytope.from_halfspaces(hs)
         if kind == "named":
-            return Polytope.named(spec["name"], int(spec["dim"]))
+            return Polytope.named(spec["name"], int(job_number(spec["dim"], "body.dim")))
         raise InputError(f"unknown body type {kind!r}")
 
     # -- queries ----------------------------------------------------------

@@ -328,7 +328,7 @@ def test_13_chord_integral_bounds():
 
     # strictly concave perturbation: strictly inside the bound
     parab = chord_lower_check(
-        profile_ray_fn(disk, lambda t: 1.0 - t * t, 0.0, label="parabola"),
+        profile_ray_fn(disk, lambda t: 1.0 - t * t, 0.0),
         ident, G, quad)
 
     # covariogram profile f = g^(1/2), h = t^2: the bound machinery lands on

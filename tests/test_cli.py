@@ -119,6 +119,29 @@ class TestExitCodes:
         assert code == 2
         assert "declared concavity s(0.5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("measure, s, declared", [
+        ({"type": "gaussian", "sigma": 0.5}, 0.25, "s(0.25)"),
+        ({"type": "gaussian", "sigma": 1.0}, None, "s(0.5)"),
+    ])
+    def test_chord_concavity_class_is_checked(self, tmp_path, capsys, measure, s,
+                                              declared):
+        # the covariogram fixture's params.s (default 1/n) is the class its
+        # bound assumes, checked against the density before any ray is fitted
+        params = {"fixture": "covariogram", "count": 8}
+        if s is not None:
+            params["s"] = s
+        code, _ = run_job(tmp_path, {"command": "verify-chord", "body": TRIANGLE_BODY,
+                                     "measure": measure, "params": params})
+        assert code == 2
+        assert f"declared concavity {declared}" in capsys.readouterr().err
+
+    def test_chord_class_below_one_over_n_passes_lebesgue(self, tmp_path):
+        code, doc = run_json(tmp_path, {
+            "command": "verify-chord", "body": TRIANGLE_BODY,
+            "params": {"fixture": "covariogram", "count": 8, "s": 0.25}})
+        assert code == 0
+        assert doc["report"]["pass"] is True
+
     def test_density_concavity_key_is_two(self, tmp_path, capsys):
         # the chain's s or F states the class; a density carries none
         code, _ = run_job(tmp_path, {
@@ -226,6 +249,54 @@ class TestExitCodes:
             "params": {"x": [0.5, 0.0], "oracle_samples": 1}})
         assert code == 2
         assert "at least 2 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("job, key", [
+        ({"command": "verify-chord", "body": TRIANGLE_BODY,
+          "params": {"fixture": "covariogram", "s": "abc"}}, "params.s"),
+        ({"command": "verify-chord", "params": {"fixture": "capped", "cap_cos": "x"}},
+         "params.cap_cos"),
+        ({"command": "verify-chord",
+          "params": {"fixture": "affine", "h": {"type": "power", "k": "x"}}},
+         "params.h.k"),
+        ({"command": "verify-chain", "body": SQUARE_BODY,
+          "params": {"s": [1], "directions": 2}}, "params.s"),
+        ({"command": "verify-chain", "body": SQUARE_BODY,
+          "params": {"s": True, "directions": 2}}, "params.s"),
+        ({"command": "verify-chain", "body": SQUARE_BODY,
+          "params": {"s": 0.5, "p_list": ["a"], "directions": 2}}, "params.p_list"),
+        ({"command": "verify-chain", "body": SQUARE_BODY,
+          "params": {"branch": "F", "F": {"type": "power", "s": "x"}, "directions": 2}},
+         "params.F.s"),
+        ({"command": "verify-zhang", "body": TRIANGLE_BODY, "params": {"s": None}},
+         "params.s"),
+        ({"command": "rmb", "body": SQUARE_BODY,
+          "params": {"p": [1], "direction": [1.0, 0.0]}}, "params.p"),
+        ({"command": "rmb", "body": SQUARE_BODY,
+          "params": {"p": -1, "p_seq": ["a"], "direction": [1.0, 0.0]}}, "params.p_seq"),
+        ({"command": "covariogram", "body": SQUARE_BODY,
+          "measure": {"type": "gaussian", "sigma": "wide"},
+          "params": {"x": [0.5, 0.0]}}, "sigma"),
+        ({"command": "verify-variational", "body": SQUARE_BODY,
+          "params": {"steps": ["a"], "directions": 2}}, "params.steps"),
+        ({"command": "covariogram", "body": SQUARE_BODY, "params": {"x": "zz"}},
+         "params.x"),
+        ({"command": "dualvol", "params": {"radius": "big"}}, "params.radius"),
+        ({"command": "dualvol",
+          "params": {"kernel": {"type": "power", "exponent": "x"}}}, "kernel exponent"),
+        ({"command": "verify-rs",
+          "body": {"type": "vrep", "vertices": [["a", 0], [1, 0], [0, 1]]}},
+         "body.vertices"),
+        ({"command": "verify-rs",
+          "body": {"type": "hrep", "halfspaces": [
+              {"a": [-1, 0], "b": 0}, {"a": [0, -1], "b": 0}, {"a": [1, 1], "b": "x"}]}},
+         "body.halfspaces.b"),
+    ])
+    def test_non_number_is_two(self, tmp_path, capsys, job, key):
+        # a job's numbers are converted where they are parsed; JSON strings,
+        # nulls, lists and booleans in their place are malformed input
+        assert run_job(tmp_path, job)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and key in err
 
 
 class TestCommands:

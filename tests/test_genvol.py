@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
 
+from covbody import cli
 from covbody.covariogram import CovRay, covariogram
 from covbody.errors import InputError, NumericError
 from covbody.genvol import (KernelG, affine_ray_fn, beta_constant,
@@ -15,7 +16,8 @@ from covbody.genvol import (KernelG, affine_ray_fn, beta_constant,
                             dual_volume, kernel_from_spec, power_density_kernel,
                             power_kernel, profile_ray_fn)
 from covbody.measure import (GaussianDensity, LinearPowerDensity,
-                             WeightedMeasure, power_concavity)
+                             WeightedMeasure, check_concavity_tag,
+                             power_concavity)
 from covbody.oracle import sphere_quadrature
 from covbody.polytope import Polytope, StarBodyFn, star_volume
 from covbody.projection import ProjectionBody
@@ -177,7 +179,7 @@ class TestChordBounds:
 
     def test_parabola_strictly_above(self):
         quad = sphere_quadrature(2, count=64)
-        f = profile_ray_fn(DISK, lambda t: 1.0 - t * t, 0.0, label="parabola")
+        f = profile_ray_fn(DISK, lambda t: 1.0 - t * t, 0.0)
         rep = chord_lower_check(f, ident, power_kernel(2, 1.0), quad)
         assert rep.passed
         assert rep.ratio == pytest.approx(1.5, rel=1e-9)
@@ -195,7 +197,7 @@ class TestChordBounds:
 
     def test_everywhere_flat_collapses_to_identity(self):
         quad = sphere_quadrature(2, count=128)
-        f = profile_ray_fn(DISK, lambda t: np.ones_like(t), 0.0, label="flat")
+        f = profile_ray_fn(DISK, lambda t: np.ones_like(t), 0.0)
         rep = chord_upper_check(f, ident, power_kernel(2, 1.0), quad)
         assert rep.passed
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
@@ -215,14 +217,9 @@ class TestChordBounds:
 
     def test_max_away_from_zero_rejected(self):
         quad = sphere_quadrature(2, count=16)
-        f = profile_ray_fn(DISK, lambda t: t * (1.0 - t), 1.0, label="tent")
+        f = profile_ray_fn(DISK, lambda t: t * (1.0 - t), 1.0)
         with pytest.raises(InputError, match="maximum at r = 0"):
             chord_upper_check(f, ident, power_kernel(2, 1.0), quad)
-
-    def test_concavity_check_flags_convex_profile(self):
-        f = profile_ray_fn(DISK, lambda t: (1.0 - t) ** 4, -4.0, label="quartic")
-        with pytest.raises(InputError, match="midpoint concavity"):
-            f.concavity_check()
 
 
 class TestCovariogramFixture:
@@ -307,7 +304,49 @@ class TestCovariogramFixture:
         for ray, calls in asked.items():
             assert calls <= (K.dim + 2) * ray.profile().pieces
 
-    def test_non_concave_f_rejected(self):
-        f = covariogram_ray_fn(TRIANGLE, LEB2, 1, power_concavity(2.0))
-        with pytest.raises(InputError, match="midpoint concavity"):
-            f.concavity_check()
+    def test_non_concave_f_rejected(self, capsys):
+        # s = 2 > 1/n: the job's class check refuses it before any ray
+        code = cli.run({"command": "verify-chord",
+                        "body": {"name": "simplex", "dim": 2},
+                        "params": {"fixture": "covariogram", "s": 2.0}})
+        assert code == 2
+        assert "infeasible" in capsys.readouterr().err
+
+
+# densities with a class they pass, each on its own random hexagons
+CLASSES = {"lebesgue": (LEB2, 0.5, 21),
+           "gaussian": (WeightedMeasure(GaussianDensity(2, 1.0)), 0.1, 22),
+           "linear-power": (WeightedMeasure(
+               LinearPowerDensity([0.5, 0.3], 2.0, 1.0)), 1.0 / 3.0, 23)}
+HEXAGON = StarBodyFn.of_polytope(random_polygon(np.random.default_rng(3), 6))
+CLOSED_FORM = {"affine": lambda: affine_ray_fn(HEXAGON),
+               "parabola": lambda: profile_ray_fn(HEXAGON, lambda t: 1.0 - t * t, 0.0),
+               "capped": lambda: capped_ray_fn(HEXAGON, 0.5)}
+
+
+def _ray_fn(case: str):
+    if case in CLOSED_FORM:
+        return CLOSED_FORM[case]()
+    density, m = case.split("-m")
+    mu, s, seed = CLASSES[density]
+    K = random_polygon(np.random.default_rng([seed, int(m)]), 6)
+    ok, msg = check_concavity_tag(mu.density, s, K.bounding_box())
+    assert ok, msg
+    return covariogram_ray_fn(K, mu, int(m), power_concavity(s))
+
+
+@pytest.mark.parametrize("case", [f"{d}-m{m}" for d in CLASSES for m in (1, 2)]
+                         + list(CLOSED_FORM))
+def test_ray_fn_is_midpoint_concave(case):
+    # the precondition of both chord bounds: for an s-concave mu, g^s is
+    # concave along every ray of D^m K (Borell-Brascamp-Lieb), and the
+    # closed-form fixtures are concave by construction
+    f = _ray_fn(case)
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        theta = rng.standard_normal(f.dim)
+        theta /= np.linalg.norm(theta)
+        r1, r2 = np.sort(rng.uniform(0.0, f.support.radial_one(theta), size=(2, 16)),
+                         axis=0)
+        fm, f1, f2 = (f(r, theta) for r in ((r1 + r2) / 2, r1, r2))
+        assert (fm - (f1 + f2) / 2).min() >= -1e-8 * f.value_at_zero(theta)
