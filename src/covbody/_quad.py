@@ -6,7 +6,9 @@ The package builds its quadrature rules here and nowhere else:
   graded toward 0 by r = rho u^power for integrable endpoint singularities;
 - `geometric_gauss` is the composite 1-D rule on intervals away from 0:
   Gauss-Legendre on geometric sub-intervals [s, 2s], for integrands that
-  carry a power r^q of any size;
+  carry a power r^q of any size (`geometric_split` gives the sub-intervals);
+- `gauss_jacobi_01` and `log_gauss_01` are the rules on [0, 1] that carry
+  the endpoint weights t^q and log t;
 - `chebyshev_01` gives the Chebyshev points of [0, 1] and the map from
   values at them to the coefficients of their interpolant, and
   `chebyshev_jacobi_01` the weights that integrate that interpolant
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import roots_jacobi
 
@@ -96,6 +98,22 @@ def graded_gauss(rho: float, n: int, power: float = 2) -> tuple[np.ndarray, np.n
     return r, dr
 
 
+def geometric_split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each interval [lo_i, hi_i], 0 < lo_i, into the geometric
+    sub-intervals [s, min(2s, hi_i)] for s = lo_i, 2 lo_i, ...; an empty
+    interval has none. Returns their ends and the index i of the interval
+    each comes from, interval by interval in increasing order."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    count = np.ceil(np.log2(hi / lo)).astype(np.intp)
+    # log2 may round either way: make 2^count lo the first power >= hi
+    count += np.ldexp(lo, count) < hi
+    count -= (count > 1) & (np.ldexp(lo, count - 1) >= hi)
+    owner = np.repeat(np.arange(len(lo)), count)
+    step = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    a = np.ldexp(lo[owner], step)
+    return a, np.minimum(2.0 * a, hi[owner]), owner
+
+
 def geometric_gauss(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss rule on [edges[0], edges[-1]], 0 < edges[0], with
     each interval [edges[k], edges[k+1]] split into geometric sub-intervals
@@ -105,17 +123,34 @@ def geometric_gauss(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     integrates a polynomial times r^q to rounding once n exceeds about
     |q|/2 plus a few nodes. No node lies on an edge.
     """
-    lo, hi = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        s = a
-        while s < b:
-            lo.append(s)
-            hi.append(min(2.0 * s, b))
-            s = hi[-1]
+    edges = np.asarray(edges, dtype=float)
+    lo, hi, _ = geometric_split(edges[:-1], edges[1:])
     u, w = gauss_01(n)
-    lo, width = np.array(lo, dtype=float), np.array(hi) - np.array(lo)
+    width = hi - lo
     nodes = lo[:, None] + width[:, None] * u[None, :]
     return nodes.ravel(), (width[:, None] * w[None, :]).ravel()
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_jacobi_01(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes/weights on [0, 1] for the weight t^q, q > -1:
+    sum_j w_j f(t_j) = int_0^1 t^q f(t) dt for f of degree < 2n."""
+    x, w = roots_jacobi(int(n), 0.0, float(q))
+    return _frozen(0.5 * (x + 1.0), w / 2.0 ** (q + 1.0))
+
+
+@functools.lru_cache(maxsize=8)
+def log_gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of `gauss_01(n)` and weights w with sum_j w_j f(t_j) =
+    int_0^1 log(t) f(t) dt for f of degree < n: the integral of the
+    interpolant, by the moments of log t against the shifted Legendre
+    polynomials, -1 for k = 0 and (-1)^(k+1) / (k (k+1)) for k >= 1."""
+    t, w = gauss_01(n)
+    k = np.arange(n)
+    moments = np.where(k == 0, -1.0, (-1.0) ** (k + 1) / np.maximum(k * (k + 1), 1))
+    # the interpolant's Legendre coefficients are (2k+1) sum_j w_j P_k(t_j) f(t_j)
+    basis = legvander(2.0 * t - 1.0, n - 1)
+    return _frozen(t.copy(), w * (basis @ ((2 * k + 1) * moments)))
 
 
 @functools.lru_cache(maxsize=16)

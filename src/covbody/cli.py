@@ -47,6 +47,27 @@ COMMANDS = ("covariogram", "diffbody", "projbody", "rmb", "verify-chain",
             "verify-zhang", "verify-rs", "verify-variational", "verify-linear",
             "verify-chord", "dualvol")
 
+# The shape of body and density specs. The keys a kind of spec cannot do
+# without are checked where the parsers read them: a conditional schema
+# ("if type is vrep, require vertices") costs jsonschema about 130 us a job.
+BODY_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "type": {"enum": ["vrep", "hrep", "named"]},
+        "halfspaces": {"type": "array",
+                       "items": {"type": "object", "required": ["a", "b"]}},
+    },
+}
+
+DENSITY_SCHEMA = {
+    "type": "object",
+    "required": ["type"],
+    "properties": {
+        "type": {"enum": ["constant", "gaussian", "linear-power", "product"]},
+        "factors": {"type": "array", "items": {"type": "object"}},
+    },
+}
+
 JOB_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -54,9 +75,12 @@ JOB_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "command": {"enum": list(COMMANDS)},
-        "body": {"type": "object"},
-        "measure": {"type": "object"},
-        "params": {"type": "object"},
+        "body": BODY_SCHEMA,
+        "measure": DENSITY_SCHEMA,
+        "params": {"type": "object", "properties": {
+            "nu": {"type": "array", "items": DENSITY_SCHEMA},
+            "kernel": {"properties": {"density": DENSITY_SCHEMA}},
+        }},
         "seed": {"type": "integer", "minimum": 0},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "output": {"enum": ["json", "csv"]},
@@ -559,8 +583,11 @@ def _cmd_dualvol(job: _Job):
         K = job.body()
         d = K.dim
         base = p.get("base")
-        L = StarBodyFn.of_polytope(
-            K, None if base is None else job_number(base, "params.base", 1))
+        if base is not None:
+            base = job_number(base, "params.base", 1)
+            if base.shape != (d,):
+                raise InputError(f"params.base must be a point in R^{d}")
+        L = StarBodyFn.of_polytope(K, base)
     else:
         _refuse(p, ("base",), "without a body")
         d = int(p.get("dim", 2))

@@ -43,3 +43,11 @@ def job_number(value: Any, key: str, ndim: int | None = 0):
         want = {0: "a number", 1: "a list of numbers"}.get(ndim, "an array of numbers")
         raise InputError(f"{key} must be {want}, got {value!r}")
     return float(arr) if ndim == 0 else arr.astype(float)
+
+
+def job_field(spec: dict, key: str, kind: str) -> Any:
+    """spec[key] of a job's spec of the given kind; InputError when the job
+    left the key out."""
+    if key not in spec:
+        raise InputError(f"{kind} spec needs '{key}'")
+    return spec[key]

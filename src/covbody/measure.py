@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quad import gauss_01, simplex_rule, triangulate_vertices
-from .errors import DegenerateMeasureError, InputError, NumericError, job_number
+from .errors import DegenerateMeasureError, InputError, NumericError, job_field, job_number
 from .oracle import rng_for
 from .polytope import LinearMap, Polytope, _volume_of_points
 
@@ -415,7 +415,16 @@ def check_concavity_tag(density: Density, s: float | None,
 
 
 def density_from_spec(spec: dict, dim: int | None = None) -> Density:
-    """Parse the density input schema."""
+    """Parse the density input schema; with `dim` given, the density must
+    live in R^dim."""
+    density = _density_of_spec(spec, dim)
+    if dim is not None and density.dim != dim:
+        raise InputError(f"the density spec gives a density on R^{density.dim}, "
+                         f"where R^{dim} is needed")
+    return density
+
+
+def _density_of_spec(spec: dict, dim: int | None) -> Density:
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("density spec must be an object with a 'type'")
     kind = spec["type"]
@@ -437,12 +446,16 @@ def density_from_spec(spec: dict, dim: int | None = None) -> Density:
             raise InputError("gaussian density needs an ambient dimension")
         return GaussianDensity(dim, job_number(spec.get("sigma", 1.0), "density sigma"))
     if kind == "linear-power":
-        return LinearPowerDensity(job_number(spec["a"], "density a", 1),
+        return LinearPowerDensity(job_number(job_field(spec, "a", "a linear-power density"),
+                                             "density a", 1),
                                   job_number(spec.get("b", 0.0), "density b"),
                                   job_number(spec.get("k", 1.0), "density k"))
+    specs = job_field(spec, "factors", "a product density")
     dims = job_number(spec.get("dims", []), "density dims", 1)
+    if len(dims) and len(dims) != len(specs):
+        raise InputError("density dims must give one dimension per factor")
     factors = []
-    for i, f in enumerate(spec["factors"]):
+    for i, f in enumerate(specs):
         fdim = int(dims[i]) if len(dims) else None
         factors.append(density_from_spec(f, fdim))
     return ProductDensity(factors)

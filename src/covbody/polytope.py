@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ._quad import hull_simplices, order_polygon, simplex_volumes, triangulate_vertices
-from .errors import InputError, NumericError, job_number
+from .errors import InputError, NumericError, job_field, job_number
 from .simplexlp import solve_lp_max
 
 TOL = 1e-9
@@ -261,14 +261,15 @@ class Polytope:
         kind = spec["type"]
         if kind == "vrep":
             return Polytope.from_vertices(
-                job_number(spec["vertices"], "body.vertices", 2))
+                job_number(job_field(spec, "vertices", "a vrep body"), "body.vertices", 2))
         if kind == "hrep":
             hs = [Halfspace.of(job_number(h["a"], "body.halfspaces.a", 1),
                                job_number(h["b"], "body.halfspaces.b"))
-                  for h in spec["halfspaces"]]
+                  for h in job_field(spec, "halfspaces", "an hrep body")]
             return Polytope.from_halfspaces(hs)
         if kind == "named":
-            return Polytope.named(spec["name"], int(job_number(spec["dim"], "body.dim")))
+            return Polytope.named(job_field(spec, "name", "a named body"), int(
+                job_number(job_field(spec, "dim", "a named body"), "body.dim")))
         raise InputError(f"unknown body type {kind!r}")
 
     # -- queries ----------------------------------------------------------

@@ -1,14 +1,20 @@
 """Radial mean bodies R^m_p: the p-th means of ray lengths over a weighted
 body, via the direct definition and via the Mellin form of the covariogram.
 
-Two independent evaluation routes are kept deliberately separate: the direct
-route integrates min_i rho_{K-x}(-theta_i)^p over K on a fixed polar tensor
-grid and never touches the covariogram; the Mellin route integrates
-g(r thetabar) r^(p-1) along the ray. Their agreement is the identity under
-test. One Mellin integrator serves every density: it integrates the one
-fit of g along the ray (`CovRay.profile`), piece by piece between the
-ray's breakpoints, so every p of a ray shares the same covariogram
-evaluations. There is no integration strategy to choose.
+Two independent evaluation routes are kept deliberately separate. The
+direct route integrates f^p, f(x) = min_i rho_{K-x}(-theta_i), over K and
+never touches the covariogram: f is the least of the affine exit lengths
+through K's facets, so K splits into cells on which f is one of them, and
+each cell's simplices are integrated along the level sets of that affine
+function (`_direct_integral`): Gauss-Jacobi in the level t, log-weighted
+at p = 0, and the simplex rule on each slice. That is exact to rounding
+under a constant density and converges spectrally under a smooth one;
+there is no grid. The Mellin route integrates g(r thetabar) r^(p-1)
+along the ray. Their agreement is the identity under test. One Mellin
+integrator serves every density: it integrates the one fit of g along the
+ray (`CovRay.profile`), piece by piece between the ray's breakpoints, so
+every p of a ray shares the same covariogram evaluations. There is no
+integration strategy to choose.
 """
 
 from __future__ import annotations
@@ -20,69 +26,165 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from ._quad import chebyshev_01, chebyshev_jacobi_01, geometric_gauss, graded_gauss
+from ._quad import (chebyshev_01, chebyshev_jacobi_01, gauss_01, gauss_jacobi_01,
+                    geometric_gauss, geometric_split, log_gauss_01, simplex_rule,
+                    triangulate_vertices)
 from .covariogram import (CHECK_NODE, FIT_GATE, CovRay, MDirection, as_mdirection,
                           diffbody_radial)
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
-from .oracle import sphere_quadrature
-from .polytope import Polytope
+from .polytope import TOL, Polytope, dedupe_points, enumerate_vertices
 from .projection import ProjectionBody
 from .report import VerifyReport
 
 P0_SWITCH = 1e-3
 
-# The direct route's polar grid: directions on the sphere for n = 2 and for
-# n = 3, and Gauss nodes per ray. The angular integrand carries integrable
-# shadow-boundary singularities, so the angle mesh, not the radial rule,
-# limits accuracy.
-DIRECT_ANGULAR_2D = 2048
-DIRECT_ANGULAR_3D = 8192
-DIRECT_RADIAL = 48
+# The direct route's rules: Gauss nodes in t per interval of a simplex's
+# vertex levels (per geometric sub-interval away from 0, plus |p|/2), and
+# the Gauss level of the rule on each level-set slice.
+DIRECT_T_NODES = 12
+DIRECT_SLICE_LEVEL = 10
+
+# Exit lengths below LEVEL_SNAP times the largest are taken as 0 (the cell
+# touches the exit facet there), and vertex levels closer than that merge.
+# That is the vertex kernel's resolution: the basic solutions at a vertex
+# where more than n rows meet scatter by up to about this much. Near p = -1
+# the mean reacts to a level error e like e^(p+1), so a vertex of level 0
+# must not be taken for one just above it.
+LEVEL_SNAP = 1e-9
+
+# The slices of a simplex whose vertices are sorted by level, one entry per
+# interval between consecutive levels: (n-1)-simplices, each given by the
+# edges (a, b), level(a) <= t <= level(b), whose points at level t span it.
+# In R^3 the middle interval's slice is a quadrilateral, two triangles.
+_SLICES = {
+    2: ([((0, 1), (0, 2))], [((0, 2), (1, 2))]),
+    3: ([((0, 1), (0, 2), (0, 3))],
+        [((0, 2), (0, 3), (1, 3)), ((0, 2), (1, 3), (1, 2))],
+        [((0, 3), (1, 3), (2, 3))]),
+}
 
 
-def _exit_lengths(K: Polytope, X: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """t(x, v) = max{t >= 0: x + t v in K} for each x in X (N, n) and each
-    row v of dirs (M, n); X must lie in K."""
-    slack = K.b[None, :] - X @ K.A.T                       # (N, F)
-    denom = dirs @ K.A.T                                   # (M, F)
-    slack = np.maximum(slack, 0.0)
-    out = np.empty((len(X), len(dirs)))
-    for j in range(len(dirs)):
-        pos = denom[j] > 1e-13
-        if not pos.any():
-            raise InputError("direction has no exit facet; K unbounded?")
-        out[:, j] = (slack[:, pos] / denom[j, pos]).min(axis=1)
-    return out
+def _exit_cells(K: Polytope, theta: MDirection):
+    """Split K into cells on which f = min_i rho_{K-x}(-theta_i) is affine.
+
+    For each block i and facet F with a_F . theta_i < 0, the exit length
+    l(x) = (b_F - a_F . x) / (-a_F . theta_i) is affine, and f is the least
+    of them on K. The hypograph P = {(x, t) : x in K, 0 <= t <= l(x) for
+    every l} is a polytope; its top facet {t = l_j} projects to the cell
+    C_j = {x in K : l_j(x) <= l_k(x) for all k}. One vertex enumeration of P
+    gives every cell's vertices. Identical functions l (two blocks meeting a
+    facet at the same angle) are one row of P, so their cell counts once.
+
+    Returns the cells' simplices (S, n+1, n) and, for each, the l_j of its
+    cell as alpha_j (S, n) and beta_j (S,), with l_j(x) = beta_j - alpha_j . x.
+    """
+    n = K.dim
+    slope = -(theta.blocks @ K.A.T)                        # (m, F)
+    i, F = np.nonzero(slope > 1e-13)
+    if len(np.unique(i)) < theta.m:
+        raise InputError("direction has no exit facet; K unbounded?")
+    # t <= l(x) as a_F . x + slope t <= b_F, rows scaled to unit normals
+    top = np.column_stack([K.A[F], slope[i, F], K.b[F]])
+    top = dedupe_points(top / np.linalg.norm(top[:, :-1], axis=1)[:, None])
+    floor = np.zeros((1, n + 2))
+    floor[0, n] = -1.0
+    # with t >= 0 a top row implies its facet's row of K: leaving those out
+    # keeps P's vertices at t = 0 from being cut by twice as many rows
+    rest = np.setdiff1d(np.arange(len(K.b)), F)
+    rows = np.vstack([np.column_stack([K.A[rest], np.zeros(len(rest)), K.b[rest]]),
+                      top, floor])
+    verts = enumerate_vertices(rows[:, :-1], rows[:, -1])
+    on_top = np.abs(verts @ top[:, :-1].T - top[:, -1]) <= TOL  # (V, J)
+    simplices, owner = [], []
+    for j in range(len(top)):
+        pts = verts[on_top[:, j], :n]
+        if len(pts) <= n:
+            continue
+        try:
+            cell = triangulate_vertices(n, pts)
+        except NumericError:
+            continue  # a lower-dimensional cell
+        simplices.append(cell)
+        owner.append(np.full(len(cell), j))
+    if not simplices:
+        raise NumericError("no exit-facet cell of K has volume")
+    owner = np.concatenate(owner)
+    alpha, beta = top[:, :n] / top[:, n:n + 1], top[:, -1] / top[:, n]
+    return np.concatenate(simplices), alpha[owner], beta[owner]
 
 
-def _polar_grid(K: Polytope, graded: bool):
-    """Quadrature points and weights for integrals over K in polar form
-    around the interior point: sum_j w_j int_0^rho(u_j) (.) r^(n-1) dr."""
-    x0 = K.interior_point
-    angular = DIRECT_ANGULAR_2D if K.dim == 2 else DIRECT_ANGULAR_3D
-    quad = sphere_quadrature(K.dim, count=angular)
-    rho = K.radial_batch(quad.nodes, x0)                   # (A,)
-    # reflected rule r = rho (1 - s); grading clusters nodes at the exit
-    s, ws = graded_gauss(1.0, DIRECT_RADIAL, 2 if graded else 1)
-    R = rho[:, None] * (1.0 - s)[None, :]                  # (A, DIRECT_RADIAL)
-    W = (quad.weights * rho)[:, None] * ws[None, :] * R ** (K.dim - 1)
-    X = x0[None, None, :] + R[:, :, None] * quad.nodes[:, None, :]
-    return X.reshape(-1, K.dim), W.reshape(-1)
+def _level_rule(lo: np.ndarray, hi: np.ndarray, p: float):
+    """Nodes t and weights w with sum w G(t) = int_lo^hi h(t) G(t) dt for
+    smooth G, interval by interval, h(t) = t^p (log t at p = 0); returns
+    them with the index of each node's interval. An interval from 0 carries
+    h in a Gauss-Jacobi (log-weighted at p = 0) rule; the others use Gauss
+    on geometric sub-intervals times h."""
+    nodes = DIRECT_T_NODES + math.ceil(abs(p) / 2.0)
+    first = lo == 0.0
+    a = hi[first][:, None]
+    if p == 0:
+        # log(a u) = log a + log u on [0, a]
+        u, wu = log_gauss_01(nodes)
+        w0 = a * (wu + np.log(a) * gauss_01(nodes)[1])
+    else:
+        u, wu = gauss_jacobi_01(nodes, p)
+        w0 = a ** (p + 1.0) * wu
+    t0 = a * u
+    sub_lo, sub_hi, sub = geometric_split(lo[~first], hi[~first])
+    g, wg = gauss_01(nodes)
+    width = (sub_hi - sub_lo)[:, None]
+    t1 = sub_lo[:, None] + width * g[None, :]
+    w1 = width * wg[None, :] * (np.log(t1) if p == 0 else t1 ** p)
+    where = np.flatnonzero(first), np.flatnonzero(~first)[sub]
+    return (np.concatenate([t0.ravel(), t1.ravel()]),
+            np.concatenate([w0.ravel(), w1.ravel()]),
+            np.concatenate([np.repeat(where[0], nodes), np.repeat(where[1], nodes)]))
 
 
-def _mean_over_K(K: Polytope, mu: WeightedMeasure, theta: MDirection,
-                 transform, graded: bool) -> float:
-    """(1/mu(K)) int_K transform(f(x)) dmu with f = min_i exit length; the
-    normalizer is the same-grid mass so quadrature bias cancels."""
-    X, W = _polar_grid(K, graded)
-    f = _exit_lengths(K, X, -theta.blocks).min(axis=1)
-    phi = mu.density(X)
-    wphi = W * phi
-    den = float(wphi.sum())
-    if den <= 0:
-        raise NumericError("vanishing mass on the polar grid")
-    return float((wphi * transform(f)).sum() / den)
+def _direct_integral(K: Polytope, mu: WeightedMeasure, theta: MDirection,
+                     p: float) -> tuple[float, float]:
+    """(int_K h(f / tau) dmu / mu(K), tau) for f = min_i rho_{K-x}(-theta_i),
+    h(t) = t^p (log t at p = 0), and tau the largest f on K's cells.
+
+    On each simplex of a cell f is the affine l_j, so the integral runs
+    along its level sets: in t between the simplex's sorted vertex levels
+    (`_level_rule`), and over each slice {l_j = t} by `simplex_rule`, the
+    slice's vertices moving affinely in t. The coarea factor is 1/|alpha_j|.
+    All slices of the job go through one rule call and one density call.
+    """
+    if K.dim not in _SLICES:
+        raise InputError(f"the direct route needs n in (2, 3), got n = {K.dim}")
+    simplices, alpha, beta = _exit_cells(K, theta)
+    levels = beta[:, None] - np.einsum("svk,sk->sv", simplices, alpha)
+    order = np.argsort(levels, axis=1, kind="stable")
+    levels = np.take_along_axis(levels, order, axis=1)
+    simplices = np.take_along_axis(simplices, order[..., None], axis=1)
+    tau = float(levels.max())
+    levels = np.maximum(levels / tau, 0.0)
+    levels[levels <= LEVEL_SNAP] = 0.0
+    s, k = np.nonzero(np.diff(levels, axis=1) > LEVEL_SNAP)
+    t, w, at = _level_rule(levels[s, k], levels[s, k + 1], p)
+    s, k = s[at], k[at]
+    w = w * tau / np.linalg.norm(alpha[s], axis=1)          # dt = tau d(t/tau)
+    slices, weights = [], []
+    for kk, shapes in enumerate(_SLICES[K.dim]):
+        sel = k == kk
+        sk, tk = s[sel, None], t[sel, None]
+        for edges in shapes:
+            a, b = np.array(edges).T
+            frac = ((tk - levels[sk, a]) / (levels[sk, b] - levels[sk, a]))[..., None]
+            slices.append(simplices[sk, a] + frac * (simplices[sk, b] - simplices[sk, a]))
+            weights.append(w[sel])
+    # a constant density needs only each slice's volume
+    weights = np.concatenate(weights)
+    X, W = simplex_rule(np.concatenate(slices), 1 if mu.exact else DIRECT_SLICE_LEVEL)
+    W = (W.reshape(len(weights), -1) * weights[:, None]).ravel()
+    mass = float(mu.mass(K))
+    if mass <= 0:
+        raise NumericError("vanishing mass of K")
+    total = float(W @ mu.density(X))
+    return total / mass, tau
 
 
 def rmb_radial_direct(K: Polytope, mu: WeightedMeasure, p: float,
@@ -97,15 +199,20 @@ def rmb_radial_direct(K: Polytope, mu: WeightedMeasure, p: float,
         raise InputError("p must exceed -1")
     if abs(p) < P0_SWITCH:
         return rmb_radial_p0(K, mu, theta)
-    mean = _mean_over_K(K, mu, theta, lambda f: f ** p, graded=p < 0)
-    return float(mean ** (1.0 / p))
+    mean, tau = _direct_integral(K, mu, theta, p)
+    if mean <= 0:
+        raise NumericError(f"nonpositive mean {mean:.6g} of f^p over K")
+    return float(tau * mean ** (1.0 / p))
 
 
 def rmb_radial_p0(K: Polytope, mu: WeightedMeasure,
                   theta: MDirection | Sequence[Sequence[float]]) -> float:
     """The p = 0 (geometric mean) body: exp of the mean log ray length."""
     theta = as_mdirection(theta)
-    return float(math.exp(_mean_over_K(K, mu, theta, np.log, graded=True)))
+    if theta.n != K.dim:
+        raise InputError("direction dimension mismatch")
+    mean_log, tau = _direct_integral(K, mu, theta, 0.0)
+    return float(tau * math.exp(mean_log))
 
 
 def rmb_radial_mellin(K: Polytope, mu: WeightedMeasure, p: float,

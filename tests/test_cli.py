@@ -299,6 +299,68 @@ class TestExitCodes:
         assert err.startswith("input error") and key in err
 
 
+    @pytest.mark.parametrize("job, key", [
+        ({"command": "verify-rs", "body": {"type": "vrep"}}, "'vertices'"),
+        ({"command": "verify-rs", "body": {"name": "cube"}}, "'dim'"),
+        ({"command": "verify-rs", "body": {"type": "hrep", "halfspaces": [{"a": [1, 0]}]}},
+         "'b'"),
+        ({"command": "verify-rs", "body": {"type": "hrep", "halfspaces": [[1, 0, 1]]}},
+         "body/halfspaces/0"),
+        ({"command": "projbody", "body": SQUARE_BODY, "measure": {"type": "product"}},
+         "'factors'"),
+        ({"command": "projbody", "body": SQUARE_BODY,
+          "measure": {"type": "linear-power"}}, "'a'"),
+        ({"command": "projbody", "body": SQUARE_BODY,
+          "measure": {"type": "linear-power", "a": [0.1, 0.2, 0.3], "b": 2.0}}, "R^3"),
+        ({"command": "projbody", "body": SQUARE_BODY,
+          "measure": {"type": "product", "dims": [1],
+                      "factors": [{"type": "gaussian"}, {"type": "gaussian"}]}},
+         "one dimension per factor"),
+        ({"command": "verify-zhang", "body": TRIANGLE_BODY,
+          "params": {"nu": [{"type": "linear-power"}]}}, "'a'"),
+        ({"command": "verify-zhang", "body": TRIANGLE_BODY, "params": {"nu": 5}},
+         "params/nu"),
+        ({"command": "dualvol", "body": SQUARE_BODY,
+          "params": {"base": [0.5, 0.5, 0.5]}}, "params.base"),
+    ])
+    def test_malformed_spec_is_two(self, tmp_path, capsys, job, key):
+        # a body or density spec that lacks a key its kind needs, or whose
+        # dimension is not the body's, is malformed input, not a traceback
+        assert run_job(tmp_path, job)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and key in err
+
+
+class TestMellinExitOnValidInput:
+    """A job in the documented range (n = 3, m = 1, p = -0.5) on which the
+    Mellin route exits 3 while the direct route returns 0.6342024."""
+
+    JOB = {"command": "rmb",
+           "body": {"type": "vrep", "vertices": [
+               [2.0409, -2.5557, 0.4181], [-0.5678, -0.4526, -0.2156],
+               [-2.02, -0.2319, -0.8652], [3.323, 0.2258, -0.3526],
+               [-0.2813, -0.668, -1.0552], [-0.3908, 0.4819, -0.2386]]},
+           "measure": {"type": "gaussian", "sigma": 0.8},
+           "params": {"p": -0.5, "m": 1, "direction": [-0.9469, 0.262, 0.1866]}}
+
+    def _value(self, tmp_path, method):
+        job = {**self.JOB, "params": {**self.JOB["params"], "method": method}}
+        code, text = run_job(tmp_path, job, f"{method}.json")
+        assert code == 0
+        return json.loads(text)["result"]["value"]
+
+    def test_direct_value(self, tmp_path):
+        assert self._value(tmp_path, "direct") == pytest.approx(0.6342024, abs=1e-7)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Mellin exits 3 on this gaussian 6-vertex 3-polytope at p = -0.5: the first "
+        "piece's fit of (g - mu(K) + h r)/r^2 misses its check node by 4.74e-8 "
+        "against a gate of 9.9e-9"))
+    def test_mellin_meets_direct(self, tmp_path):
+        assert self._value(tmp_path, "mellin") == pytest.approx(
+            self._value(tmp_path, "direct"), rel=1e-10)
+
+
 class TestCommands:
     def test_covariogram_with_oracle(self, tmp_path):
         code, doc = run_json(tmp_path, {

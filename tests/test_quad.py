@@ -1,5 +1,6 @@
 """Quadrature rules: exactness of the simplex rule, the graded 1-D rule
-the geometric composite rule and the Chebyshev-Jacobi weights."""
+the geometric composite rule, the Gauss-Jacobi and log-weighted rules and
+the Chebyshev-Jacobi weights."""
 
 import itertools
 import math
@@ -8,9 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import expi
 
-from covbody._quad import (R_FLOOR, chebyshev_01, chebyshev_jacobi_01, geometric_gauss,
-                          graded_gauss, simplex_rule)
+from covbody._quad import (R_FLOOR, chebyshev_01, chebyshev_jacobi_01, gauss_01,
+                          gauss_jacobi_01, geometric_gauss, graded_gauss, log_gauss_01,
+                          simplex_rule)
 from covbody.errors import InputError
 from covbody.genvol import _grading
 
@@ -132,3 +135,47 @@ def test_chebyshev_jacobi_weights_integrate_the_interpolant(degree, q):
     w = chebyshev_jacobi_01(degree, q)
     for k in range(degree + 1):
         assert float(w @ t ** k) == pytest.approx(1.0 / (k + q + 1.0), rel=1e-12, abs=1e-15)
+
+
+def _geometric_gauss_loop(edges, n):
+    """The sub-interval loop `geometric_split` vectorises: s doubles from
+    each edge until it reaches the next."""
+    lo, hi = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        s = a
+        while s < b:
+            lo.append(s)
+            hi.append(min(2.0 * s, b))
+            s = hi[-1]
+    u, w = gauss_01(n)
+    lo, width = np.array(lo, dtype=float), np.array(hi) - np.array(lo)
+    return ((lo[:, None] + width[:, None] * u[None, :]).ravel(),
+            (width[:, None] * w[None, :]).ravel())
+
+
+def test_geometric_gauss_matches_the_loop_bitwise():
+    # doubling is exact in floating point, so the vectorised split must give
+    # the loop's nodes and weights to the bit, powers of 2 apart included
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        e = np.sort(rng.uniform(0.0, 1.0, size=rng.integers(2, 6))) ** rng.uniform(1, 30)
+        e = np.sort(np.concatenate([e, e[-1:] * 2.0 ** rng.integers(0, 3, size=2)]))
+        want, got = _geometric_gauss_loop(e, 5), geometric_gauss(e, 5)
+        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+
+
+@pytest.mark.parametrize("q", [-0.99, -0.5, 0.5, 2.0, 20.0])
+def test_gauss_jacobi_exact_on_polynomials(q):
+    t, w = gauss_jacobi_01(8, q)
+    for k in range(16):
+        assert w @ t ** k == pytest.approx(1.0 / (k + q + 1.0), rel=1e-13)
+
+
+def test_log_gauss_exact_on_polynomials():
+    # int_0^1 t^k log t dt = -1 / (k + 1)^2
+    t, w = log_gauss_01(12)
+    for k in range(12):
+        assert w @ t ** k == pytest.approx(-1.0 / (k + 1) ** 2, rel=1e-13)
+    # and spectrally close on a smooth function: int_0^1 e^t log t dt is
+    # gamma - Ei(1)
+    assert w @ np.exp(t) == pytest.approx(np.euler_gamma - expi(1.0), rel=1e-13)

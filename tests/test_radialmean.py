@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import covbody.covariogram as covariogram_mod
+import covbody.radialmean as radialmean_mod
 from covbody.covariogram import (FIT_DEGREE, SPLIT_DEPTH, CovRay, MDirection,
                                  diffbody_radial)
 from covbody.errors import InputError, NumericError
 from covbody.measure import GaussianDensity, LinearPowerDensity, WeightedMeasure
 from covbody.oracle import rng_for, sphere_quadrature
 from covbody.polytope import Polytope
+from covbody.projection import ProjectionBody
 from covbody.radialmean import (RadialMeanBody, rmb_limit_neg1, rmb_radial_direct,
                                 rmb_radial_mellin, rmb_radial_p0)
 
-from helpers import qhull_breakpoints, quad_mellin, random_polygon
+from helpers import (polar_grid_radial_mean, qhull_breakpoints, quad_mellin,
+                     random_polygon, random_polytope)
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -49,7 +53,7 @@ class TestFrozenValues:
 
     def test_square_geometric_mean(self):
         got = rmb_radial_p0(SQUARE, LEB2, E1)
-        assert got == pytest.approx(math.exp(-1.0), rel=1e-5)
+        assert got == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 class TestRouteAgreement:
@@ -58,20 +62,28 @@ class TestRouteAgreement:
         for K in (SQUARE, TRIANGLE):
             a = rmb_radial_mellin(K, LEB2, p, E1)
             b = rmb_radial_direct(K, LEB2, p, E1)
-            assert b == pytest.approx(a, rel=5e-3)
+            assert b == pytest.approx(a, rel=1e-10)
 
     @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.0])
     def test_direct_vs_mellin_gaussian(self, p):
         mu = WeightedMeasure(GaussianDensity(2, 1.0))
         a = rmb_radial_mellin(TRIANGLE, mu, p, E1)
         b = rmb_radial_direct(TRIANGLE, mu, p, E1)
-        assert b == pytest.approx(a, rel=5e-3)
+        assert b == pytest.approx(a, rel=1e-10)
 
     def test_second_order_triangle(self):
         bar = MDirection.normalized(rng_for(42, "rmb-m2").standard_normal((2, 2)))
         a = rmb_radial_mellin(TRIANGLE, LEB2, 2.0, bar)
         b = rmb_radial_direct(TRIANGLE, LEB2, 2.0, bar)
-        assert b == pytest.approx(a, rel=5e-3)
+        assert b == pytest.approx(a, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [-0.5, 2.0])
+    def test_polar_grid_reference(self, p):
+        # the naive pointwise reference, at its own accuracy
+        mu = WeightedMeasure(GaussianDensity(2, 1.0))
+        want = rmb_radial_mellin(TRIANGLE, mu, p, E1)
+        got = polar_grid_radial_mean(TRIANGLE, mu, p, E1)
+        assert got == pytest.approx(want, rel=5e-3)
 
     def test_integration_by_parts_p1(self):
         # rho_{R_1} mu(K) = int_0^rho_D g dr = -int_0^rho_D g'(r) r dr
@@ -82,6 +94,111 @@ class TestRouteAgreement:
         assert np.trapezoid(g, r) == pytest.approx(lhs, rel=1e-6)
         dg = np.gradient(g, r)
         assert -np.trapezoid(dg * r, r) == pytest.approx(lhs, rel=0.01)
+
+
+class TestExactDirectRoute:
+    """The direct route integrates f^p exactly over the cells of K where
+    one exit length is least, so it meets the Mellin route to rounding."""
+
+    DENSITIES = {
+        "constant": WeightedMeasure.lebesgue,
+        "gaussian": lambda n: WeightedMeasure(GaussianDensity(n, 0.8)),
+        "linear-power": lambda n: WeightedMeasure(
+            LinearPowerDensity(np.full(n, 0.2), 1.5, 1.0)),
+    }
+
+    @staticmethod
+    def _agree(K, mu, theta, ps=(-0.5, 0.5, 2.0)):
+        ray = CovRay(K, mu, theta)
+        h = ProjectionBody(K, mu, theta.m).support(theta)
+        for p in ps:
+            want = rmb_radial_mellin(K, mu, p, theta, ray=ray, h_pi=h)
+            assert rmb_radial_direct(K, mu, p, theta) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("i", range(6))
+    def test_random_polygons(self, i, m, density):
+        rng = rng_for(42, f"direct-cells-polygon-{i}-{m}")
+        K = random_polygon(rng, 3 + i)
+        theta = MDirection.normalized(rng.standard_normal((m, 2)))
+        self._agree(K, self.DENSITIES[density](2), theta)
+
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("body, m", [("polytope6", 1), ("polytope6", 2),
+                                         ("polytope8", 1), ("cube", 1), ("cube", 2),
+                                         ("cross", 1), ("cross", 2)])
+    def test_polytopes3(self, body, m, density):
+        rng = rng_for(42, f"direct-cells-{body}-{m}")
+        if body.startswith("polytope"):
+            K = random_polytope(rng, 3, int(body[len("polytope"):]))
+        else:
+            K = Polytope.named(body, 3)
+        theta = MDirection.normalized(rng.standard_normal((m, 3)))
+        self._agree(K, self.DENSITIES[density](3), theta)
+
+    def test_extreme_p(self):
+        # near -1 the mean is set by the exit facets, at large p by the
+        # longest chords; the t-rule gains |p|/2 nodes for the latter
+        theta = MDirection.normalized([[1.0, 0.3]])
+        for mu in (LEB2, WeightedMeasure(GaussianDensity(2, 1.0))):
+            self._agree(TRIANGLE, mu, theta, ps=(-0.99, -0.9, 20.0, 200.0))
+
+    def test_vertex_at_the_kernel_resolution_counts_as_exit(self):
+        # a degenerate vertex of this body yields a cell vertex at level
+        # 5.6e-12 of the largest exit length; left above 0, the cell would
+        # miss the layer next to the exit facet, which carries a share
+        # e^(p+1) of the mean: 5e-2 at p = -0.9
+        K = Polytope.from_vertices([
+            [-0.7700233384, 0.4601131683, 0.7922509659],
+            [0.2797944418, 1.1388747298, -0.238707106],
+            [-1.09514296, -0.4326632899, -0.213929982],
+            [0.4849147778, 0.142317166, 1.0848525913],
+            [0.5931647724, -0.1585289887, -1.0272905017],
+            [0.1251979582, -1.190213435, 0.0043718223]])
+        theta = MDirection.normalized([[-0.8150341086, 0.572694639, -0.0879787032]])
+        self._agree(K, WeightedMeasure(GaussianDensity(3, 1.0122598304)), theta,
+                    ps=(-0.9, -0.5, 0.5))
+
+    @pytest.mark.parametrize("K", [TRIANGLE, SQUARE], ids=["triangle", "square"])
+    def test_equal_blocks_count_once(self, K):
+        # theta_1 = theta_2 makes each exit length appear in both blocks;
+        # counted twice, the mean would come out twice the Mellin value
+        u = rng_for(42, "direct-ties").standard_normal(2)
+        bar = MDirection.normalized(np.stack([u, u]))
+        for mu in (LEB2, WeightedMeasure(GaussianDensity(2, 0.8))):
+            self._agree(K, mu, bar, ps=(-0.5, 1.0, 2.0))
+
+    @pytest.mark.parametrize("case", ["triangle", "hexagon-gaussian", "cross3-gaussian"])
+    def test_p0_is_the_limit_of_small_p(self, case):
+        # rho_p = exp(E log f + p Var(log f) / 2 + O(p^2)): the mean of the
+        # logs at p = +-1e-4 meets log rho_0 to O(p^2)
+        if case == "triangle":
+            K, mu, theta = TRIANGLE, LEB2, E1
+        elif case == "hexagon-gaussian":
+            rng = rng_for(42, "direct-p0-hexagon")
+            K, mu = random_polygon(rng, 6), WeightedMeasure(GaussianDensity(2, 0.8))
+            theta = MDirection.normalized(rng.standard_normal((2, 2)))
+        else:
+            K, mu = Polytope.named("cross", 3), WeightedMeasure(GaussianDensity(3, 1.0))
+            theta = MDirection.normalized(rng_for(42, "direct-p0-cross").standard_normal((1, 3)))
+        logs = [math.log(rmb_radial_mellin(K, mu, p, theta)) for p in (-1e-4, 1e-4)]
+        assert rmb_radial_p0(K, mu, theta) == pytest.approx(
+            math.exp(0.5 * sum(logs)), rel=1e-8)
+
+    def test_route_never_reads_the_covariogram(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct route evaluated the covariogram")
+
+        monkeypatch.setattr(radialmean_mod, "CovRay", refuse)
+        monkeypatch.setattr(covariogram_mod, "CovRay", refuse)
+        monkeypatch.setattr(covariogram_mod, "covariogram", refuse)
+        monkeypatch.setattr(covariogram_mod, "_integrate_points", refuse)
+        mu = WeightedMeasure(GaussianDensity(3, 1.0))
+        theta = MDirection.normalized(rng_for(42, "direct-independent").standard_normal((2, 3)))
+        K = Polytope.named("cross", 3)
+        assert 0.0 < rmb_radial_direct(K, mu, 0.5, theta) < diffbody_radial(K, theta)
+        assert 0.0 < rmb_radial_p0(K, mu, theta) < diffbody_radial(K, theta)
 
 
 class TestKinkedRays:
@@ -112,7 +229,7 @@ class TestKinkedRays:
         K, theta, got = self._check(i, LEB2)
         for p in (2.0, 3.0):
             want = rmb_radial_direct(K, LEB2, p, theta)
-            assert got[p] == pytest.approx(want, rel=1e-4)
+            assert got[p] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("i", range(12))
     def test_breakpoints_match_qhull(self, i):
@@ -194,11 +311,13 @@ class TestIdentities:
 
 class TestLimits:
     def test_p0_continuity(self):
+        # the ray length is uniform on [0, 1], so rho_p = (1 + p)^(-1/p),
+        # which tends to 1/e as p -> 0 with slope 1/(2e)
         v0 = rmb_radial_p0(SQUARE, LEB2, E1)
-        below = rmb_radial_direct(SQUARE, LEB2, -2e-3, E1)
-        above = rmb_radial_direct(SQUARE, LEB2, 2e-3, E1)
-        assert below == pytest.approx(v0, rel=5e-3)
-        assert above == pytest.approx(v0, rel=5e-3)
+        for p in (-2e-3, 2e-3):
+            got = rmb_radial_direct(SQUARE, LEB2, p, E1)
+            assert got == pytest.approx((1.0 + p) ** (-1.0 / p), abs=1e-12)
+            assert got - v0 == pytest.approx(p / (2.0 * math.e), rel=2e-3)
 
     def test_infinity_is_difference_body(self):
         bar = MDirection.normalized(rng_for(42, "rmb-inf").standard_normal((2, 2)))
