@@ -44,21 +44,20 @@ def grid_covariogram(K: Polytope, mu: WeightedMeasure, shifts,
 
 
 def polar_grid_radial_mean(K: Polytope, mu: WeightedMeasure, p: float,
-                           theta: MDirection, angular: int = 2048,
-                           radial: int = 48) -> float:
+                           theta: MDirection) -> float:
     """rho_{R_p}(thetabar) from the defining K-integral of f^p, f(x) =
     min_i rho_{K-x}(-theta_i), on a polar tensor grid around K's interior
-    point: `angular` directions by `sphere_quadrature`, `radial` Gauss
-    nodes per ray graded toward the boundary when p < 0. The normalizer is
-    the same grid's mass, so quadrature bias in mu(K) cancels.
+    point: 2048 directions by `sphere_quadrature`, 48 Gauss nodes per ray
+    graded toward the boundary when p < 0. The normalizer is the same
+    grid's mass, so quadrature bias in mu(K) cancels.
 
     Independent of the library's exit-facet cells: it evaluates exit
     lengths pointwise. The shadow boundaries of f over the sphere limit it
-    to about 1e-4 to 1e-3 on polygons at 2048 directions."""
+    to about 1e-4 to 1e-3 on polygons."""
     x0 = K.interior_point
-    quad = sphere_quadrature(K.dim, count=angular)
+    quad = sphere_quadrature(K.dim, count=2048)
     rho = K.radial_batch(quad.nodes, x0)
-    s, ws = graded_gauss(1.0, radial, 2 if p < 0 else 1)
+    s, ws = graded_gauss(1.0, 48, 2 if p < 0 else 1)
     R = rho[:, None] * (1.0 - s)[None, :]
     W = (quad.weights * rho)[:, None] * ws[None, :] * R ** (K.dim - 1)
     X = (x0[None, None, :] + R[:, :, None] * quad.nodes[:, None, :]).reshape(-1, K.dim)
