@@ -26,8 +26,8 @@ from numpy.polynomial.chebyshev import chebval
 from ._quad import _frozen, chebyshev_01, gauss_01
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure, _integrate_points
-from .polytope import (TOL, Polytope, StarBodyFn, _basic_solutions, _build_from_points,
-                       _intersection_vertices, lifted_system)
+from .polytope import (TOL, Polytope, StarBodyFn, SubsetTable, _basic_solutions,
+                       _build_from_points, _intersection_vertices, lifted_system)
 from .simplexlp import solve_lp_max
 
 
@@ -264,7 +264,7 @@ class CovRay:
         """
         A, b, c = lifted_system(self.K, self.theta.blocks)
         A = np.hstack([A, -c[:, None]])
-        X = _basic_solutions(A, b)
+        X = _basic_solutions(SubsetTable(A), b)
         tol = BREAK_MERGE * self.rho_D
         # the r = 0 slice is degenerate and holds most of the points, so cut
         # by height before testing every row

@@ -7,7 +7,8 @@ bodies are full-dimensional (positive interior radius). Degenerate
 covariogram-type integrands can vanish without raising.
 
 Everything here is immutable after construction and safe for concurrent
-read-only use.
+read-only use; a body's lifted vertex-enumeration tables (`lifted_table`)
+are filled in on first use, and filling one twice gives the same table.
 """
 
 from __future__ import annotations
@@ -79,13 +80,64 @@ def _row_subsets(rows: int, k: int) -> np.ndarray:
     return idx
 
 
-def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+class SubsetTable:
+    """The n-row subsets of a system {A x <= b} whose A stays fixed while b
+    varies: the regular subsets (|det| > 1e-12) with their inverses, ordered
+    by descending |det|, ties in lexicographic order (a stable sort), so the
+    best-conditioned basic solution of a point comes first.
+
+    A is copied at once; the subsets are factored on first use, since
+    callers that only read A (an LP over the lifted system) need no factors.
+    The table holds no reference to the body it came from.
+    """
+
+    def __init__(self, A: np.ndarray):
+        self.A = np.array(A, dtype=float)
+        self.A.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """A's shape, so a table stands wherever A's is read (the span
+        counters of jobbench/spans.py count each enumeration's subsets by it)."""
+        return self.A.shape
+
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, inv): the regular subsets' row indices (k, n) and inverses
+        (k, n, n)."""
+        return _factor(self.A)
+
+
+def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and inverses of the regular n-row subsets of A, in
+    descending |det| order (stable)."""
+    H, n = A.shape
+    if H < n:
+        return np.empty((0, n), dtype=np.intp), np.empty((0, n, n))
+    idx = _row_subsets(H, n)
+    M = A[idx]
+    det = np.abs(np.linalg.det(M))
+    keep = np.flatnonzero(det > 1e-12)
+    keep = keep[np.argsort(-det[keep], kind="stable")]
+    idx, inv = idx[keep], np.linalg.inv(M[keep])
+    for arr in (idx, inv):
+        arr.setflags(write=False)
+    return idx, inv
+
+
+def enumerate_vertices(system: SubsetTable | np.ndarray, b: np.ndarray) -> np.ndarray:
     """All vertices of {A x <= b}: basic solutions that satisfy every row.
 
-    Batched over the n-subsets of rows. Suitable for the small systems this
-    package works with (tens of rows, n <= 3 ambient, nm <= 6 lifted).
+    `system` is A's `SubsetTable`, or A itself, whose table is then built
+    for this call alone. Each call costs one batched product of the
+    table's inverses with b, the feasibility test and one dedupe; the
+    vertex kept at a point where more than n rows meet is the basic
+    solution of the subset with the largest |det|. Suitable for the small
+    systems this package works with (tens of rows, n <= 3 ambient, nm <= 6
+    lifted).
     """
-    A = np.asarray(A, dtype=float)
+    table = system if isinstance(system, SubsetTable) else SubsetTable(system)
+    A = table.A
     b = np.asarray(b, dtype=float)
     H, n = A.shape
     if n == 1:
@@ -100,22 +152,17 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if hi - lo <= TOL:
             return np.array([[0.5 * (lo + hi)]])
         return np.array([[lo], [hi]])
-    X = _basic_solutions(A, b)
+    X = _basic_solutions(table, b)
     return dedupe_points(X[(A @ X.T <= b[:, None] + TOL).all(axis=0)])
 
 
-def _basic_solutions(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _basic_solutions(table: SubsetTable, b: np.ndarray) -> np.ndarray:
     """The common point of every regular n-subset of the rows of
-    {A x <= b}, feasible or not; (0, n) when there is none."""
-    H, n = A.shape
-    if H < n:
-        return np.empty((0, n))
-    idx = _row_subsets(H, n)
-    M = A[idx]
-    ok = np.abs(np.linalg.det(M)) > 1e-12
-    if not ok.any():
-        return np.empty((0, n))
-    return np.linalg.solve(M[ok], b[idx[ok]][..., None])[..., 0]
+    {A x <= b}, feasible or not, in the table's descending |det| order;
+    (0, n) when there is none."""
+    idx, inv = table.factors
+    # einsum, not a batched matmul: one fixed loop, whatever the BLAS
+    return np.einsum("kij,kj->ki", inv, b[idx])
 
 
 # Most floats a block of dedupe_points' pairwise differences may hold.
@@ -128,7 +175,9 @@ DEDUPE_TOL = 1e-8
 def dedupe_points(pts: np.ndarray) -> np.ndarray:
     """Merge points closer than DEDUPE_TOL (in max-norm), keeping first
     occurrences: a point goes when it lies within DEDUPE_TOL of an earlier
-    point that stays.
+    point that stays. Vertex enumeration hands its points over in its
+    table's descending |det| order, so there the first occurrence is the
+    best-conditioned basic solution.
 
     Pairs are compared a block of rows at a time, so memory stays below
     DEDUPE_BLOCK floats however many points there are.
@@ -207,6 +256,7 @@ class Polytope:
             self.volume = float(volume)
         for arr in (self.A, self.b, self.vertices):
             arr.setflags(write=False)
+        self._lifted: dict[int, SubsetTable] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -305,6 +355,16 @@ class Polytope:
             raise NumericError("radial ray never exits the polytope (unbounded?)")
         return rho
 
+    def lifted_table(self, copies: int) -> SubsetTable:
+        """The `SubsetTable` of [A; ...; A] (`copies` times), the lifted
+        system of K cap_i (K + x_i) with copies - 1 translates: built on
+        first use and kept with the body, so every evaluation of one body
+        shares it and it goes when the body goes."""
+        table = self._lifted.get(copies)
+        if table is None:
+            table = self._lifted[copies] = SubsetTable(np.vstack([self.A] * copies))
+        return table
+
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
@@ -399,9 +459,9 @@ def intersect_translates(K: Polytope, shifts: Sequence[Sequence[float]]) -> Poly
 def lifted_system(K: Polytope, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K cap_i (K + r blocks_i) as {x : A x <= b + r c}: K's rows, then
     each translate's, with c = 0 on K's rows and c = A blocks_i on the
-    i-th translate's."""
+    i-th translate's. A is the one of K's `lifted_table`."""
     copies = len(blocks) + 1
-    A = np.vstack([K.A] * copies)
+    A = K.lifted_table(copies).A
     b = np.concatenate([K.b] * copies)
     c = np.concatenate([np.zeros(len(K.b))] + [K.A @ th for th in blocks])
     return A, b, c
@@ -411,8 +471,8 @@ def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> np.ndarray | None
     """Vertex set of K cap (shift_i + K), or None when empty. Fast path."""
     if len(shifts) == 0:
         return K.vertices
-    A, b, c = lifted_system(K, shifts)
-    pts = enumerate_vertices(A, b + c)
+    _, b, c = lifted_system(K, shifts)
+    pts = enumerate_vertices(K.lifted_table(len(shifts) + 1), b + c)
     if len(pts) == 0:
         return None
     return pts

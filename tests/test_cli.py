@@ -545,6 +545,14 @@ class TestDeterminism:
         _, b = run_job(tmp_path, job, "b.json")
         assert a == b
 
+    def test_variational_rerun_is_byte_identical(self, tmp_path):
+        # every evaluation of the job reads its body's lifted table
+        job = {"command": "verify-variational", "body": {"name": "cross", "dim": 3},
+               "params": {"m": 2, "directions": 6}}
+        code, a = run_job(tmp_path, job, "a.json")
+        assert code == 0
+        assert run_job(tmp_path, job, "b.json") == (code, a)
+
     def test_seed_changes_oracle_draw(self, tmp_path):
         job = {"command": "covariogram", "body": SQUARE_BODY,
                "params": {"x": [0.3, 0.1], "oracle": True,

@@ -1,21 +1,29 @@
 """The geometry kernel: one simplex-volume formula, one hull decomposition
 shared by exact volumes and the simplex rule, one dedupe, and vertex
-enumeration through one cached row-subset table."""
+enumeration through row-subset tables. A body factors each lifted table
+once (`Polytope.lifted_table`); its vertices match a plain per-call
+`np.linalg.solve`, warming it changes no value, and it goes with the body."""
 
+import contextlib
+import gc
+import io
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from covbody import _quad, polytope
+from covbody import _quad, cli, polytope
 from covbody._quad import simplex_rule, simplex_volumes, triangulate_vertices
-from covbody.covariogram import diffbody_polytope
+from covbody.covariogram import MDirection, covariogram, diffbody_polytope, diffbody_radial
+from covbody.measure import ConstantDensity, WeightedMeasure
 from covbody.polytope import (Polytope, _volume_of_points, dedupe_points,
-                              enumerate_vertices)
+                              enumerate_vertices, intersect_translates, volume)
+from helpers import random_polygon, random_polytope
 
 
 def cloud_with_duplicates(seed: int, dim: int, count: int, copies: int,
@@ -141,3 +149,116 @@ def test_enumerate_vertices(name, rows, expect):
     assert len(verts) == len(expect)
     key = lambda P: sorted(map(tuple, np.round(P, 12)))
     assert key(verts) == key(expect)
+
+
+def plain_basic_solutions(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every feasible basic solution of {A x <= b} by np.linalg.solve on
+    each regular n-subset of rows, in lexicographic order, undeduped: the
+    reference that the cached tables replace."""
+    n = A.shape[1]
+    idx = np.array(list(itertools.combinations(range(len(A)), n)))
+    M = A[idx]
+    ok = np.abs(np.linalg.det(M)) > 1e-12
+    X = np.linalg.solve(M[ok], b[idx[ok]][..., None])[..., 0]
+    return X[(A @ X.T <= b[:, None] + polytope.TOL).all(axis=0)]
+
+
+def kernel_body(kind: str, seed: int) -> Polytope:
+    rng = np.random.default_rng(seed)
+    if kind == "polygon":
+        return random_polygon(rng, int(rng.integers(3, 9)))
+    if kind == "polytope3":
+        return random_polytope(rng, 3, int(rng.integers(5, 11)))
+    return Polytope.named(kind, int(rng.integers(2, 4)))
+
+
+# cube and cross: vertices of K cap (K + x) where more than n rows meet
+KERNEL_CASES = st.tuples(st.sampled_from(["polygon", "polytope3", "cube", "cross"]),
+                         st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+                         st.floats(0.0, 1.0) | st.floats(1.0 + 1e-6, 1.05))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(KERNEL_CASES)
+@example(("cross", 1, 1, 1.0))
+@example(("cube", 2, 2, 1.0))
+@example(("polytope3", 3, 2, 1.0))
+@example(("polygon", 4, 1, 1.0 + 1e-6))
+def test_cached_table_gives_the_plain_solve_vertices(case):
+    kind, seed, m, s = case
+    K = kernel_body(kind, seed)
+    theta = MDirection.normalized(np.random.default_rng(seed).standard_normal((m, K.dim)))
+    shifts = theta.shifts(s * diffbody_radial(K, theta))
+    pts = polytope._intersection_vertices(K, shifts)  # through K's cached table
+    A = np.vstack([K.A] * (m + 1))
+    b = np.concatenate([K.b] + [K.b + K.A @ x for x in shifts])
+    ref = plain_basic_solutions(A, b)
+    if s > 1.0:
+        assert pts is None and len(ref) == 0
+        return
+    # one vertex per cluster of the reference's basic solutions, each the
+    # solution of one subset to 1e-12, and every basic solution merged
+    # into one of them
+    gap = np.abs(pts[:, None, :] - ref[None, :, :]).max(axis=2)
+    assert len(pts) == len(dedupe_points(ref))
+    assert gap.min(axis=1).max() <= 1e-12
+    assert gap.min(axis=0).max() <= polytope.DEDUPE_TOL
+    if s == 1.0:
+        # rho_D's translates only touch K
+        assert volume(intersect_translates(K, shifts)) == 0.0
+
+
+def test_a_warm_table_changes_no_value():
+    mu = WeightedMeasure(ConstantDensity(3, 1.0))
+    shifts = np.array([[0.2, -0.1, 0.05], [-0.05, 0.15, 0.1]])
+    cold = covariogram(Polytope.named("cross", 3), mu, shifts)
+    K = Polytope.named("cross", 3)
+    covariogram(K, mu, 0.5 * shifts)  # fills the m = 2 table
+    covariogram(K, mu, shifts[:1])  # and the m = 1 one
+    assert covariogram(K, mu, shifts) == cold
+
+
+@pytest.fixture
+def factorings(monkeypatch):
+    """The shapes of the systems whose row subsets get factored."""
+    shapes = []
+    factor = polytope._factor
+
+    def counting(A):
+        shapes.append(A.shape)
+        return factor(A)
+
+    monkeypatch.setattr(polytope, "_factor", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("command, params, lifted", [
+    ("verify-variational", {"m": 1, "directions": 12}, [(16, 3)]),
+    ("verify-variational", {"m": 2, "directions": 12}, [(24, 3)]),
+    # each ray's breakpoint scan factors its own (16, 4) system [A | -c]
+    ("verify-chain", {"m": 1, "branch": "s", "s": 1 / 3, "p_list": [0.5, 1.0, 2.0]},
+     [(16, 3)]),
+])
+def test_each_lifted_table_is_factored_once_per_job(factorings, command, params, lifted):
+    job = {"command": command, "body": {"name": "cross", "dim": 3}, "params": params}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(job) == 0
+    assert [s for s in factorings if s[1] == 3] == lifted
+
+
+def test_no_table_outlives_its_body():
+    K = Polytope.named("cross", 3)
+    covariogram(K, WeightedMeasure(ConstantDensity(3, 1.0)), [[0.2, 0.1, 0.05]])
+    body, table = weakref.ref(K), weakref.ref(K.lifted_table(2))
+    del K
+    gc.collect()
+    assert body() is None and table() is None
+    # nor does a job keep its body once it is done
+    gc.collect()
+    before = sum(isinstance(o, Polytope) for o in gc.get_objects())
+    job = {"command": "verify-variational", "body": {"name": "cube", "dim": 3},
+           "params": {"m": 2, "directions": 4}}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(job) == 0
+    gc.collect()
+    assert sum(isinstance(o, Polytope) for o in gc.get_objects()) == before

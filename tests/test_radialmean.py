@@ -22,6 +22,17 @@ from helpers import (polar_grid_radial_mean, qhull_breakpoints, quad_mellin,
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
+# a body and direction whose hypograph has a cell vertex on an exit facet
+# where more than n + 1 of its rows meet
+EXIT_AT_DEGENERATE_VERTEX = (
+    Polytope.from_vertices([
+        [-0.7700233384, 0.4601131683, 0.7922509659],
+        [0.2797944418, 1.1388747298, -0.238707106],
+        [-1.09514296, -0.4326632899, -0.213929982],
+        [0.4849147778, 0.142317166, 1.0848525913],
+        [0.5931647724, -0.1585289887, -1.0272905017],
+        [0.1251979582, -1.190213435, 0.0043718223]]),
+    MDirection.normalized([[-0.8150341086, 0.572694639, -0.0879787032]]))
 LEB2 = WeightedMeasure.lebesgue(2)
 E1 = MDirection(np.array([[1.0, 0.0]]))
 
@@ -145,20 +156,25 @@ class TestExactDirectRoute:
             self._agree(TRIANGLE, mu, theta, ps=(-0.99, -0.9, 20.0, 200.0))
 
     def test_vertex_at_the_kernel_resolution_counts_as_exit(self):
-        # a degenerate vertex of this body yields a cell vertex at level
-        # 5.6e-12 of the largest exit length; left above 0, the cell would
-        # miss the layer next to the exit facet, which carries a share
-        # e^(p+1) of the mean: 5e-2 at p = -0.9
-        K = Polytope.from_vertices([
-            [-0.7700233384, 0.4601131683, 0.7922509659],
-            [0.2797944418, 1.1388747298, -0.238707106],
-            [-1.09514296, -0.4326632899, -0.213929982],
-            [0.4849147778, 0.142317166, 1.0848525913],
-            [0.5931647724, -0.1585289887, -1.0272905017],
-            [0.1251979582, -1.190213435, 0.0043718223]])
-        theta = MDirection.normalized([[-0.8150341086, 0.572694639, -0.0879787032]])
+        # a degenerate vertex of this body yields a cell vertex at a level
+        # near 0 (5.6e-12 of the largest exit length when the kernel kept
+        # an ill-conditioned basic solution there); left above 0, the cell
+        # would miss the layer next to the exit facet, which carries a
+        # share e^(p+1) of the mean: 5e-2 at p = -0.9
+        K, theta = EXIT_AT_DEGENERATE_VERTEX
         self._agree(K, WeightedMeasure(GaussianDensity(3, 1.0122598304)), theta,
                     ps=(-0.9, -0.5, 0.5))
+
+    def test_cell_vertices_on_an_exit_facet_are_well_conditioned(self):
+        # where more than n + 1 hypograph rows meet, the kernel keeps the
+        # basic solution of largest |det|, so a cell vertex on an exit
+        # facet lies on it to rounding, far inside LEVEL_SNAP
+        simplices, alpha, beta = radialmean_mod._exit_cells(*EXIT_AT_DEGENERATE_VERTEX)
+        levels = np.abs(beta[:, None] - np.einsum("svk,sk->sv", simplices, alpha))
+        top = levels.max()
+        low = levels[levels < 1e-9 * top]
+        assert len(low) > 0
+        assert low.max() <= 1e-14 * top
 
     @pytest.mark.parametrize("K", [TRIANGLE, SQUARE], ids=["triangle", "square"])
     def test_equal_blocks_count_once(self, K):
