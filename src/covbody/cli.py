@@ -174,6 +174,8 @@ def _direction(params: dict, n: int, m: int, key: str = "direction") -> MDirecti
 
 def _shifts(params: dict, n: int) -> np.ndarray:
     arr = job_number(params["x"], "params.x", None)
+    if arr.size == 0:
+        raise InputError("params.x must hold at least one shift vector")
     m = params.get("m")
     if arr.ndim == 1:
         if m is None:

@@ -26,7 +26,7 @@ from numpy.polynomial.chebyshev import chebval
 from ._quad import _frozen, chebyshev_01, gauss_01
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure, _integrate_points
-from .polytope import (TOL, Polytope, StarBodyFn, SubsetTable, _basic_solutions,
+from .polytope import (TOL, Polytope, StarBodyFn, _basic_solutions,
                        _build_from_points, _intersection_vertices, lifted_system)
 from .simplexlp import solve_lp_max
 
@@ -259,17 +259,34 @@ class CovRay:
         P = {(x, r) : A x - r c <= b} (`lifted_system`), whose top height is
         rho_D. A slice changes type only at the height of a vertex of P, so
         the breakpoints are the vertex heights strictly inside (0, rho_D),
-        from the vertex-enumeration kernel. Heights closer than
-        BREAK_MERGE * rho_D are merged.
+        read from the body's lifted table with no factoring of their own.
+        The rows of each regular n-subset T stay tight along the line
+        x0 + r x1 (`_basic_solutions` at b and at c), which meets row j at
+        r = (b - A x0)_j / (A x1 - c)_j: a vertex of P when that point
+        satisfies every row and [A | -c] is regular on T and j, whose
+        determinant is det A_T (A x1 - c)_j (a Schur complement). Heights
+        closer than BREAK_MERGE * rho_D are merged.
         """
+        table = self.K.lifted_table(self.theta.m + 1)
         A, b, c = lifted_system(self.K, self.theta.blocks)
-        A = np.hstack([A, -c[:, None]])
-        X = _basic_solutions(SubsetTable(A), b)
+        idx, _, det = table.factors
+        x0, x1 = _basic_solutions(table, b), _basic_solutions(table, c)
+        # einsum, not a matmul: one fixed loop, whatever the BLAS
+        gap = b - np.einsum("hj,kj->kh", A, x0)
+        slope = np.einsum("hj,kj->kh", A, x1) - c
+        regular = det[:, None] * np.abs(slope) > 1e-12
+        np.put_along_axis(regular, idx, False, axis=1)  # T's own rows: noise
+        # T's line satisfies every row within TOL, A x <= b + r c + TOL, for
+        # r in [lo, hi]; a row with slope 0 holds for every r or for none
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = (gap + TOL) / slope
+        lo = np.where(slope < 0, reach, -np.inf).max(axis=1)
+        hi = np.where(slope > 0, reach, np.inf).min(axis=1)
+        hi[((slope == 0) & (gap < -TOL)).any(axis=1)] = -np.inf
+        t, j = np.nonzero(regular)
+        r = gap[t, j] / slope[t, j]
         tol = BREAK_MERGE * self.rho_D
-        # the r = 0 slice is degenerate and holds most of the points, so cut
-        # by height before testing every row
-        X = X[(X[:, -1] > tol) & (X[:, -1] < self.rho_D - tol)]
-        r = np.sort(X[(A @ X.T <= b[:, None] + TOL).all(axis=0), -1])
+        r = np.sort(r[(r > tol) & (r < self.rho_D - tol) & (lo[t] <= r) & (r <= hi[t])])
         if len(r) == 0:
             return r
         return r[np.concatenate([[True], np.diff(r) > tol])]

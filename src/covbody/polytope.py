@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,28 +33,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if n < 1e-14:
         raise InputError("zero normal vector")
     return v / n
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """The set {x : <normal, x> <= offset} with a unit normal."""
-
-    normal: tuple[float, ...]
-    offset: float
-
-    def __post_init__(self):
-        nrm = math.sqrt(sum(c * c for c in self.normal))
-        if abs(nrm - 1.0) > 1e-12:
-            raise InputError(f"halfspace normal must be unit, |a| = {nrm}")
-
-    @staticmethod
-    def of(a: Sequence[float], b: float) -> "Halfspace":
-        """Build from an unnormalized inequality <a, x> <= b."""
-        a = np.asarray(a, dtype=float)
-        nrm = np.linalg.norm(a)
-        if nrm < 1e-14:
-            raise InputError("zero normal vector")
-        return Halfspace(tuple(a / nrm), float(b) / nrm)
 
 
 @dataclass(frozen=True)
@@ -102,27 +79,28 @@ class SubsetTable:
         return self.A.shape
 
     @functools.cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(idx, inv): the regular subsets' row indices (k, n) and inverses
-        (k, n, n)."""
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(idx, inv, det): the regular subsets' row indices (k, n),
+        inverses (k, n, n) and |det| (k,)."""
         return _factor(self.A)
 
 
-def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices and inverses of the regular n-row subsets of A, in
-    descending |det| order (stable)."""
+def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, inverses and |det| of the regular n-row subsets of A,
+    in descending |det| order (stable). The |det| stays, since it scales
+    the regularity test of each subset plus one row (`CovRay.breakpoints`)."""
     H, n = A.shape
     if H < n:
-        return np.empty((0, n), dtype=np.intp), np.empty((0, n, n))
+        return np.empty((0, n), dtype=np.intp), np.empty((0, n, n)), np.empty(0)
     idx = _row_subsets(H, n)
     M = A[idx]
     det = np.abs(np.linalg.det(M))
     keep = np.flatnonzero(det > 1e-12)
     keep = keep[np.argsort(-det[keep], kind="stable")]
-    idx, inv = idx[keep], np.linalg.inv(M[keep])
-    for arr in (idx, inv):
+    idx, inv, det = idx[keep], np.linalg.inv(M[keep]), det[keep]
+    for arr in (idx, inv, det):
         arr.setflags(write=False)
-    return idx, inv
+    return idx, inv, det
 
 
 def enumerate_vertices(system: SubsetTable | np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,10 +135,11 @@ def enumerate_vertices(system: SubsetTable | np.ndarray, b: np.ndarray) -> np.nd
 
 
 def _basic_solutions(table: SubsetTable, b: np.ndarray) -> np.ndarray:
-    """The common point of every regular n-subset of the rows of
+    """The common point of every regular n-subset T of the rows of
     {A x <= b}, feasible or not, in the table's descending |det| order;
-    (0, n) when there is none."""
-    idx, inv = table.factors
+    (0, n) when there is none. Linear in b: at b + r c the point of T
+    moves along the line x(b) + r x(c)."""
+    idx, inv, _ = table.factors
     # einsum, not a batched matmul: one fixed loop, whatever the BLAS
     return np.einsum("kij,kj->ki", inv, b[idx])
 
@@ -269,13 +248,11 @@ class Polytope:
         return _build_from_points(dim, pts, allow_degenerate=False)
 
     @staticmethod
-    def from_halfspaces(halfspaces: Sequence[Halfspace] | tuple[np.ndarray, np.ndarray]) -> "Polytope":
-        if isinstance(halfspaces, tuple) and len(halfspaces) == 2:
-            A = np.asarray(halfspaces[0], dtype=float)
-            b = np.asarray(halfspaces[1], dtype=float)
-        else:
-            A = np.array([h.normal for h in halfspaces], dtype=float)
-            b = np.array([h.offset for h in halfspaces], dtype=float)
+    def from_halfspaces(halfspaces: tuple[np.ndarray, np.ndarray]) -> "Polytope":
+        """The body {x : A x <= b} of halfspaces = (A, b), rows in any
+        scale (each is normalised)."""
+        A = np.asarray(halfspaces[0], dtype=float)
+        b = np.asarray(halfspaces[1], dtype=float)
         norms = np.linalg.norm(A, axis=1)
         if (norms < 1e-14).any():
             raise InputError("zero normal in halfspace list")
@@ -309,24 +286,26 @@ class Polytope:
         if not isinstance(spec, dict) or "type" not in spec:
             raise InputError("body spec must be an object with a 'type'")
         kind = spec["type"]
+        allowed = {"vrep": {"type", "vertices"},
+                   "hrep": {"type", "halfspaces"},
+                   "named": {"type", "name", "dim"}}.get(kind)
+        if allowed is None:
+            raise InputError(f"unknown body type {kind!r}")
+        extra = set(spec) - allowed
+        if extra:
+            raise InputError(f"unknown body spec keys {sorted(extra)}")
         if kind == "vrep":
             return Polytope.from_vertices(
                 job_number(job_field(spec, "vertices", "a vrep body"), "body.vertices", 2))
         if kind == "hrep":
-            hs = [Halfspace.of(job_number(h["a"], "body.halfspaces.a", 1),
-                               job_number(h["b"], "body.halfspaces.b"))
-                  for h in job_field(spec, "halfspaces", "an hrep body")]
-            return Polytope.from_halfspaces(hs)
-        if kind == "named":
-            return Polytope.named(job_field(spec, "name", "a named body"), int(
-                job_number(job_field(spec, "dim", "a named body"), "body.dim")))
-        raise InputError(f"unknown body type {kind!r}")
+            hs = job_field(spec, "halfspaces", "an hrep body")
+            return Polytope.from_halfspaces(
+                (job_number([h["a"] for h in hs], "body.halfspaces.a", 2),
+                 job_number([h["b"] for h in hs], "body.halfspaces.b", 1)))
+        return Polytope.named(job_field(spec, "name", "a named body"), int(
+            job_number(job_field(spec, "dim", "a named body"), "body.dim")))
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def halfspaces(self) -> list[Halfspace]:
-        return [Halfspace(tuple(a), float(bb)) for a, bb in zip(self.A, self.b)]
 
     def support(self, u: Sequence[float]) -> float:
         u = np.asarray(u, dtype=float)

@@ -138,8 +138,9 @@ def variational_check(K: Polytope, mu: WeightedMeasure,
     the given steps, Richardson-extrapolated, against the facet-sum value."""
     theta = as_mdirection(theta)
     hs = np.asarray(sorted(steps, reverse=True), dtype=float)
-    if (hs <= 0).any():
-        raise InputError("steps must be positive")
+    if len(hs) == 0 or not (np.isfinite(hs) & (hs > 0)).all() or (np.diff(hs) == 0).any():
+        raise InputError(f"steps must be a non-empty list of distinct positive "
+                         f"numbers, got {list(steps)}")
     g0 = float(mu.mass(K))
     diffs = np.array([(covariogram(K, mu, theta.shifts(h)) - g0) / h for h in hs])
     deriv = _extrapolate_to_zero(hs, diffs)

@@ -322,10 +322,25 @@ class TestExitCodes:
          "params/nu"),
         ({"command": "dualvol", "body": SQUARE_BODY,
           "params": {"base": [0.5, 0.5, 0.5]}}, "params.base"),
+        ({"command": "verify-rs", "body": {"type": "hrep", "halfspaces": []}},
+         "body.halfspaces.a"),
+        ({"command": "verify-rs", "body": {"type": "hrep", "halfspaces": [
+            {"a": [-1, 0], "b": 0}, {"a": [0, -1, 0], "b": 0}, {"a": [1, 1], "b": 1}]}},
+         "body.halfspaces.a"),
+        ({"command": "verify-rs", "body": {"type": "named", "name": "cube", "dim": 2,
+                                           "vertices": [[0, 0]]}}, "['vertices']"),
+        ({"command": "verify-variational", "body": SQUARE_BODY,
+          "params": {"steps": [], "directions": 2}}, "steps must be"),
+        ({"command": "verify-variational", "body": SQUARE_BODY,
+          "params": {"steps": [0.01, 0.01], "directions": 2}}, "steps must be"),
+        ({"command": "covariogram", "body": SQUARE_BODY, "params": {"x": []}},
+         "params.x"),
     ])
     def test_malformed_spec_is_two(self, tmp_path, capsys, job, key):
-        # a body or density spec that lacks a key its kind needs, or whose
-        # dimension is not the body's, is malformed input, not a traceback
+        # a body or density spec that lacks a key its kind needs, holds one
+        # it does not take or whose dimension is not the body's, and a list
+        # param that holds no entry (or repeats a step), is malformed
+        # input, not a traceback
         assert run_job(tmp_path, job)[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and key in err

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from covbody.errors import InputError
 from covbody.oracle import mc_measure, rng_for, sphere_quadrature
-from covbody.polytope import (Halfspace, LinearMap, Polytope, StarBodyFn,
-                              apply_linear, intersect_translates, star_volume,
-                              volume)
+from covbody.polytope import (LinearMap, Polytope, StarBodyFn, apply_linear,
+                              intersect_translates, star_volume, volume)
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -32,7 +31,7 @@ class TestConstruction:
     def test_halfspace_vertex_roundtrip(self):
         # H-rep -> vertices -> H-rep preserves the support function
         P = Polytope.from_vertices([[0, 0], [2, 0], [2, 1], [0.5, 1.5]])
-        Q = Polytope.from_halfspaces(P.halfspaces)
+        Q = Polytope.from_halfspaces((P.A, P.b))
         rng = rng_for(42, "roundtrip")
         for _ in range(100):
             u = rng.standard_normal(2)
@@ -40,8 +39,7 @@ class TestConstruction:
 
     def test_unbounded_rejected(self):
         with pytest.raises(InputError):
-            Polytope.from_halfspaces([Halfspace.of([1, 0], 1.0),
-                                      Halfspace.of([0, 1], 1.0)])
+            Polytope.from_halfspaces(([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]))
 
     def test_from_spec(self):
         P = Polytope.from_spec({"type": "named", "name": "simplex", "dim": 2})

@@ -17,7 +17,7 @@ from covbody.projection import ProjectionBody
 from covbody.radialmean import rmb_radial_mellin
 from covbody.verify import ChainSpec, chain_check
 
-from helpers import qhull_breakpoints, random_polygon
+from helpers import qhull_breakpoints, random_polygon, random_polytope
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -80,6 +80,21 @@ def test_breakpoints_are_the_vertex_heights_qhull_finds(case):
     got, want = ray.breakpoints(), qhull_breakpoints(ray)
     assert len(got) == len(want)
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * ray.rho_D
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_breakpoints_of_a_12_point_polytope_match_qhull(m):
+    # 16 facets: 48 lifted rows at m = 2, whose table holds ~15 000
+    # regular 3-row subsets
+    rng = np.random.default_rng(12)
+    K = random_polytope(rng, 3, 12)
+    mu = WeightedMeasure.lebesgue(3)
+    for _ in range(3):
+        ray = CovRay(K, mu, MDirection.normalized(rng.standard_normal((m, 3))))
+        got, want = ray.breakpoints(), qhull_breakpoints(ray)
+        assert len(got) == len(want) > 0
+        assert np.abs(got - want).max() <= 1e-12 * ray.rho_D
+
 
 @PROPERTY
 @given(bodies_and_rays(), st.floats(0.01, 0.99))
