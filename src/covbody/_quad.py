@@ -2,22 +2,23 @@
 
 The package builds its quadrature rules here and nowhere else:
 
-- `graded_gauss` is the graded 1-D rule: Gauss-Legendre on [0, rho],
-  graded toward 0 by r = rho u^power for integrable endpoint singularities;
+- `gauss_jacobi_01` and `log_gauss_01` are the rules on [0, 1] that carry
+  the endpoint weights t^q and log t. Gauss-Jacobi is the package's one
+  rule for an endpoint power weight: it also integrates the kernels of
+  `genvol` (r^alpha times a smooth factor) exactly in the power;
 - `geometric_gauss` is the composite 1-D rule on intervals away from 0:
   Gauss-Legendre on geometric sub-intervals [s, 2s], for integrands that
-  carry a power r^q of any size (`geometric_split` gives the sub-intervals);
-- `gauss_jacobi_01` and `log_gauss_01` are the rules on [0, 1] that carry
-  the endpoint weights t^q and log t;
+  carry a power r^q of any size;
 - `chebyshev_01` gives the Chebyshev points of [0, 1] and the map from
   values at them to the coefficients of their interpolant, and
   `chebyshev_jacobi_01` the weights that integrate that interpolant
-  against t^q (moments by Gauss-Jacobi);
+  against t^q (moments by `gauss_jacobi_01`);
 - `simplex_rule` is the one simplex rule: a collapsed (Duffy) tensor Gauss
   rule on k-simplices embedded in R^d, one simplex or a stack of them.
 
-The Legendre rules read the cached table `gauss_01`; the Chebyshev tables
-and `simplex_rule` cache their own. All deterministic.
+Each 1-D rule is built once: the Legendre rules read the cached table
+`gauss_01`, the Jacobi ones `gauss_jacobi_01`; the Chebyshev tables and
+`simplex_rule` cache their own. All deterministic.
 
 The geometry kernel lives here too: `simplex_volumes` is the one simplex
 volume formula, and `triangulate_vertices` / `hull_simplices` the one
@@ -37,10 +38,6 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.special import roots_jacobi
 
 from .errors import InputError, NumericError
-
-
-# Smallest node of the graded rule: r^q stays finite there for |q| <= 1.
-R_FLOOR = 1e-300
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -71,38 +68,23 @@ def chebyshev_jacobi_01(degree: int, q: float) -> np.ndarray:
     """Weights w on the points t_j of `chebyshev_01(degree)` with
     sum_j w_j f(t_j) = int_0^1 f(t) t^q dt, q > -1, for every polynomial f
     of degree <= degree: the moments of the interpolant's basis, taken by
-    Gauss-Jacobi in x = 2t - 1 with enough nodes to be exact."""
-    x, w = roots_jacobi(degree // 2 + 1, 0.0, float(q))
-    weights = (w / 2.0 ** (q + 1.0)) @ chebvander(x, degree) @ chebyshev_01(degree)[1]
-    return _frozen(weights)[0]
+    Gauss-Jacobi with enough nodes to be exact."""
+    t, w = gauss_jacobi_01(degree // 2 + 1, q)
+    return _frozen(w @ chebvander(2.0 * t - 1.0, degree) @ chebyshev_01(degree)[1])[0]
 
 
-def graded_gauss(rho: float, n: int, power: float = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule on [0, rho] graded toward 0 via r = rho * u^power.
+def geometric_gauss(lo: np.ndarray, hi: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss rule on the intervals [lo_i, hi_i], 0 < lo_i: each
+    is split into the geometric sub-intervals [s, min(2s, hi_i)] for
+    s = lo_i, 2 lo_i, ... (an empty interval has none), which carry n nodes
+    apiece. Returns the nodes and weights, interval by interval in
+    increasing order, and the index i of each node's interval.
 
-    Clusters nodes near r = 0 so integrands with an integrable r^p
-    (p > -1) endpoint singularity are resolved after the change of
-    variables; weights absorb the Jacobian rho * power * u^(power-1).
-    power = 1 is the plain rule; rho = 0 gives a zero rule. A real power
-    is tuned to r^(1/power - 1), which the graded rule integrates exactly;
-    nodes that would fall below R_FLOOR (large powers) sit at R_FLOOR with
-    the weight that keeps that integrand exact there.
+    On each sub-interval r^q varies by at most a factor 2^|q|, so the rule
+    integrates a polynomial times r^q to rounding once n exceeds about
+    |q|/2 plus a few nodes. No node lies on an interval's end.
     """
-    u, w = gauss_01(n)
-    r = rho * u**power
-    dr = rho * power * u ** (power - 1) * w
-    low = (r < R_FLOOR) & (rho > 0)
-    if low.any():
-        r = np.where(low, R_FLOOR, r)
-        dr = np.where(low, rho ** (1.0 / power) * power * w * R_FLOOR ** (1.0 - 1.0 / power), dr)
-    return r, dr
-
-
-def geometric_split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split each interval [lo_i, hi_i], 0 < lo_i, into the geometric
-    sub-intervals [s, min(2s, hi_i)] for s = lo_i, 2 lo_i, ...; an empty
-    interval has none. Returns their ends and the index i of the interval
-    each comes from, interval by interval in increasing order."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     count = np.ceil(np.log2(hi / lo)).astype(np.intp)
     # log2 may round either way: make 2^count lo the first power >= hi
@@ -111,24 +93,10 @@ def geometric_split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     owner = np.repeat(np.arange(len(lo)), count)
     step = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
     a = np.ldexp(lo[owner], step)
-    return a, np.minimum(2.0 * a, hi[owner]), owner
-
-
-def geometric_gauss(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule on [edges[0], edges[-1]], 0 < edges[0], with
-    each interval [edges[k], edges[k+1]] split into geometric sub-intervals
-    [s, min(2s, edges[k+1])] carrying n nodes apiece.
-
-    On each sub-interval r^q varies by at most a factor 2^|q|, so the rule
-    integrates a polynomial times r^q to rounding once n exceeds about
-    |q|/2 plus a few nodes. No node lies on an edge.
-    """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi, _ = geometric_split(edges[:-1], edges[1:])
+    width = np.minimum(2.0 * a, hi[owner]) - a
     u, w = gauss_01(n)
-    width = hi - lo
-    nodes = lo[:, None] + width[:, None] * u[None, :]
-    return nodes.ravel(), (width[:, None] * w[None, :]).ravel()
+    nodes = a[:, None] + width[:, None] * u[None, :]
+    return nodes.ravel(), (width[:, None] * w[None, :]).ravel(), np.repeat(owner, n)
 
 
 @functools.lru_cache(maxsize=64)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariogram import (MDirection, covariogram_slice, diffbody_polytope,
                           diffbody_radial, diffbody_star, roof)
-from .errors import InputError, NumericError, job_number
+from .errors import InputError, NumericError, job_field, job_number, spec_kind
 from .genvol import (affine_ray_fn, capped_ray_fn, chord_lower_check,
                      chord_upper_check, covariogram_ray_fn, dual_volume,
                      kernel_from_spec, profile_ray_fn)
@@ -192,16 +192,10 @@ def _shifts(params: dict, n: int) -> np.ndarray:
 
 def _concavity_from_spec(spec: Any) -> tuple[ConcavityF, float | None]:
     """F and the class it states: its s, or None for log-concave."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise InputError("concavity spec must be an object with a 'type'")
-    if spec["type"] == "power":
-        if "s" not in spec:
-            raise InputError("power concavity needs 's'")
-        s = job_number(spec["s"], "params.F.s")
-        return power_concavity(s), s
-    if spec["type"] == "log":
+    if spec_kind(spec, "concavity", {"power": {"s"}, "log": set()}) == "log":
         return log_concavity(), None
-    raise InputError(f"unknown concavity type {spec['type']!r}")
+    s = job_number(job_field(spec, "s", "a power concavity"), "params.F.s")
+    return power_concavity(s), s
 
 
 def _check_declared_tag(mu: WeightedMeasure, K: Polytope, s: float | None) -> None:
@@ -211,6 +205,24 @@ def _check_declared_tag(mu: WeightedMeasure, K: Polytope, s: float | None) -> No
         label = "log" if s is None else f"s({s:g})"
         raise InputError(
             f"declared concavity {label} is inconsistent with the density: {msg}")
+
+
+def _non_finite(x: Any, path: str = "") -> str | None:
+    """The field of the first NaN or infinity in a job, or None. Python's
+    json reads NaN and Infinity as numbers; no job field takes them."""
+    if isinstance(x, float):
+        return None if math.isfinite(x) else path
+    if isinstance(x, dict):
+        fields = ((f"{path}.{k}" if path else str(k), v) for k, v in x.items())
+    elif isinstance(x, list):
+        fields = ((f"{path}[{i}]", v) for i, v in enumerate(x))
+    else:
+        return None
+    for field, value in fields:
+        bad = _non_finite(value, field)
+        if bad is not None:
+            return bad
+    return None
 
 
 def _jsonable(x: Any) -> Any:
@@ -508,16 +520,12 @@ def _cmd_verify_linear(job: _Job):
 
 
 def _h_from_spec(spec: Any) -> Callable[[np.ndarray], np.ndarray]:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise InputError("h spec must be an object with a 'type'")
-    if spec["type"] == "identity":
+    if spec_kind(spec, "h", {"identity": set(), "power": {"k"}}) == "identity":
         return lambda t: np.asarray(t, dtype=float)
-    if spec["type"] == "power":
-        k = job_number(spec.get("k", 1.0), "params.h.k")
-        if k <= 0:
-            raise InputError("power h needs k > 0")
-        return lambda t: np.asarray(t, dtype=float) ** k
-    raise InputError(f"unknown h type {spec['type']!r}")
+    k = job_number(spec.get("k", 1.0), "params.h.k")
+    if k <= 0:
+        raise InputError("power h needs k > 0")
+    return lambda t: np.asarray(t, dtype=float) ** k
 
 
 def _cmd_verify_chord(job: _Job):
@@ -659,6 +667,9 @@ def _write_output(text: str, outfile: str | None) -> None:
 def run(job: dict) -> int:
     """Execute one job dict and write its report; returns the exit status."""
     try:
+        bad = _non_finite(job)
+        if bad is not None:
+            raise InputError(f"{bad} must be a finite number")
         e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(job))
         if e is not None:
             path = "/".join(str(k) for k in e.absolute_path) or "(top level)"

@@ -1,5 +1,5 @@
-"""Exception types shared across covbody modules, and the conversion of a
-job's numbers that raises them."""
+"""Exception types shared across covbody modules, and the checks of a
+job's numbers and specs that raise them."""
 
 from __future__ import annotations
 
@@ -43,6 +43,21 @@ def job_number(value: Any, key: str, ndim: int | None = 0):
         want = {0: "a number", 1: "a list of numbers"}.get(ndim, "an array of numbers")
         raise InputError(f"{key} must be {want}, got {value!r}")
     return float(arr) if ndim == 0 else arr.astype(float)
+
+
+def spec_kind(spec: Any, what: str, kinds: dict[str, set[str]]) -> str:
+    """The kind of a job's `what` spec: an object whose 'type' names one of
+    `kinds` and whose other keys lie in that kind's set. Anything else
+    raises InputError."""
+    if not isinstance(spec, dict) or "type" not in spec:
+        raise InputError(f"{what} spec must be an object with a 'type'")
+    kind = spec["type"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InputError(f"unknown {what} type {kind!r}")
+    extra = set(spec) - kinds[kind] - {"type"}
+    if extra:
+        raise InputError(f"unknown {what} spec keys {sorted(extra)}")
+    return kind
 
 
 def job_field(spec: dict, key: str, kind: str) -> Any:

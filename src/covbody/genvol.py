@@ -9,6 +9,11 @@ upper bound integrates over the tangent-extension body Ltilde with radial
 constant center value and exactly homogeneous G, and both checkers share one
 inner quadrature rule so those fixtures cancel to machine precision.
 
+Every ray integral here runs on one rule, `_ray_rule`: Gauss-Jacobi for the
+weight t^alpha on [0, 1], scaled to each [0, rho]. Every kernel is r^alpha times
+a smooth factor, so the power is integrated exactly at any alpha > -1, and a
+power kernel (or h(f) times one, for polynomial h(f)) exactly to rounding.
+
 Concavity of f along rays is the caller's precondition; nothing here samples
 it. The covariogram fixture F(g) = g^s gets it from the density's s-concavity,
 which the caller checks (for s-concave mu, g^s is concave on D^m K by the
@@ -24,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import graded_gauss
+from ._quad import gauss_jacobi_01
 from .covariogram import CovRay, MDirection
-from .errors import InputError, NumericError, job_number
+from .errors import InputError, NumericError, job_number, spec_kind
 from .measure import ConcavityF, ConstantDensity, Density, WeightedMeasure
 from .oracle import rng_for
 from .polytope import StarBodyFn
@@ -50,11 +55,6 @@ __all__ = [
 ]
 
 
-# Largest grading power the kernel rule accepts, i.e. alpha >= -0.99. Beyond
-# it a growing share of the Gauss nodes falls below the floating-point range,
-# where the rule samples only the declared power, not the kernel.
-MAX_GRADING = 100.0
-
 # Relative gate between the inner rule of dual_volume and its doubling.
 DUAL_GATE = 1e-6
 
@@ -71,23 +71,14 @@ BETA_NODES = 96
 OMEGA_TOL = 1e-8
 
 
-def _grading(alpha: float) -> float:
-    """Substitution exponent k for r = rho * u^k on a kernel ~ r^alpha.
-
-    A non-negative integer alpha keeps the plain rule (k = 1), exact for
-    power kernels and polynomial densities. Any other alpha takes
-    k = 1/(alpha + 1): then k (alpha + 1) = 1, so r^alpha dr becomes the
-    constant rho^(alpha+1) k du and a power kernel integrates exactly.
-    Raises NumericError when alpha + 1 < 1/MAX_GRADING.
-    """
-    if alpha >= 0 and float(alpha).is_integer():
-        return 1
-    k = 1.0 / (alpha + 1.0)
-    if k > MAX_GRADING:
-        raise NumericError(
-            f"kernel exponent {alpha:g} is too close to -1 for the graded rule "
-            f"(grading power {k:.6g} above {MAX_GRADING:g})")
-    return k
+def _ray_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w on [0, 1] with rho * (w @ G(rho * t)) =
+    int_0^rho G(r) dr for G = r^alpha q(r), q a polynomial of degree < 2n:
+    the n-node Gauss-Jacobi rule for t^alpha, its weights divided by
+    t^alpha. Every ray scales this one rule: a table of scaled rows would
+    hold directions x nodes values (20000 x 128 on a 3-D default)."""
+    t, w = gauss_jacobi_01(n, alpha)
+    return t, w * t ** -alpha
 
 
 @dataclass(frozen=True)
@@ -137,13 +128,12 @@ class KernelG:
                 raise InputError(
                     f"kernel '{self.label}' fails G(ur) <= u^alpha G(r) at "
                     f"u={u:.6g}, r={r:.6g}, theta={np.round(theta, 4).tolist()}")
+        rules = [_ray_rule(n, self.alpha) for n in (64, 128)]
         for _ in range(4):
             theta = rng.standard_normal(self.dim)
             theta /= np.linalg.norm(theta)
-            vals = []
-            for n in (64, 128):
-                r, w = graded_gauss(VALIDATE_RADIUS, n, _grading(self.alpha))
-                vals.append(float(w @ self(r, theta)))
+            vals = [VALIDATE_RADIUS * float(w @ self(VALIDATE_RADIUS * t, theta))
+                    for t, w in rules]
             if not all(math.isfinite(v) for v in vals) or (
                     abs(vals[1] - vals[0]) > 1e-4 * max(abs(vals[1]), 1e-12)):
                 raise NumericError(
@@ -186,16 +176,8 @@ def kernel_from_spec(spec: dict, dim: int) -> KernelG:
     {"type": "power-density", ...})."""
     from .measure import density_from_spec
 
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise InputError("kernel spec must be an object with a 'type'")
-    kind = spec["type"]
-    allowed = {"power": {"type", "exponent", "scale"},
-               "power-density": {"type", "exponent", "density"}}.get(kind)
-    if allowed is None:
-        raise InputError(f"unknown kernel type {kind!r}")
-    extra = set(spec) - allowed
-    if extra:
-        raise InputError(f"unknown kernel spec keys {sorted(extra)}")
+    kind = spec_kind(spec, "kernel", {"power": {"exponent", "scale"},
+                                      "power-density": {"exponent", "density"}})
     alpha = job_number(spec.get("exponent", dim - 1), "kernel exponent")
     if kind == "power":
         return power_kernel(dim, alpha,
@@ -319,11 +301,9 @@ def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64) -> float:
     rho = np.asarray(L.radial(quad.nodes), dtype=float)
     totals = []
     for n in (inner, 2 * inner):
-        acc = 0.0
-        for i, theta in enumerate(quad.nodes):
-            r, w = graded_gauss(float(rho[i]), n, _grading(G.alpha))
-            acc += float(quad.weights[i]) * float(w @ G(r, theta))
-        totals.append(acc)
+        t, w = _ray_rule(n, G.alpha)
+        totals.append(sum(float(quad.weights[i] * rho[i]) * float(w @ G(rho[i] * t, theta))
+                          for i, theta in enumerate(quad.nodes)))
     if not all(math.isfinite(v) for v in totals) or (
             abs(totals[1] - totals[0]) > DUAL_GATE * max(abs(totals[1]), 1e-12)):
         raise NumericError(
@@ -334,20 +314,20 @@ def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64) -> float:
 
 def beta_constant(h: Callable[[np.ndarray], np.ndarray], f0: float,
                   alpha: float) -> float:
-    """(alpha+1) int_0^1 h(f0 tau)(1-tau)^alpha dtau on the reflected rule
-    tau = 1 - r, graded toward tau = 1 as `_grading` says."""
-    r, w = graded_gauss(1.0, BETA_NODES, _grading(alpha))
-    vals = np.asarray(h(f0 * (1.0 - r)), dtype=float)
-    return (alpha + 1.0) * float((vals * r**alpha) @ w)
+    """(alpha+1) int_0^1 h(f0 tau)(1-tau)^alpha dtau, the weight
+    (1-tau)^alpha carried by Gauss-Jacobi in 1 - tau."""
+    t, w = gauss_jacobi_01(BETA_NODES, alpha)
+    return (alpha + 1.0) * float(np.asarray(h(f0 * (1.0 - t)), dtype=float) @ w)
 
 
 def _chord_lhs(f: ConcaveRayFn, h, G: KernelG, quad, rho: np.ndarray,
                inner: int) -> float:
+    t, w = _ray_rule(inner, G.alpha)
     acc = 0.0
     for i, theta in enumerate(quad.nodes):
-        r, w = graded_gauss(float(rho[i]), inner, _grading(G.alpha))
+        r = rho[i] * t
         vals = np.asarray(h(f(r, theta)), dtype=float)
-        acc += float(quad.weights[i]) * float(w @ (vals * G(r, theta)))
+        acc += float(quad.weights[i] * rho[i]) * float(w @ (vals * G(r, theta)))
     return acc
 
 
@@ -388,6 +368,7 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
     if f.dim != G.dim or quad.dim != G.dim:
         raise InputError("ray function, kernel and quadrature dimensions differ")
     rho = np.asarray(f.support.radial(quad.nodes), dtype=float)
+    t, w = _ray_rule(inner, G.alpha)
     lhs = 0.0
     omega_term = 0.0
     tilde_sum = 0.0
@@ -395,7 +376,7 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
     n_omega = 0
     rows = []
     for i, theta in enumerate(quad.nodes):
-        r, w = graded_gauss(float(rho[i]), inner, _grading(G.alpha))
+        r = rho[i] * t
         fvals = f(r, theta)
         f0 = float(f.value_at_zero(theta))
         if fvals.max(initial=0.0) > f0 * (1.0 + 1e-9) + 1e-12:
@@ -403,7 +384,7 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
                 "ray function does not attain its maximum at r = 0 on "
                 f"direction {np.round(theta, 4).tolist()}")
         hvals = np.asarray(h(fvals), dtype=float)
-        lhs += float(quad.weights[i]) * float(w @ (hvals * G(r, theta)))
+        lhs += float(quad.weights[i] * rho[i]) * float(w @ (hvals * G(r, theta)))
         fp = float(f.ray_derivative_at_zero(theta))
         if fp > OMEGA_TOL:
             raise InputError(
@@ -412,13 +393,12 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
         if abs(fp) <= OMEGA_TOL:
             n_omega += 1
             h0 = float(np.asarray(h(np.array([f0])), dtype=float)[0])
-            omega_term += float(quad.weights[i]) * h0 * float(w @ G(r, theta))
+            omega_term += float(quad.weights[i] * rho[i]) * h0 * float(w @ G(r, theta))
             rows.append({"direction": i, "rho_L": float(rho[i]),
                          "rho_Ltilde": float("nan"), "in_omega": 1})
         else:
             z = -f0 / fp
-            rz, wz = graded_gauss(z, inner, _grading(G.alpha))
-            tilde_sum += float(quad.weights[i]) * float(wz @ G(rz, theta))
+            tilde_sum += float(quad.weights[i] * z) * float(w @ G(z * t, theta))
             beta_b = max(beta_b, beta_constant(h, f0, G.alpha))
             rows.append({"direction": i, "rho_L": float(rho[i]),
                          "rho_Ltilde": z, "in_omega": 0})

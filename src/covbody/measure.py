@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quad import gauss_01, simplex_rule, triangulate_vertices
-from .errors import DegenerateMeasureError, InputError, NumericError, job_field, job_number
+from .errors import (DegenerateMeasureError, InputError, NumericError, job_field, job_number,
+                     spec_kind)
 from .oracle import rng_for
 from .polytope import LinearMap, Polytope, _volume_of_points
 
@@ -425,18 +426,9 @@ def density_from_spec(spec: dict, dim: int | None = None) -> Density:
 
 
 def _density_of_spec(spec: dict, dim: int | None) -> Density:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise InputError("density spec must be an object with a 'type'")
-    kind = spec["type"]
-    allowed = {"constant": {"type", "c"},
-               "gaussian": {"type", "sigma"},
-               "linear-power": {"type", "a", "b", "k"},
-               "product": {"type", "factors", "dims"}}.get(kind)
-    if allowed is None:
-        raise InputError(f"unknown density type {kind!r}")
-    extra = set(spec) - allowed
-    if extra:
-        raise InputError(f"unknown density spec keys {sorted(extra)}")
+    kind = spec_kind(spec, "density", {"constant": {"c"}, "gaussian": {"sigma"},
+                                       "linear-power": {"a", "b", "k"},
+                                       "product": {"factors", "dims"}})
     if kind == "constant":
         if dim is None:
             raise InputError("constant density needs an ambient dimension")

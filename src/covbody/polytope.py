@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ._quad import hull_simplices, order_polygon, simplex_volumes, triangulate_vertices
-from .errors import InputError, NumericError, job_field, job_number
+from .errors import InputError, NumericError, job_field, job_number, spec_kind
 from .simplexlp import solve_lp_max
 
 TOL = 1e-9
@@ -283,17 +283,8 @@ class Polytope:
     @staticmethod
     def from_spec(spec: dict) -> "Polytope":
         """Parse the body input schema (vrep / hrep / named)."""
-        if not isinstance(spec, dict) or "type" not in spec:
-            raise InputError("body spec must be an object with a 'type'")
-        kind = spec["type"]
-        allowed = {"vrep": {"type", "vertices"},
-                   "hrep": {"type", "halfspaces"},
-                   "named": {"type", "name", "dim"}}.get(kind)
-        if allowed is None:
-            raise InputError(f"unknown body type {kind!r}")
-        extra = set(spec) - allowed
-        if extra:
-            raise InputError(f"unknown body spec keys {sorted(extra)}")
+        kind = spec_kind(spec, "body", {"vrep": {"vertices"}, "hrep": {"halfspaces"},
+                                        "named": {"name", "dim"}})
         if kind == "vrep":
             return Polytope.from_vertices(
                 job_number(job_field(spec, "vertices", "a vrep body"), "body.vertices", 2))

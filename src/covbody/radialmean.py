@@ -27,8 +27,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from ._quad import (chebyshev_01, chebyshev_jacobi_01, gauss_01, gauss_jacobi_01,
-                    geometric_gauss, geometric_split, log_gauss_01, simplex_rule,
-                    triangulate_vertices)
+                    geometric_gauss, log_gauss_01, simplex_rule, triangulate_vertices)
 from .covariogram import (CHECK_NODE, FIT_GATE, CovRay, MDirection, as_mdirection,
                           diffbody_radial)
 from .errors import InputError, NumericError
@@ -130,16 +129,11 @@ def _level_rule(lo: np.ndarray, hi: np.ndarray, p: float):
     else:
         u, wu = gauss_jacobi_01(nodes, p)
         w0 = a ** (p + 1.0) * wu
-    t0 = a * u
-    sub_lo, sub_hi, sub = geometric_split(lo[~first], hi[~first])
-    g, wg = gauss_01(nodes)
-    width = (sub_hi - sub_lo)[:, None]
-    t1 = sub_lo[:, None] + width * g[None, :]
-    w1 = width * wg[None, :] * (np.log(t1) if p == 0 else t1 ** p)
-    where = np.flatnonzero(first), np.flatnonzero(~first)[sub]
-    return (np.concatenate([t0.ravel(), t1.ravel()]),
-            np.concatenate([w0.ravel(), w1.ravel()]),
-            np.concatenate([np.repeat(where[0], nodes), np.repeat(where[1], nodes)]))
+    t1, w1, sub = geometric_gauss(lo[~first], hi[~first], nodes)
+    w1 = w1 * (np.log(t1) if p == 0 else t1 ** p)
+    return (np.concatenate([(a * u).ravel(), t1]), np.concatenate([w0.ravel(), w1]),
+            np.concatenate([np.repeat(np.flatnonzero(first), nodes),
+                            np.flatnonzero(~first)[sub]]))
 
 
 def _direct_integral(K: Polytope, mu: WeightedMeasure, theta: MDirection,
@@ -283,7 +277,7 @@ def _mellin(ray: CovRay, p: float, h_pi: float | None) -> float:
     # Gauss with N nodes on a sub-interval spanning a factor 2 in u takes the
     # fit times u^(p-1) to rounding once 2N exceeds degree + 21 + |p - 1|
     nodes = (prof.degree + 22) // 2 + math.ceil(abs(p - 1.0) / 2.0)
-    U, W = geometric_gauss(u[1:], nodes)
+    U, W, _ = geometric_gauss(u[1:-1], u[2:], nodes)
     vals = prof(rho_D * U)
     if p < 0:
         vals = vals - mu_K + h_pi * rho_D * U

@@ -168,6 +168,10 @@ class ChainSpec:
             raise InputError("the s-branch needs s > 0")
         if self.branch in ("F", "Q") and self.F is None:
             raise InputError(f"the {self.branch}-branch needs a concavity function")
+        if self.branch == "F" and self.F.name == "log":
+            raise InputError("the F-branch needs F^(-1)[F(mu(K))(1 - t)] -> 0 as t -> 1, "
+                             "which F = log does not give; log-concave measures take "
+                             "the Q-branch")
         if self.m < 1:
             raise InputError("m must be a positive integer")
         object.__setattr__(self, "p_list", ps)

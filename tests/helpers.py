@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from covbody._quad import graded_gauss
+from covbody._quad import gauss_01
 from covbody.covariogram import BREAK_MERGE, CovRay, MDirection, covariogram
 from covbody.measure import WeightedMeasure
 from covbody.oracle import sphere_quadrature
@@ -57,7 +57,9 @@ def polar_grid_radial_mean(K: Polytope, mu: WeightedMeasure, p: float,
     x0 = K.interior_point
     quad = sphere_quadrature(K.dim, count=2048)
     rho = K.radial_batch(quad.nodes, x0)
-    s, ws = graded_gauss(1.0, 48, 2 if p < 0 else 1)
+    s, ws = gauss_01(48)
+    if p < 0:  # s = u^2 clusters the nodes at the boundary, ds = 2u du
+        s, ws = s * s, 2.0 * s * ws
     R = rho[:, None] * (1.0 - s)[None, :]
     W = (quad.weights * rho)[:, None] * ws[None, :] * R ** (K.dim - 1)
     X = (x0[None, None, :] + R[:, :, None] * quad.nodes[:, None, :]).reshape(-1, K.dim)

@@ -159,11 +159,25 @@ class TestExitCodes:
         assert code == 2
         assert "unknown parameter(s): slack" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [SQUARE_BODY, TRIANGLE_BODY])
+    def test_chain_f_branch_refuses_log(self, tmp_path, capsys, body):
+        # F^(-1)[F(mu K)(1 - t)] tends to 1, not 0, under F = log: on the unit
+        # square (log mu(K) = 0) the constants divided by zero, and on the
+        # simplex the chain failed on a negative endpoint
+        code, _ = run_job(tmp_path, {
+            "command": "verify-chain", "body": body,
+            "params": {"branch": "F", "F": {"type": "log"}, "directions": 2}})
+        assert code == 2
+        assert "the Q-branch" in capsys.readouterr().err
+
     def test_numeric_failure_is_three(self, tmp_path, capsys):
+        # a kernel with a kink inside the disk misses the dual volume's gate
         code, _ = run_job(tmp_path, {
             "command": "dualvol",
-            "params": {"dim": 2, "kernel": {"type": "power",
-                                            "exponent": -0.999}}})
+            "params": {"dim": 2, "kernel": {
+                "type": "power-density", "exponent": 1.0,
+                "density": {"type": "linear-power", "a": [1.0, 0.0], "b": 0.3,
+                            "k": 0.5}}}})
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
 
@@ -335,12 +349,33 @@ class TestExitCodes:
           "params": {"steps": [0.01, 0.01], "directions": 2}}, "steps must be"),
         ({"command": "covariogram", "body": SQUARE_BODY, "params": {"x": []}},
          "params.x"),
+        ({"command": "covariogram", "body": SQUARE_BODY,
+          "params": {"x": [math.nan, 0.0]}}, "params.x[0] must be a finite number"),
+        ({"command": "rmb", "body": SQUARE_BODY,
+          "params": {"p": math.nan, "direction": [1.0, 0.0]}}, "params.p must be"),
+        ({"command": "rmb", "body": SQUARE_BODY,
+          "params": {"p": 1.0, "direction": [math.inf, 0.0]}}, "params.direction[0]"),
+        ({"command": "dualvol", "params": {"radius": math.nan}}, "params.radius"),
+        ({"command": "verify-rs", "body": SQUARE_BODY, "tolerance": math.nan},
+         "tolerance must be"),
+        ({"command": "verify-rs", "body": SQUARE_BODY, "tolerance": math.inf},
+         "tolerance must be"),
+        ({"command": "verify-chord",
+          "params": {"fixture": "affine", "h": {"type": "identity", "k": 3}}},
+         "unknown h spec keys ['k']"),
+        ({"command": "verify-chord",
+          "params": {"fixture": "affine", "h": {"type": "power", "k": 2, "kk": 3}}},
+         "unknown h spec keys ['kk']"),
+        ({"command": "verify-chain", "body": SQUARE_BODY,
+          "params": {"branch": "Q", "F": {"type": "log", "s": 0.5}, "directions": 2}},
+         "unknown concavity spec keys ['s']"),
     ])
     def test_malformed_spec_is_two(self, tmp_path, capsys, job, key):
-        # a body or density spec that lacks a key its kind needs, holds one
-        # it does not take or whose dimension is not the body's, and a list
-        # param that holds no entry (or repeats a step), is malformed
-        # input, not a traceback
+        # a body, density, h or concavity spec that lacks a key its kind
+        # needs, holds one it does not take or whose dimension is not the
+        # body's, a list param that holds no entry (or repeats a step), and
+        # a JSON NaN or Infinity anywhere in the job, are malformed input,
+        # not a traceback or a silent value
         assert run_job(tmp_path, job)[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and key in err

@@ -60,21 +60,21 @@ class TestDualVolume:
         got = dual_volume(G, DISK, quad, inner=128)
         assert got == pytest.approx(2.0 * math.pi, rel=1e-7)
 
-    @pytest.mark.parametrize("alpha", [-0.5, -0.8, -0.9, -0.95, -0.99])
+    @pytest.mark.parametrize("alpha", [-0.5, -0.8, -0.9, -0.95, -0.99, -0.999])
     def test_power_kernel_near_minus_one_is_exact(self, alpha):
-        # the grading power 1/(alpha+1) turns r^alpha dr into a constant
+        # r^alpha is the weight of the Gauss-Jacobi ray rule
         G = power_kernel(2, alpha)
         got = dual_volume(G, StarBodyFn.ball(2), sphere_quadrature(2, count=32))
         assert got == pytest.approx(math.pi / (alpha + 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.5, 2.5])
     def test_fractional_power_kernel_is_exact(self, alpha):
-        # a non-integer alpha >= 0 is graded by 1/(alpha+1) as well
+        # a non-integer alpha >= 0 is the rule's weight as well
         G = power_kernel(2, alpha)
         got = dual_volume(G, DISK, sphere_quadrature(2, count=32))
         assert got == pytest.approx(math.pi / (alpha + 1.0), rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("alpha", [-0.999, 0.3, 0.5])
     def test_fractional_power_density_kernel_converges(self, alpha):
         # pi int_0^1 r^alpha exp(-r^2/2) dr, by the lower incomplete gamma
         G = power_density_kernel(2, alpha, GaussianDensity(2, 1.0))
@@ -85,9 +85,11 @@ class TestDualVolume:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_nonconvergent_kernel_raises(self):
+        # the linear-power factor (x_1 + 0.3)_+^0.5 kinks inside the disk,
+        # which no Gauss rule on [0, rho] resolves to the doubling gate
         quad = sphere_quadrature(2, count=16)
-        G = power_kernel(2, -0.999)
-        with pytest.raises(NumericError):
+        G = power_density_kernel(2, 1.0, LinearPowerDensity([1.0, 0.0], 0.3, 0.5))
+        with pytest.raises(NumericError, match="did not converge"):
             dual_volume(G, DISK, quad)
 
     def test_dimension_mismatch(self):

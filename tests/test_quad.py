@@ -1,21 +1,24 @@
-"""Quadrature rules: exactness of the simplex rule, the graded 1-D rule
-the geometric composite rule, the Gauss-Jacobi and log-weighted rules and
-the Chebyshev-Jacobi weights."""
+"""Quadrature rules: exactness of the simplex rule, the dual-volume ray
+rule, the geometric composite rule, the Gauss-Jacobi and log-weighted rules
+and the Chebyshev-Jacobi weights; and the guard that keeps the rules'
+constructors in `_quad`."""
 
+import ast
 import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expi
 
-from covbody._quad import (R_FLOOR, chebyshev_01, chebyshev_jacobi_01, gauss_01,
-                          gauss_jacobi_01, geometric_gauss, graded_gauss, log_gauss_01,
-                          simplex_rule)
+import covbody
+from covbody._quad import (chebyshev_01, chebyshev_jacobi_01, gauss_01, gauss_jacobi_01,
+                          geometric_gauss, log_gauss_01, simplex_rule)
 from covbody.errors import InputError
-from covbody.genvol import _grading
+from covbody.genvol import _ray_rule
 
 F = Fraction
 SIMPLICES = {
@@ -86,22 +89,30 @@ def test_simplex_rule_rejects_bad_shapes():
         simplex_rule(np.zeros((5, 4)), 3)  # R^4 is out of range
 
 
-@pytest.mark.parametrize("p", [-0.3, -0.5, -0.7, -0.9])
-def test_graded_gauss_resolves_power_singularity(p):
-    rho = 1.7
-    want = rho ** (p + 1.0) / (p + 1.0)
-    r, w = graded_gauss(rho, 64, _grading(p))
-    assert float(w @ r**p) == pytest.approx(want, rel=1e-5)
-    # the plain rule misses the endpoint singularity by orders of magnitude
-    r1, w1 = graded_gauss(rho, 64, 1)
-    assert abs(float(w1 @ r1**p) - want) > 1e-4 * want
+@pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 1.0, 2.5])
+def test_ray_rule_integrates_powers_exactly(alpha):
+    # r^(alpha+j) on [0, rho] for every j < 2n, the rule scaled to each rho:
+    # the power is the rule's weight, so alpha near -1 costs no nodes. The
+    # power itself is exact to rounding at every alpha. Past it, at
+    # alpha = -0.999 the node nearest 0 (t ~ 1.6e-5) carries the absolute
+    # rounding of roots_jacobi's x = 2t - 1, about 1e-16, so the moments
+    # lose to 2e-11
+    t, w = _ray_rule(8, alpha)
+    rho = np.array([0.3, 1.0, 1.7])
+    for j in range(16):
+        e = alpha + j + 1.0
+        got = rho * ((rho[:, None] * t) ** (alpha + j) @ w)
+        rtol = 1e-13 if j == 0 or alpha > -0.99 else 5e-11
+        np.testing.assert_allclose(got, rho ** e / e, rtol=rtol)
 
 
-@pytest.mark.parametrize("power", [1, 2, 5])
-def test_graded_gauss_zero_length_is_zero_rule(power):
-    r, w = graded_gauss(0.0, 16, power)
-    assert r.shape == w.shape == (16,)
-    assert not r.any() and not w.any()
+@pytest.mark.parametrize("alpha", [-0.999, 0.0, 2.5])
+def test_ray_rule_nodes_are_interior(alpha):
+    # a kernel r^alpha with alpha < 0 is infinite at r = 0, so no node may
+    # sit there
+    t, w = _ray_rule(16, alpha)
+    assert 0.0 < t.min() and t.max() < 1.0 and (w > 0).all()
+    assert np.isfinite(t ** alpha).all()
 
 
 @pytest.mark.parametrize("q", [-1.999, -0.5, 0.5, 19.5, 199.0, 199.37])
@@ -109,22 +120,15 @@ def test_geometric_gauss_integrates_powers(q):
     # r^(j+q), j <= 3, on [1e-6, 0.3] and [0.3, 1]: closed forms; the node
     # count follows the rule the Mellin route uses
     edges = np.array([1e-6, 0.3, 1.0])
-    r, w = geometric_gauss(edges, 12 + math.ceil(abs(q) / 2))
+    r, w, at = geometric_gauss(edges[:-1], edges[1:], 12 + math.ceil(abs(q) / 2))
     assert not np.isin(r, edges).any()
-    for a, b in zip(edges[:-1], edges[1:]):
-        sel = (r > a) & (r < b)
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        sel = at == i
+        assert ((r[sel] > a) & (r[sel] < b)).all()
         for j in range(4):
             e = j + q + 1.0
             want = (b**e - a**e) / e
             assert float(w[sel] @ r[sel] ** (j + q)) == pytest.approx(want, rel=1e-13)
-
-
-def test_graded_gauss_floor_keeps_matched_power_exact():
-    # power 100 sends the innermost nodes below the floating-point range;
-    # they sit at R_FLOOR with the weight that keeps r^(1/100 - 1) exact
-    r, w = graded_gauss(2.0, 64, 100.0)
-    assert r.min() == R_FLOOR
-    assert float(w @ r ** -0.99) == pytest.approx(100.0 * 2.0 ** 0.01, rel=1e-13)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 20])
@@ -138,19 +142,20 @@ def test_chebyshev_jacobi_weights_integrate_the_interpolant(degree, q):
 
 
 def _geometric_gauss_loop(edges, n):
-    """The sub-interval loop `geometric_split` vectorises: s doubles from
+    """The sub-interval loop `geometric_gauss` vectorises: s doubles from
     each edge until it reaches the next."""
-    lo, hi = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
+    lo, hi, at = [], [], []
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         s = a
         while s < b:
             lo.append(s)
             hi.append(min(2.0 * s, b))
+            at.append(i)
             s = hi[-1]
     u, w = gauss_01(n)
     lo, width = np.array(lo, dtype=float), np.array(hi) - np.array(lo)
     return ((lo[:, None] + width[:, None] * u[None, :]).ravel(),
-            (width[:, None] * w[None, :]).ravel())
+            (width[:, None] * w[None, :]).ravel(), np.repeat(at, n))
 
 
 def test_geometric_gauss_matches_the_loop_bitwise():
@@ -160,8 +165,8 @@ def test_geometric_gauss_matches_the_loop_bitwise():
     for _ in range(500):
         e = np.sort(rng.uniform(0.0, 1.0, size=rng.integers(2, 6))) ** rng.uniform(1, 30)
         e = np.sort(np.concatenate([e, e[-1:] * 2.0 ** rng.integers(0, 3, size=2)]))
-        want, got = _geometric_gauss_loop(e, 5), geometric_gauss(e, 5)
-        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+        want, got = _geometric_gauss_loop(e, 5), geometric_gauss(e[:-1], e[1:], 5)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
 @pytest.mark.parametrize("q", [-0.99, -0.5, 0.5, 2.0, 20.0])
@@ -179,3 +184,43 @@ def test_log_gauss_exact_on_polynomials():
     # and spectrally close on a smooth function: int_0^1 e^t log t dt is
     # gamma - Ei(1)
     assert w @ np.exp(t) == pytest.approx(np.euler_gamma - expi(1.0), rel=1e-13)
+
+
+# Who may import what: the 1-D rules' constructors belong to `_quad`, and
+# QUADPACK to `verify`, whose Berwald constants take it as an independent
+# route (loaded inside a function).
+RULE_NAMES = {"leggauss", "legvander"}
+
+
+def _import_violations(module: str, source: str) -> list[str]:
+    """The imports of a covbody module's source that break the guard, as
+    'module: name' strings; imports inside functions count too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            leaf = name.rsplit(".", 1)[-1]
+            is_rule = leaf in RULE_NAMES or name.startswith("scipy.special.roots_")
+            if (is_rule and module != "_quad") or (
+                    name.startswith("scipy.integrate") and module != "verify"):
+                found.append(f"{module}: {name}")
+    return found
+
+
+def test_rules_are_built_in_quad_only():
+    pkg = Path(covbody.__file__).parent
+    sources = {f.stem: f.read_text() for f in sorted(pkg.glob("*.py"))}
+    assert {"_quad", "genvol", "radialmean", "verify"} <= set(sources)
+    assert [v for m, s in sources.items() for v in _import_violations(m, s)] == []
+    # the guard sees what it guards against
+    bad = "from scipy.special import roots_jacobi\n"
+    assert _import_violations("genvol", sources["genvol"] + bad) == [
+        "genvol: scipy.special.roots_jacobi"]
+    assert _import_violations("genvol", "def f():\n    from scipy.integrate import quad\n")
+    assert _import_violations("radialmean", "from numpy.polynomial.legendre import leggauss\n")
+    assert not _import_violations("_quad", bad)
