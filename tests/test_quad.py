@@ -106,6 +106,29 @@ def test_ray_rule_integrates_powers_exactly(alpha):
         np.testing.assert_allclose(got, rho ** e / e, rtol=rtol)
 
 
+@pytest.mark.parametrize("p", [-0.3, -0.5, -0.7, -0.9])
+def test_graded_gauss_resolves_power_singularity(p):
+    # the endpoint-weighted ray rule that replaced the graded substitution
+    # rule resolves r^p on [0, rho]; the plain rule misses the endpoint
+    # singularity by orders of magnitude
+    rho = 1.7
+    want = rho ** (p + 1.0) / (p + 1.0)
+    t, w = _ray_rule(64, p)
+    assert rho * float(w @ (rho * t) ** p) == pytest.approx(want, rel=1e-5)
+    t1, w1 = gauss_01(64)
+    assert abs(rho * float(w1 @ (rho * t1) ** p) - want) > 1e-4 * want
+
+
+def test_graded_gauss_floor_keeps_matched_power_exact():
+    # r^(1/100 - 1) drove the graded rule's innermost nodes below the
+    # floating-point range and needed a floor; the ray rule carries the power
+    # as its weight, so every node stays positive and the integral exact
+    t, w = _ray_rule(64, -0.99)
+    assert t.min() > 0.0
+    assert 2.0 * float(w @ (2.0 * t) ** -0.99) == pytest.approx(100.0 * 2.0 ** 0.01,
+                                                                rel=1e-13)
+
+
 @pytest.mark.parametrize("alpha", [-0.999, 0.0, 2.5])
 def test_ray_rule_nodes_are_interior(alpha):
     # a kernel r^alpha with alpha < 0 is infinite at r = 0, so no node may
