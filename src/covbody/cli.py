@@ -1,7 +1,8 @@
 """Batch front door: one JSON job in, one report out.
 
-A job is a single JSON document (from a file or standard input) validated
-against a fixed schema before anything runs. The exit status encodes the
+A job is a single JSON document (from a file or standard input). Its
+top-level fields are checked before anything runs, and each spec and param
+where it is parsed. The exit status encodes the
 outcome: 0 for a passing check or a plain computation, 1 for an inequality
 check that ran and failed, 2 for malformed or inconsistent input, 3 for a
 numeric routine that could not deliver its accuracy target. Reports are
@@ -18,7 +19,6 @@ import math
 import sys
 from typing import Any, Callable
 
-import jsonschema
 import numpy as np
 
 from .covariogram import (MDirection, covariogram_slice, diffbody_polytope,
@@ -36,7 +36,7 @@ from .polytope import (LinearMap, Polytope, StarBodyFn, _build_from_points,
 from .projection import (linear_covariance_check, polar_projection_radial,
                          polar_projection_volume, projection_support,
                          variational_check)
-from .radialmean import RadialMeanBody, rmb_limit_neg1
+from .radialmean import P0_SWITCH, RadialMeanBody, rmb_limit_neg1
 from .report import VerifyReport
 from .verify import (ChainSpec, chain_check, direction_mesh,
                      general_zhang_check, rogers_shephard_check, zhang_check)
@@ -47,81 +47,60 @@ COMMANDS = ("covariogram", "diffbody", "projbody", "rmb", "verify-chain",
             "verify-zhang", "verify-rs", "verify-variational", "verify-linear",
             "verify-chord", "dualvol")
 
-# The shape of body and density specs. The keys a kind of spec cannot do
-# without are checked where the parsers read them: a conditional schema
-# ("if type is vrep, require vertices") costs jsonschema about 130 us a job.
-BODY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "type": {"enum": ["vrep", "hrep", "named"]},
-        "halfspaces": {"type": "array",
-                       "items": {"type": "object", "required": ["a", "b"]}},
-    },
-}
-
-DENSITY_SCHEMA = {
-    "type": "object",
-    "required": ["type"],
-    "properties": {
-        "type": {"enum": ["constant", "gaussian", "linear-power", "product"]},
-        "factors": {"type": "array", "items": {"type": "object"}},
-    },
-}
-
-JOB_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["command"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"enum": list(COMMANDS)},
-        "body": BODY_SCHEMA,
-        "measure": DENSITY_SCHEMA,
-        "params": {"type": "object", "properties": {
-            "nu": {"type": "array", "items": DENSITY_SCHEMA},
-            "kernel": {"properties": {"density": DENSITY_SCHEMA}},
-        }},
-        "seed": {"type": "integer", "minimum": 0},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "output": {"enum": ["json", "csv"]},
-        "outfile": {"type": "string"},
-    },
-}
-
-# Validates jobs against JOB_SCHEMA, built once: `jsonschema.validate` would
-# also check JOB_SCHEMA against its metaschema on every call.
-_VALIDATOR = jsonschema.validators.validator_for(JOB_SCHEMA)(JOB_SCHEMA)
+# The fields a job may set; `command` is the one it must.
+JOB_FIELDS = frozenset({"schema_version", "command", "body", "measure", "params",
+                        "seed", "tolerance", "output", "outfile"})
 
 
 # -- job plumbing -----------------------------------------------------------
 
 
 class _Job:
-    """Validated job with lazy body/measure construction."""
+    """Job with checked top-level fields and lazy body/measure construction."""
 
     def __init__(self, raw: dict):
+        unknown = sorted(set(raw) - JOB_FIELDS)
+        if unknown:
+            raise InputError(f"unknown job field(s): {', '.join(unknown)}")
+        if raw.get("command") not in COMMANDS:
+            raise InputError(f"command must be one of {', '.join(COMMANDS)}, "
+                             f"got {raw.get('command')!r}")
+        version = raw.get("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise InputError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        seed = raw.get("seed", 42)
+        if not (_is_integer(seed) and seed >= 0):
+            raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+        if "tolerance" in raw and job_number(raw["tolerance"], "tolerance") <= 0:
+            raise InputError(f"tolerance must be positive, got {raw['tolerance']!r}")
+        if raw.get("output", "json") not in ("json", "csv"):
+            raise InputError(f"output must be json or csv, got {raw['output']!r}")
+        if not isinstance(raw.get("outfile", ""), str):
+            raise InputError(f"outfile must be a string, got {raw['outfile']!r}")
+        if not isinstance(raw.get("params", {}), dict):
+            raise InputError(f"params must be an object, got {raw['params']!r}")
         self.raw = raw
         self.command: str = raw["command"]
-        self.seed = int(raw.get("seed", 42))
+        self.seed = int(seed)
         self.tolerance = raw.get("tolerance")
         self.params: dict = dict(raw.get("params", {}))
 
     def body(self) -> Polytope:
-        spec = self.raw.get("body")
-        if spec is None:
+        if not self.has_body():
             raise InputError(f"command {self.command!r} needs a body")
+        spec = self.raw["body"]
         if isinstance(spec, dict) and "type" not in spec and "name" in spec:
             spec = {"type": "named", **spec}
         return Polytope.from_spec(spec)
 
     def has_body(self) -> bool:
-        return self.raw.get("body") is not None
+        """Whether the job sets a body; a null body is a malformed one."""
+        return "body" in self.raw
 
     def measure(self, dim: int) -> WeightedMeasure:
-        spec = self.raw.get("measure")
-        if spec is None:
+        if "measure" not in self.raw:
             return WeightedMeasure.lebesgue(dim)
-        return WeightedMeasure(density_from_spec(spec, dim))
+        return WeightedMeasure(density_from_spec(self.raw["measure"], dim))
 
 
 # Params that count something (nodes, directions, trials, samples, blocks or
@@ -130,10 +109,15 @@ COUNT_PARAMS = frozenset({"count", "dim", "directions", "grid", "inner", "m",
                           "n_mc", "oracle_samples", "trials"})
 
 
-def _is_count(value: Any) -> bool:
+def _is_integer(value: Any) -> bool:
+    """A JSON integer: 3 and 3.0 are, true is not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return (isinstance(value, int) or value.is_integer()) and value >= 1
+    return isinstance(value, int) or value.is_integer()
+
+
+def _is_count(value: Any) -> bool:
+    return _is_integer(value) and value >= 1
 
 
 def _take(params: dict, allowed: set[str]) -> dict:
@@ -266,6 +250,10 @@ def _cmd_covariogram(job: _Job):
     n = K.dim
     if "x" not in p and "direction" not in p:
         raise InputError("covariogram needs params.x or params.direction")
+    if "x" not in p:
+        _refuse(p, ("oracle", "oracle_samples"), "without params.x")
+    if "direction" not in p:
+        _refuse(p, ("grid",), "without params.direction")
     result: dict[str, Any] = {}
     if "x" in p:
         shifts = _shifts(p, n)
@@ -307,6 +295,7 @@ def _cmd_diffbody(job: _Job):
     d = n * m
     result: dict[str, Any] = {"m": m, "dim": d}
     if m == 1:
+        _refuse(p, ("count",), "at m = 1, where the volume is exact")
         vol = volume(diffbody_polytope(K, 1))
     else:
         quad = sphere_quadrature(d, int(p.get("count", 200_000)), job.seed)
@@ -335,6 +324,8 @@ def _cmd_projbody(job: _Job):
     mu = job.measure(K.dim)
     n = K.dim
     m = int(p.get("m", 1))
+    if not (p.get("volume") and n * m > 2):
+        _refuse(p, ("count",), "unless params.volume is set and nm > 2")
     result: dict[str, Any] = {"m": m,
                               "surface_mass_total": boundary_measure_total(K, mu)}
     if "direction" in p:
@@ -371,7 +362,13 @@ def _cmd_rmb(job: _Job):
     _refuse(p, ("p_seq",), "unless p = -1")
     if pval == math.inf:
         _refuse(job.raw, ("measure",), "at p = inf, where R_p is the difference body")
-    method = p.get("method", "mellin")
+        _refuse(p, ("method",), "at p = inf, where R_p is the difference body")
+    # |p| < P0_SWITCH runs the p = 0 body, which has only the direct route
+    near_zero = abs(pval) < P0_SWITCH
+    method = p.get("method", "direct" if near_zero else "mellin")
+    if near_zero and method == "mellin":
+        raise InputError(f"method 'mellin' has no form at |p| < {P0_SWITCH:g}, "
+                         "where the p = 0 body runs the direct route")
     body = RadialMeanBody(K, mu, pval, m, method=method)
     value = body.radial(theta)
     return _result_payload("rmb", {"p": pval, "m": m, "method": method,
@@ -415,13 +412,15 @@ def _cmd_verify_zhang(job: _Job):
     mu = job.measure(K.dim)
     n = K.dim
     m = int(p.get("m", 1))
-    nu_specs = p.get("nu")
-    if nu_specs is None:
+    if "nu" not in p:
         nu_list = [WeightedMeasure.lebesgue(n) for _ in range(m)]
     else:
-        if len(nu_specs) != m:
+        nu_specs = p["nu"]
+        if not isinstance(nu_specs, list) or len(nu_specs) != m:
             raise InputError(f"params.nu must list {m} densities (one per block)")
         nu_list = [WeightedMeasure(density_from_spec(sp, n)) for sp in nu_specs]
+    if all(nu.exact for nu in nu_list):
+        _refuse(p, ("n_mc",), "when every factor measure is constant")
     kw: dict[str, Any] = {"tolerance": job.tolerance or 0.02, "seed": job.seed,
                           "n_mc": int(p.get("n_mc", 2000))}
     if "count" in p:
@@ -443,8 +442,11 @@ def _cmd_verify_zhang(job: _Job):
 def _cmd_verify_rs(job: _Job):
     p = _take(job.params, {"m", "count"})
     _refuse(job.raw, ("measure",), "on verify-rs, which is a Lebesgue volume ratio")
+    m = int(p.get("m", 1))
+    if m == 1:
+        _refuse(p, ("count",), "at m = 1, where the volume is exact")
     K = job.body()
-    rep = rogers_shephard_check(K, int(p.get("m", 1)),
+    rep = rogers_shephard_check(K, m,
                                 count=int(p.get("count", 200_000)),
                                 tolerance=job.tolerance or 0.02, seed=job.seed)
     return _report_payload("verify-rs", rep)
@@ -670,10 +672,6 @@ def run(job: dict) -> int:
         bad = _non_finite(job)
         if bad is not None:
             raise InputError(f"{bad} must be a finite number")
-        e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(job))
-        if e is not None:
-            path = "/".join(str(k) for k in e.absolute_path) or "(top level)"
-            raise InputError(f"job spec rejected at {path}: {e.message}")
         parsed = _Job(job)
         payload, rep, code = _HANDLERS[parsed.command](parsed)
         if job.get("output", "json") == "csv":

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._quad import gauss_jacobi_01
 from .covariogram import CovRay, MDirection
-from .errors import InputError, NumericError, job_number, spec_kind
+from .errors import InputError, NumericError, job_field, job_number, spec_kind
 from .measure import ConcavityF, ConstantDensity, Density, WeightedMeasure
 from .oracle import rng_for
 from .polytope import StarBodyFn
@@ -182,7 +182,8 @@ def kernel_from_spec(spec: dict, dim: int) -> KernelG:
     if kind == "power":
         return power_kernel(dim, alpha,
                             job_number(spec.get("scale", 1.0), "kernel scale"))
-    return power_density_kernel(dim, alpha, density_from_spec(spec["density"], dim))
+    return power_density_kernel(dim, alpha, density_from_spec(
+        job_field(spec, "density", "a power-density kernel"), dim))
 
 
 @dataclass(frozen=True)

@@ -443,6 +443,8 @@ def _density_of_spec(spec: dict, dim: int | None) -> Density:
                                   job_number(spec.get("b", 0.0), "density b"),
                                   job_number(spec.get("k", 1.0), "density k"))
     specs = job_field(spec, "factors", "a product density")
+    if not isinstance(specs, list):
+        raise InputError(f"density factors must be a list, got {specs!r}")
     dims = job_number(spec.get("dims", []), "density dims", 1)
     if len(dims) and len(dims) != len(specs):
         raise InputError("density dims must give one dimension per factor")

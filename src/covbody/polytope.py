@@ -290,9 +290,17 @@ class Polytope:
                 job_number(job_field(spec, "vertices", "a vrep body"), "body.vertices", 2))
         if kind == "hrep":
             hs = job_field(spec, "halfspaces", "an hrep body")
-            return Polytope.from_halfspaces(
-                (job_number([h["a"] for h in hs], "body.halfspaces.a", 2),
-                 job_number([h["b"] for h in hs], "body.halfspaces.b", 1)))
+            if not isinstance(hs, list):
+                raise InputError(f"body.halfspaces must be a list, got {hs!r}")
+            a, b = [], []
+            for i, h in enumerate(hs):
+                where = f"body.halfspaces[{i}]"
+                if not isinstance(h, dict):
+                    raise InputError(f"{where} must be an object, got {h!r}")
+                a.append(job_field(h, "a", where))
+                b.append(job_field(h, "b", where))
+            return Polytope.from_halfspaces((job_number(a, "body.halfspaces.a", 2),
+                                             job_number(b, "body.halfspaces.b", 1)))
         return Polytope.named(job_field(spec, "name", "a named body"), int(
             job_number(job_field(spec, "dim", "a named body"), "body.dim")))
 
@@ -392,7 +400,13 @@ def _build_from_points(dim: int, pts: np.ndarray, allow_degenerate: bool) -> Pol
                             _order_facet_vertices(normal, fverts)))
         A_rows.append(normal)
         b_rows.append(offset)
-    volume = simplex_volumes(hull_simplices(pts, hull)).sum()
+    # In R^6 the cones over a hull with non-vertex points can overlap on
+    # merged facets (D^2 of the unit cube summed to 28.19, not 27); a hull
+    # of the vertices alone splits the body. Up to R^4 they split it on
+    # every body tried, and a body build there keeps its one Qhull call.
+    cones = (hull_simplices(pts, hull) if dim <= 4 or len(verts) == len(pts)
+             else hull_simplices(verts, ConvexHull(verts)))
+    volume = simplex_volumes(cones).sum()
     return Polytope(dim, np.array(A_rows), np.array(b_rows), verts, tuple(facets), volume)
 
 

@@ -127,6 +127,26 @@ def test_body_build_runs_qhull_once(hull_calls):
     assert D.volume == pytest.approx(_volume_of_points(4, D.vertices), rel=1e-12)
 
 
+PRISM = Polytope.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                [0, 0, 1], [1, 0, 1], [0, 1, 1]])
+
+
+# D^m of a product is the product of the factors' D^m; D^2 of [0, 1] is a
+# hexagon of area 3, D^3 of it has volume 4, and D^m of an n-simplex has
+# volume C(nm + n, n) vol(K)^m
+@pytest.mark.parametrize("K, m, closed_form", [
+    (Polytope.named("cube", 2), 2, 9.0),
+    (Polytope.named("simplex", 3), 2, 84 / 36),
+    (Polytope.named("cube", 3), 2, 27.0),
+    (Polytope.named("cube", 2), 3, 16.0),
+    (PRISM, 2, 15 / 4 * 3),
+], ids=["square-m2", "tetrahedron-m2", "cube-m2", "square-m3", "prism-m2"])
+def test_difference_body_volume_closed_forms(K, m, closed_form):
+    # in R^6 the cones over a hull of every candidate point overlapped:
+    # the cube read 28.19
+    assert diffbody_polytope(K, m).volume == pytest.approx(closed_form, rel=1e-12)
+
+
 def test_translate_runs_no_qhull(hull_calls):
     K = Polytope.named("cross", 3)
     hull_calls.clear()
