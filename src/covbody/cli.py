@@ -33,13 +33,14 @@ from .measure import (ConcavityF, WeightedMeasure, _integrate_points,
 from .oracle import mc_measure, rng_for, sphere_quadrature
 from .polytope import (LinearMap, Polytope, StarBodyFn, _build_from_points,
                        _intersection_vertices, lifted_system, star_volume, volume)
-from .projection import (linear_covariance_check, polar_projection_radial,
-                         polar_projection_volume, projection_support,
-                         variational_check)
+from .projection import (EXACT_POLAR_DIM, linear_covariance_check,
+                         polar_projection_radial, polar_projection_volume,
+                         projection_support, variational_check)
 from .radialmean import P0_SWITCH, RadialMeanBody, rmb_limit_neg1
 from .report import VerifyReport
-from .verify import (ChainSpec, chain_check, direction_mesh,
-                     general_zhang_check, rogers_shephard_check, zhang_check)
+from .verify import (DEFAULT_COUNT, EXACT_DIFFBODY_DIM, ChainSpec, chain_check,
+                     direction_mesh, general_zhang_check, rogers_shephard_check,
+                     zhang_check)
 
 SCHEMA_VERSION = 1
 
@@ -252,6 +253,8 @@ def _cmd_covariogram(job: _Job):
         raise InputError("covariogram needs params.x or params.direction")
     if "x" not in p:
         _refuse(p, ("oracle", "oracle_samples"), "without params.x")
+    elif not p.get("oracle", True):
+        _refuse(p, ("oracle_samples",), "when params.oracle is false")
     if "direction" not in p:
         _refuse(p, ("grid",), "without params.direction")
     result: dict[str, Any] = {}
@@ -296,9 +299,12 @@ def _cmd_diffbody(job: _Job):
     result: dict[str, Any] = {"m": m, "dim": d}
     if m == 1:
         _refuse(p, ("count",), "at m = 1, where the volume is exact")
-        vol = volume(diffbody_polytope(K, 1))
+    D = None  # the explicit polytope, built once if a route reads it
+    if m == 1 or ("count" not in p and d <= EXACT_DIFFBODY_DIM):
+        D = diffbody_polytope(K, m)
+        vol = volume(D)
     else:
-        quad = sphere_quadrature(d, int(p.get("count", 200_000)), job.seed)
+        quad = sphere_quadrature(d, int(p.get("count", DEFAULT_COUNT)), job.seed)
         vol = star_volume(diffbody_star(K, m, "lp"), quad)
         result["quadrature_nodes"] = len(quad.nodes)
     result["volume"] = vol
@@ -306,15 +312,15 @@ def _cmd_diffbody(job: _Job):
     if "direction" in p:
         theta = _direction(p, n, m)
         result["radial_lp"] = diffbody_radial(K, theta)
-        if d <= 6:  # cross-check against the explicit polytope
-            D = diffbody_polytope(K, m)
+        if d <= EXACT_DIFFBODY_DIM:  # cross-check against the explicit polytope
+            D = D or diffbody_polytope(K, m)
             result["radial_hull"] = D.radial(theta.flat, np.zeros(d))
             result["support"] = D.support(theta.flat)
     if "x" in p:
         x = job_number(p["x"], "params.x", None)
         if x.shape != (d,):
             raise InputError(f"params.x must be a point in R^{d}")
-        result["roof"] = roof(diffbody_polytope(K, m), x)
+        result["roof"] = roof(D or diffbody_polytope(K, m), x)
     return _result_payload("diffbody", result)
 
 
@@ -334,8 +340,8 @@ def _cmd_projbody(job: _Job):
         result["polar_radial"] = polar_projection_radial(K, mu, theta)
     if p.get("volume"):
         d = n * m
-        quad = (None if d == 2 else
-                sphere_quadrature(d, int(p.get("count", 200_000)), job.seed))
+        quad = (sphere_quadrature(d, int(p.get("count", DEFAULT_COUNT)), job.seed)
+                if "count" in p or d > EXACT_POLAR_DIM else None)
         result["polar_volume"] = polar_projection_volume(K, mu, m, quad)
     return _result_payload("projbody", result)
 
@@ -363,6 +369,8 @@ def _cmd_rmb(job: _Job):
     if pval == math.inf:
         _refuse(job.raw, ("measure",), "at p = inf, where R_p is the difference body")
         _refuse(p, ("method",), "at p = inf, where R_p is the difference body")
+        return _result_payload("rmb", {"p": "inf", "m": m, "method": "diffbody",
+                                       "value": diffbody_radial(K, theta)})
     # |p| < P0_SWITCH runs the p = 0 body, which has only the direct route
     near_zero = abs(pval) < P0_SWITCH
     method = p.get("method", "direct" if near_zero else "mellin")
@@ -446,8 +454,7 @@ def _cmd_verify_rs(job: _Job):
     if m == 1:
         _refuse(p, ("count",), "at m = 1, where the volume is exact")
     K = job.body()
-    rep = rogers_shephard_check(K, m,
-                                count=int(p.get("count", 200_000)),
+    rep = rogers_shephard_check(K, m, count=int(p["count"]) if "count" in p else None,
                                 tolerance=job.tolerance or 0.02, seed=job.seed)
     return _report_payload("verify-rs", rep)
 

@@ -2,7 +2,9 @@
 
 h(xbar) = sum_F w_F max_i <x_i, u_F>_- over the facet atoms (u_F, w_F) of the
 weighted surface measure; the polar body has radial function 1/h. Both are
-used functionally (no vertex representation in R^(nm) is ever built).
+used functionally, except for the polar body's volume at nm <= 4: there the
+points of the polar body's boundary over the facet normals of Pi^m_mu K
+span it, and one hull of them gives its volume exactly.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import numpy as np
 
 from .covariogram import MDirection, as_mdirection, covariogram
 from .errors import DegenerateMeasureError, InputError
-from .measure import (FacetMeasure, WeightedMeasure, transform_measure,
-                      weighted_surface_measure)
-from .polytope import LinearMap, Polytope, StarBodyFn, apply_linear, star_volume
+from .measure import WeightedMeasure, transform_measure, weighted_surface_measure
+from .polytope import (LinearMap, Polytope, StarBodyFn, _row_subsets,
+                       _volume_of_points, apply_linear, star_volume)
 from .report import VerifyReport
 
 
@@ -79,45 +81,48 @@ def polar_projection_radial(K: Polytope, mu: WeightedMeasure,
     return ProjectionBody(K, mu, theta.m).polar_radial(theta)
 
 
+# Largest nm at which polar_projection_volume takes the hull route: at
+# nm = 6 a 10-facet body has C(30, 5) candidate normals.
+EXACT_POLAR_DIM = 4
+
+
 def polar_projection_volume(K: Polytope, mu: WeightedMeasure, m: int,
                             quad=None) -> float:
-    """vol_{nm}(Pi^{o,m}_mu K); exact arc integration when nm = 2, sphere
-    quadrature otherwise (quad required)."""
-    body = ProjectionBody(K, mu, m)
-    if body.n * body.m == 2:
-        return _polar_volume_2d(body.surface)
-    if quad is None:
-        raise InputError("sphere quadrature required for nm > 2")
-    return star_volume(body.polar_star(), quad)
+    """vol_{nm}(Pi^{o,m}_mu K): exact when quad is None, which needs
+    nm <= EXACT_POLAR_DIM; the sphere rule quad otherwise.
 
-
-def _polar_volume_2d(surface: FacetMeasure) -> float:
-    """(1/2) integral of h(phi)^-2 over the circle, arc-exact.
-
-    On each arc between consecutive breakpoints (facet-normal angles +- pi/2)
-    the active set is constant and h(phi) = A cos phi + B sin phi, so the arc
-    integral is tan(phi - psi)/R^2 with (R, psi) the polar form of (A, B).
+    Pi^m_mu K is the Minkowski sum over the facet atoms of the simplices
+    w_F conv{0, -u_F (x) e_1, ..., -u_F (x) e_m}, so each of its facet
+    normals is orthogonal to nm - 1 independent edge directions u_F (x) e_i
+    and u_F (x) (e_i - e_j) of the summands. The generalized cross product
+    of every (nm - 1)-subset of them, with both signs, is a candidate
+    normal u; each u / h(u) lies on the polar body's boundary, and the
+    vertices of the polar body are among them, so their hull is the body.
     """
-    alphas = np.arctan2(surface.normals[:, 1], surface.normals[:, 0])
-    breaks = np.concatenate([alphas + np.pi / 2, alphas - np.pi / 2])
-    breaks = np.unique(np.mod(breaks, 2 * np.pi))
-    breaks = np.concatenate([breaks, [breaks[0] + 2 * np.pi]])
-    total = 0.0
-    for phi0, phi1 in zip(breaks[:-1], breaks[1:]):
-        if phi1 - phi0 < 1e-14:
-            continue
-        mid = 0.5 * (phi0 + phi1)
-        active = np.cos(mid - alphas) < 0.0
-        if not active.any():
-            raise DegenerateMeasureError("projection support vanishes on an arc")
-        A = -float(np.sum(surface.weights[active] * np.cos(alphas[active])))
-        B = -float(np.sum(surface.weights[active] * np.sin(alphas[active])))
-        R2 = A * A + B * B
-        if R2 <= 1e-28:
-            raise DegenerateMeasureError("projection support vanishes on an arc")
-        psi = math.atan2(B, A)
-        total += (math.tan(phi1 - psi) - math.tan(phi0 - psi)) / R2
-    return 0.5 * total
+    body = ProjectionBody(K, mu, m)
+    d = body.n * body.m
+    if quad is not None:
+        return star_volume(body.polar_star(), quad)
+    if d > EXACT_POLAR_DIM:
+        raise InputError(f"sphere quadrature required for nm > {EXACT_POLAR_DIM}")
+    # a zero-weight atom is no summand, so its edges bound nothing
+    normals = body.surface.normals[body.surface.weights > 0]
+    eye = np.eye(body.m)
+    i, j = np.triu_indices(body.m, 1)
+    blocks = np.vstack([eye, eye[i] - eye[j]])
+    edges = (blocks[:, None, :, None] * normals[None, :, None, :]).reshape(-1, d)
+    minors = edges[_row_subsets(len(edges), d - 1)]
+    # cofactor k of each minor: the determinant without column k
+    others = np.array([[c for c in range(d) if c != k] for k in range(d)],
+                      dtype=np.intp).reshape(d, d - 1)
+    u = np.linalg.det(np.moveaxis(minors[:, :, others], 2, 1)) * (-1.0) ** np.arange(d)
+    size = np.linalg.norm(u, axis=1)
+    keep = size > 1e-12
+    u = u[keep] / size[keep, None]
+    if len(u) == 0:
+        raise DegenerateMeasureError("projection body is lower-dimensional")
+    u = np.concatenate([u, -u])
+    return _volume_of_points(d, u * body.polar_radial_batch(u)[:, None])
 
 
 def _extrapolate_to_zero(hs: np.ndarray, vals: np.ndarray) -> float:

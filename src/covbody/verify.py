@@ -25,7 +25,7 @@ from .measure import (
 )
 from .oracle import rng_for, sphere_quadrature
 from .polytope import Polytope, StarBodyFn, star_volume
-from .projection import ProjectionBody
+from .projection import EXACT_POLAR_DIM, ProjectionBody, polar_projection_volume
 from .radialmean import rmb_radial_mellin
 from .report import VerifyReport
 
@@ -45,9 +45,12 @@ __all__ = [
 
 def gen_binom(a: float, k: float) -> float:
     """Generalized binomial C(a+k, k) = Gamma(a+k+1)/(Gamma(a+1) Gamma(k+1)),
-    for a, k and a + k all above -1, where every Gamma factor is positive."""
+    for a, k and a + k all above -1, where every Gamma factor is positive;
+    exact when a and k are integers."""
     if a <= -1 or k <= -1 or a + k <= -1:
         raise InputError("gen_binom needs a, k and a + k to exceed -1")
+    if float(a).is_integer() and float(k).is_integer():
+        return float(math.comb(int(a + k), int(k)))
     return math.exp(math.lgamma(a + k + 1.0) - math.lgamma(a + 1.0)
                     - math.lgamma(k + 1.0))
 
@@ -243,22 +246,33 @@ def chain_check(K: Polytope, mu: WeightedMeasure, spec: ChainSpec) -> VerifyRepo
     )
 
 
-def rogers_shephard_check(K: Polytope, m: int, *, count: int = 200_000,
+# Largest nm at which the difference body's volume comes from its polytope
+# unless a sphere rule is asked for.
+EXACT_DIFFBODY_DIM = 6
+
+# Sphere-rule nodes of a volume in R^(nm) that has no exact route.
+DEFAULT_COUNT = 200_000
+
+
+def rogers_shephard_check(K: Polytope, m: int, *, count: int | None = None,
                           tolerance: float = 0.02, seed: int = 42) -> VerifyReport:
     """vol_{nm}(D^m K) / vol_n(K)^m against the upper bound C(nm+n, n).
-    m = 1 uses the exact difference-body polytope and also enforces the
-    lower bound 2^n; m >= 2 integrates the radial function on S^(nm-1)."""
+
+    The volume is that of the exact difference-body polytope at m = 1,
+    which also enforces the lower bound 2^n, and at m >= 2 when count is
+    None and nm <= EXACT_DIFFBODY_DIM. Otherwise it integrates the radial
+    function on count directions of S^(nm-1) (DEFAULT_COUNT when None)."""
     n = K.dim
     vol_K = K.volume
-    if m == 1:
-        ratio = diffbody_polytope(K, 1).volume / vol_K
+    if m == 1 or (count is None and n * m <= EXACT_DIFFBODY_DIM):
+        ratio = diffbody_polytope(K, m).volume / vol_K ** m
         samples = 1
-        note = "exact polytope volume; lower bound 2^n enforced"
+        note = "exact polytope volume" + ("; lower bound 2^n enforced" if m == 1 else "")
     else:
-        q = sphere_quadrature(n * m, count=count, seed=seed)
+        samples = count or DEFAULT_COUNT
+        q = sphere_quadrature(n * m, count=samples, seed=seed)
         ratio = star_volume(diffbody_star(K, m), q) / vol_K ** m
-        samples = count
-        note = f"radial quadrature on {count} directions"
+        note = f"radial quadrature on {samples} directions"
     upper = gen_binom(n * m, n)
     lower = 2.0 ** n if m == 1 else 0.0
     ok = (ratio <= upper * (1.0 + tolerance)
@@ -299,6 +313,27 @@ def _nu_mass_of_star(nu_list, radial_fn, d: int, n: int, count: int,
     # einsum, not a BLAS product: its sums do not depend on the thread count
     inner = np.einsum("ij,j->i", phi * R ** (d - 1), w) * rho
     return float(np.einsum("i,i->", sphere.weights, inner))
+
+
+def _polar_nu_mass(K: Polytope, mu: WeightedMeasure, nu_list, scale: float,
+                   count: int | None, seed: int) -> tuple[float, int | None]:
+    """The mass of scale * polar-Pi^m_mu K under the product of the factor
+    measures, and the sphere-rule size it took (None when exact).
+
+    Exact when every factor is constant, count is None and nm <=
+    EXACT_POLAR_DIM: prod_i c_i scale^(nm) vol(polar-Pi). Otherwise
+    `_nu_mass_of_star` on count directions (by default 1000 up to nm = 3,
+    DEFAULT_COUNT beyond)."""
+    m = len(nu_list)
+    d = K.dim * m
+    if count is None and d <= EXACT_POLAR_DIM and all(nu.exact for nu in nu_list):
+        c = math.prod((nu.density.c for nu in nu_list), start=1.0)
+        return c * scale ** d * polar_projection_volume(K, mu, m), None
+    if count is None:
+        count = 1000 if d <= 3 else DEFAULT_COUNT
+    body = ProjectionBody(K, mu, m)
+    return _nu_mass_of_star(nu_list, lambda dirs: scale * body.polar_radial_batch(dirs),
+                            d, K.dim, count, seed), count
 
 
 def _denominator_integral(K: Polytope, mu: WeightedMeasure, nu_list,
@@ -344,31 +379,27 @@ def zhang_check(K: Polytope, mu: WeightedMeasure, s: float, nu_list,
           >= C(nm + 1/s, nm)
 
     with nu the product of the radially non-decreasing factor measures;
-    `general_zhang_check` is the general-F form."""
+    `general_zhang_check` is the general-F form. The numerator is exact
+    under constant factors up to nm = EXACT_POLAR_DIM unless count asks
+    for the sphere rule (`_polar_nu_mass`)."""
     s = float(s)
     if s <= 0:
         raise InputError("s must be positive")
     _require_nondecreasing(nu_list)
-    n, m = K.dim, len(nu_list)
-    d = n * m
-    if count is None:
-        count = 1000 if d <= 3 else 200_000
     muK = float(mu.mass(K))
-    body = ProjectionBody(K, mu, m)
-    scale = muK / s
-    numerator = muK * _nu_mass_of_star(
-        nu_list, lambda dirs: scale * body.polar_radial_batch(dirs),
-        d, n, count, seed)
+    mass, count = _polar_nu_mass(K, mu, nu_list, muK / s, count, seed)
+    numerator = muK * mass
     denominator = _denominator_integral(K, mu, nu_list, n_mc, seed)
     ratio = numerator / denominator
-    bound = gen_binom(1.0 / s, d)
+    bound = gen_binom(1.0 / s, K.dim * len(nu_list))
     passed = ratio >= bound * (1.0 - tolerance)
     exact_denom = all(nu.exact for nu in nu_list)
     return VerifyReport(
         name="zhang", lhs=numerator, rhs=denominator, ratio=ratio,
         bound=bound, margin=ratio / bound - (1.0 - tolerance),
-        passed=bool(passed), samples=count, seed=seed, tolerance=tolerance,
-        notes=f"numerator over {count} directions; denominator "
+        passed=bool(passed), samples=count or 1, seed=seed, tolerance=tolerance,
+        notes=("numerator exact polytope volume" if count is None
+               else f"numerator over {count} directions") + "; denominator "
               + ("exact (constant factors)" if exact_denom
                  else f"Monte Carlo with {n_mc} samples"),
     )
@@ -384,16 +415,10 @@ def general_zhang_check(K: Polytope, mu: WeightedMeasure, F: ConcavityF, nu_list
              / (nm int_0^1 F^{-1}[F(muK) t] (1-t)^(nm-1) dt).
     """
     _require_nondecreasing(nu_list)
-    n, m = K.dim, len(nu_list)
-    d = n * m
-    if count is None:
-        count = 1000 if d <= 3 else 200_000
+    d = K.dim * len(nu_list)
     muK = float(mu.mass(K))
-    body = ProjectionBody(K, mu, m)
-    scale = F.F(muK) / F.F_prime(muK)
-    lhs = _nu_mass_of_star(
-        nu_list, lambda dirs: scale * body.polar_radial_batch(dirs),
-        d, n, count, seed)
+    lhs, count = _polar_nu_mass(K, mu, nu_list, F.F(muK) / F.F_prime(muK),
+                                count, seed)
     FK = F.F(muK)
     mean_1d = d * _quad_checked(
         lambda t: F.F_inv(FK * t) * (1.0 - t) ** (d - 1),
@@ -406,8 +431,9 @@ def general_zhang_check(K: Polytope, mu: WeightedMeasure, F: ConcavityF, nu_list
     return VerifyReport(
         name="general-zhang", lhs=lhs, rhs=rhs, ratio=lhs / rhs, bound=1.0,
         margin=lhs / rhs - (1.0 - tolerance), passed=bool(passed),
-        samples=count, seed=seed, tolerance=tolerance,
-        notes=f"1-D concavity mean {mean_1d:.12g}; weak form "
+        samples=count or 1, seed=seed, tolerance=tolerance,
+        notes=("exact polytope volume; " if count is None else "")
+              + f"1-D concavity mean {mean_1d:.12g}; weak form "
               f"{'holds' if weak_ok else 'FAILS'}",
     )
 

@@ -18,6 +18,7 @@ TRIANGLE_BODY = {"name": "simplex", "dim": 2}
 SQUARE_BODY = {"name": "cube", "dim": 2}
 QUAD_BODY = {"type": "vrep",
              "vertices": [[0.0, 0.0], [1.3, 0.1], [1.1, 0.9], [0.2, 1.2]]}
+TETRA_BODY = {"name": "simplex", "dim": 3}
 RS_JOB = {"command": "verify-rs", "body": TRIANGLE_BODY}
 
 def run_job(tmp_path, job, name="out.json"):
@@ -259,6 +260,8 @@ class TestExitCodes:
          "oracle"),
         ("covariogram", SQUARE_BODY, {"direction": [1.0, 0.0], "oracle_samples": 100},
          "oracle_samples"),
+        ("covariogram", SQUARE_BODY,
+         {"x": [0.5, 0.0], "oracle": False, "oracle_samples": 7}, "oracle_samples"),
     ])
     def test_ignored_param_is_two(self, tmp_path, capsys, command, body, params,
                                   ignored):
@@ -521,6 +524,9 @@ class TestCommands:
             "params": {"p": "inf", "direction": [1.0, 0.0]}})
         assert code == 0
         assert doc["result"]["value"] == pytest.approx(1.0, abs=1e-9)
+        # what the job took and what ran: R_inf is the difference body
+        assert doc["result"]["p"] == "inf"
+        assert doc["result"]["method"] == "diffbody"
 
     def test_rmb_limit_report(self, tmp_path):
         code, doc = run_json(tmp_path, {
@@ -555,6 +561,32 @@ class TestCommands:
             "params": {"s": 0.5, "directions": 8}})
         assert code == 0
         assert doc["report"]["name"] == "chain-s"
+
+    @pytest.mark.parametrize("command, body, m, key, want", [
+        ("verify-rs", TRIANGLE_BODY, 2, "lhs", 15.0),
+        ("verify-rs", SQUARE_BODY, 2, "lhs", 9.0),
+        ("verify-rs", TETRA_BODY, 2, "lhs", 84.0),
+        ("diffbody", TRIANGLE_BODY, 2, "volume_ratio", 15.0),
+        ("diffbody", TETRA_BODY, 2, "volume_ratio", 84.0),
+        # vol(polar Pi^m K) = C(nm + n, n) / (n^(nm) vol(K)^(nm - m)) at a simplex
+        ("projbody", TRIANGLE_BODY, 2, "polar_volume", 15.0 / 16.0 / 0.25),
+        ("projbody", TETRA_BODY, 1, "polar_volume", 20.0 / 27.0 * 36.0),
+        ("verify-zhang", TRIANGLE_BODY, 1, "ratio", 6.0),
+        ("verify-zhang", TRIANGLE_BODY, 2, "ratio", 15.0),
+    ])
+    def test_exact_volume_closed_forms(self, tmp_path, command, body, m, key, want):
+        params = {"m": m, "volume": True} if command == "projbody" else {"m": m}
+        code, doc = run_json(tmp_path, {"command": command, "body": body,
+                                        "params": params})
+        assert code == 0
+        out = doc.get("report") or doc["result"]
+        assert out[key] == pytest.approx(want, rel=1e-12)
+        assert "quadrature_nodes" not in out
+        if "report" in doc:
+            assert out["samples"] == 1
+            assert "exact polytope volume" in out["notes"]
+        if command == "verify-zhang":
+            assert out["bound"] == pytest.approx(want, rel=1e-12)
 
     def test_verify_zhang(self, tmp_path):
         code, doc = run_json(tmp_path, {
@@ -600,6 +632,46 @@ class TestCommands:
         res = doc["result"]
         assert res["value"] == pytest.approx(math.pi, rel=1e-9)
         assert res["value"] == pytest.approx(res["star_volume"], rel=1e-12)
+
+
+class TestSphereRuleUse:
+    """A volume with an exact route takes no sphere rule unless the job sets
+    params.count, and then exactly one: a quietly slower default, or a count
+    that is dropped, fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import covbody.verify as verify_mod
+        made = []
+        original = cli.sphere_quadrature
+
+        def counting(d, count=1000, seed=42):
+            made.append(count)
+            return original(d, count, seed)
+
+        monkeypatch.setattr(cli, "sphere_quadrature", counting)
+        monkeypatch.setattr(verify_mod, "sphere_quadrature", counting)
+        return made
+
+    @pytest.mark.parametrize("command, body, params", [
+        ("verify-rs", TRIANGLE_BODY, {"m": 2}),
+        ("diffbody", TRIANGLE_BODY, {"m": 2}),
+        ("projbody", TRIANGLE_BODY, {"m": 2, "volume": True}),
+        ("projbody", TETRA_BODY, {"volume": True}),
+        ("verify-zhang", TRIANGLE_BODY, {"m": 1}),
+        ("verify-zhang", TRIANGLE_BODY, {"m": 2}),
+        ("verify-zhang", TRIANGLE_BODY,
+         {"m": 2, "nu": [{"type": "constant"}, {"type": "constant", "c": 2.0}]}),
+        ("verify-zhang", TRIANGLE_BODY, {"m": 2, "F": {"type": "power", "s": 0.5}}),
+    ])
+    def test_count_alone_picks_the_sphere_rule(self, tmp_path, calls, command,
+                                               body, params):
+        job = {"command": command, "body": body, "params": params}
+        assert run_job(tmp_path, job)[0] == 0
+        assert calls == []
+        job["params"] = {**params, "count": 20_000}
+        assert run_job(tmp_path, job)[0] == 0
+        assert calls == [20_000]
 
 
 class TestAggregateReports:

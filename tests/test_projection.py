@@ -16,6 +16,8 @@ from covbody.projection import (ProjectionBody, linear_covariance_check,
                                 polar_projection_volume, projection_support,
                                 variational_check)
 
+from helpers import random_polytope
+
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
 LEB2 = WeightedMeasure.lebesgue(2)
@@ -102,14 +104,46 @@ class TestPolar:
         assert polar_projection_volume(SQUARE, LEB2, 1) == pytest.approx(
             2.0, abs=1e-9)
 
-    def test_quad_required_above_two(self):
+    def test_quad_required_above_four(self):
         with pytest.raises(InputError):
-            polar_projection_volume(TRIANGLE, LEB2, 2)
+            polar_projection_volume(Polytope.named("simplex", 3),
+                                    WeightedMeasure.lebesgue(3), 2)
 
     def test_triangle_second_order_volume(self):
         quad = sphere_quadrature(4, count=100_000, seed=42)
         got = polar_projection_volume(TRIANGLE, LEB2, 2, quad)
         assert got == pytest.approx(15.0 / 4.0, rel=0.02)
+
+    @pytest.mark.parametrize("K, m, product", [
+        (TRIANGLE, 2, 15.0 / 16.0),
+        (Polytope.named("simplex", 3), 1, 20.0 / 27.0)])
+    def test_simplex_volume_product_exact(self, K, m, product):
+        # Zhang's equality case: vol(K)^(nm - m) vol(polar Pi^m K) =
+        # C(nm + n, n) / n^(nm) at a simplex
+        mu = WeightedMeasure.lebesgue(K.dim)
+        got = K.volume ** (K.dim * m - m) * polar_projection_volume(K, mu, m)
+        assert got == pytest.approx(product, rel=1e-12)
+
+    def test_exact_matches_sphere_rule_under_gaussian(self):
+        # two independent routes: the hull of boundary points over the
+        # candidate normals, and the seeded 200 000-node sphere rule
+        mu = WeightedMeasure(GaussianDensity(2, 1.0))
+        exact = polar_projection_volume(TRIANGLE, mu, 2)
+        quad = sphere_quadrature(4, count=200_000, seed=42)
+        assert exact == pytest.approx(polar_projection_volume(TRIANGLE, mu, 2, quad),
+                                      rel=0.01)
+
+    def test_exact_matches_sphere_rule_on_random_body(self):
+        K = random_polytope(np.random.default_rng(5), 3, npoints=7)
+        mu = WeightedMeasure.lebesgue(3)
+        quad = sphere_quadrature(3, count=20_000)
+        assert polar_projection_volume(K, mu, 1) == pytest.approx(
+            polar_projection_volume(K, mu, 1, quad), rel=1e-3)
+
+    def test_zero_support_volume_raises(self):
+        mu = WeightedMeasure(LinearPowerDensity(np.array([1.0, 0.0])))
+        with pytest.raises(DegenerateMeasureError):
+            polar_projection_volume(SQUARE, mu, 1)
 
     def test_zhang_inclusion(self):
         # rho_D(theta) <= n vol(K) rho_polar(theta) for the constant density

@@ -34,6 +34,14 @@ class TestConstants:
                 assert gen_binom(a, k) == pytest.approx(
                     math.comb(a + k, k), rel=1e-12)
 
+    def test_gen_binom_integers_are_exact(self):
+        # an exact simplex ratio must not read above its constant
+        for a in range(0, 9):
+            for k in range(0, 9):
+                assert gen_binom(float(a), k) == math.comb(a + k, k)
+        assert gen_binom(2, 4) == 15.0
+        assert gen_binom(6.0, 3.0) == 84.0
+
     def test_gen_binom_domain(self):
         with pytest.raises(InputError):
             gen_binom(-1.0, 2.0)
@@ -190,6 +198,19 @@ class TestRogersShephard:
         assert rep.passed
         assert rep.rhs == pytest.approx(15.0, abs=1e-12)
         assert rep.lhs == pytest.approx(15.0, rel=0.02)
+        assert rep.samples == 20_000
+
+    @pytest.mark.parametrize("K, ratio", [
+        (TRIANGLE, 15.0), (SQUARE, 9.0), (Polytope.named("simplex", 3), 84.0)])
+    def test_second_order_exact(self, K, ratio):
+        # simplices meet the bound C(nm + n, n); the square's D^2 is the
+        # product over its two coordinates of D^2 [0, 1], the hexagon
+        # {|a|, |b|, |a - b| <= 1} of area 3
+        rep = rogers_shephard_check(K, 2)
+        assert rep.passed
+        assert rep.lhs == pytest.approx(ratio, rel=1e-12)
+        assert rep.samples == 1
+        assert rep.notes == "exact polytope volume"
 
 
 class TestZhang:
@@ -197,7 +218,9 @@ class TestZhang:
         rep = zhang_check(TRIANGLE, LEB2, 0.5, [LEB2])
         assert rep.passed
         assert rep.bound == pytest.approx(6.0, abs=1e-12)
-        assert rep.ratio == pytest.approx(6.0, rel=1e-3)
+        assert rep.ratio == pytest.approx(6.0, rel=1e-12)
+        assert rep.samples == 1
+        assert rep.notes.startswith("numerator exact polytope volume")
 
     def test_square_strict(self):
         rep = zhang_check(SQUARE, LEB2, 0.5, [LEB2])
@@ -206,10 +229,23 @@ class TestZhang:
         assert rep.ratio == pytest.approx(8.0, rel=1e-3)
 
     def test_triangle_second_order(self):
-        rep = zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, LEB2], count=100_000)
+        rep = zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, LEB2])
         assert rep.passed
         assert rep.bound == pytest.approx(15.0, abs=1e-12)
+        assert rep.ratio == pytest.approx(15.0, rel=1e-12)
+
+    def test_count_keeps_the_sphere_rule(self):
+        rep = zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, LEB2], count=100_000)
+        assert rep.passed
+        assert rep.samples == 100_000
         assert rep.ratio == pytest.approx(15.0, rel=0.02)
+
+    def test_constant_factors_scale_the_exact_numerator(self):
+        c2 = WeightedMeasure(ConstantDensity(2, 2.0))
+        one = zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, LEB2])
+        two = zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, c2])
+        assert two.lhs == pytest.approx(2.0 * one.lhs, rel=1e-12)
+        assert two.ratio == pytest.approx(one.ratio, rel=1e-12)
 
     def test_general_reduces_to_power(self):
         # d int_0^1 F^-1[F(muK) t] (1-t)^(d-1) dt = muK / C(1/s + d, d)
@@ -239,7 +275,7 @@ class TestZhang:
         # constant factors need no radial rule over the 200 000 directions
         tracemalloc.start()
         try:
-            zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, LEB2])
+            zhang_check(TRIANGLE, LEB2, 0.5, [LEB2, LEB2], count=200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
