@@ -27,9 +27,8 @@ from .errors import InputError, NumericError, job_field, job_number, spec_kind
 from .genvol import (affine_ray_fn, capped_ray_fn, chord_lower_check,
                      chord_upper_check, covariogram_ray_fn, dual_volume,
                      kernel_from_spec, profile_ray_fn)
-from .measure import (ConcavityF, WeightedMeasure, _integrate_points,
-                      boundary_measure_total, check_concavity_tag,
-                      density_from_spec, log_concavity, power_concavity)
+from .measure import (WeightedMeasure, _integrate_points, boundary_measure_total,
+                      check_concavity_tag, density_from_spec)
 from .oracle import mc_measure, rng_for, sphere_quadrature
 from .polytope import (LinearMap, Polytope, StarBodyFn, _build_from_points,
                        _intersection_vertices, lifted_system, star_volume, volume)
@@ -175,12 +174,11 @@ def _shifts(params: dict, n: int) -> np.ndarray:
     return arr
 
 
-def _concavity_from_spec(spec: Any) -> tuple[ConcavityF, float | None]:
-    """F and the class it states: its s, or None for log-concave."""
+def _concavity_from_spec(spec: Any) -> float | None:
+    """The class a params.F spec states: power's s, or None for log."""
     if spec_kind(spec, "concavity", {"power": {"s"}, "log": set()}) == "log":
-        return log_concavity(), None
-    s = job_number(job_field(spec, "s", "a power concavity"), "params.F.s")
-    return power_concavity(s), s
+        return None
+    return job_number(job_field(spec, "s", "a power concavity"), "params.F.s")
 
 
 def _check_declared_tag(mu: WeightedMeasure, K: Polytope, s: float | None) -> None:
@@ -246,6 +244,7 @@ def _result_payload(command: str, result: dict):
 def _cmd_covariogram(job: _Job):
     p = _take(job.params, {"x", "m", "direction", "grid", "oracle",
                            "oracle_samples"})
+    _refuse(job.raw, ("tolerance",), "on covariogram, which checks no bound")
     K = job.body()
     mu = job.measure(K.dim)
     n = K.dim
@@ -366,6 +365,7 @@ def _cmd_rmb(job: _Job):
                              tolerance=job.tolerance or 0.01, seed=job.seed)
         return _report_payload("rmb", rep)
     _refuse(p, ("p_seq",), "unless p = -1")
+    _refuse(job.raw, ("tolerance",), "unless p = -1, where it bounds the limit's error")
     if pval == math.inf:
         _refuse(job.raw, ("measure",), "at p = inf, where R_p is the difference body")
         _refuse(p, ("method",), "at p = inf, where R_p is the difference body")
@@ -388,29 +388,27 @@ def _cmd_verify_chain(job: _Job):
     K = job.body()
     mu = job.measure(K.dim)
     branch = p.get("branch", "s")
-    # the branch's s or F is the concavity class the chain's constants
-    # assume, spot-checked against the density
-    s = F = None
     if branch == "s":
         _refuse(p, ("F",), "on the s-branch, whose class is params.s")
         if "s" not in p:
             raise InputError("the s-branch needs params.s")
         s = job_number(p["s"], "params.s")
-        _check_declared_tag(mu, K, s)
     elif branch in ("F", "Q"):
         _refuse(p, ("s",), f"on the {branch}-branch, whose class is params.F")
         fspec = p.get("F", {"type": "log"} if branch == "Q" else None)
         if fspec is None:
             raise InputError("the F-branch needs params.F")
-        F, s_F = _concavity_from_spec(fspec)
-        _check_declared_tag(mu, K, s_F)
+        s = _concavity_from_spec(fspec)
     else:
         raise InputError(f"unknown branch {branch!r}")
     p_list = job_number(p.get("p_list", (0.5, 1.0, 2.0)), "params.p_list", 1)
     spec = ChainSpec(branch=branch, p_list=tuple(p_list.tolist()),
-                     s=s, F=F, m=int(p.get("m", 1)),
+                     s=s, m=int(p.get("m", 1)),
                      directions=int(p.get("directions", 200)),
                      seed=job.seed, slack=job.tolerance)
+    # s is the concavity class the chain's constants assume, spot-checked
+    # against the density once the branch has accepted it
+    _check_declared_tag(mu, K, s)
     return _report_payload("verify-chain", chain_check(K, mu, spec))
 
 
@@ -437,9 +435,9 @@ def _cmd_verify_zhang(job: _Job):
     # spot-checked against the density as verify-chain does
     if "F" in p:
         _refuse(p, ("s",), "next to params.F, which states the concavity class")
-        F, s = _concavity_from_spec(p["F"])
+        s = _concavity_from_spec(p["F"])
         _check_declared_tag(mu, K, s)
-        rep = general_zhang_check(K, mu, F, nu_list, **kw)
+        rep = general_zhang_check(K, mu, s, nu_list, **kw)
     else:
         s = job_number(p.get("s", 1.0 / n), "params.s")
         _check_declared_tag(mu, K, s)
@@ -552,9 +550,8 @@ def _cmd_verify_chord(job: _Job):
         # difference body when the density is s-concave
         s = job_number(p.get("s", 1.0 / K.dim), "params.s")
         _check_declared_tag(mu, K, s)
-        F = power_concavity(s)
         d = K.dim * m
-        f = covariogram_ray_fn(K, mu, m, F)
+        f = covariogram_ray_fn(K, mu, m, s)
         h = lambda t: np.asarray(t, dtype=float) ** (1.0 / s)
         bound = p.get("bound", "upper")
     else:
@@ -596,7 +593,8 @@ def _cmd_verify_chord(job: _Job):
 def _cmd_dualvol(job: _Job):
     p = _take(job.params, {"kernel", "dim", "radius", "base", "count",
                            "with_volume"})
-    _refuse(job.raw, ("measure",), "on dualvol, which integrates a kernel over the sphere")
+    _refuse(job.raw, ("measure", "tolerance"),
+            "on dualvol, which integrates a kernel over the sphere")
     if job.has_body():
         _refuse(p, ("dim", "radius"), "when a body is given")
         K = job.body()

@@ -15,7 +15,7 @@ a smooth factor, so the power is integrated exactly at any alpha > -1, and a
 power kernel (or h(f) times one, for polynomial h(f)) exactly to rounding.
 
 Concavity of f along rays is the caller's precondition; nothing here samples
-it. The covariogram fixture F(g) = g^s gets it from the density's s-concavity,
+it. The covariogram fixture g^s gets it from the density's s-concavity,
 which the caller checks (for s-concave mu, g^s is concave on D^m K by the
 Borell-Brascamp-Lieb inequality); the closed-form fixtures are concave by
 construction.
@@ -32,7 +32,7 @@ import numpy as np
 from ._quad import gauss_jacobi_01
 from .covariogram import CovRay, MDirection
 from .errors import InputError, NumericError, job_field, job_number, spec_kind
-from .measure import ConcavityF, ConstantDensity, Density, WeightedMeasure
+from .measure import ConstantDensity, Density, WeightedMeasure
 from .oracle import rng_for
 from .polytope import StarBodyFn
 from .projection import ProjectionBody
@@ -261,14 +261,15 @@ def capped_ray_fn(L: StarBodyFn, cap_cos: float = 0.5,
             0.0 if in_cap(theta) else -peak / L.radial_one(theta)))
 
 
-def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> ConcaveRayFn:
-    """f(r, thetabar) = F(g(K, r thetabar)) for the m-th order covariogram g
+def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, s: float) -> ConcaveRayFn:
+    """f(r, thetabar) = g(K, r thetabar)^s for the m-th order covariogram g
     of the weighted body, read from each ray's fit (`CovRay.profile`):
-    support is the m-th difference body, the center value is F(mu(K)), and
-    the ray derivative at 0 is the exact -F'(mu(K)) * h of the projection
-    body. F must be increasing with F(0) = 0 so f stays non-negative. For
-    F = t^s, f is concave along rays when mu is s-concave; the caller checks
-    that class."""
+    support is the m-th difference body, the center value is mu(K)^s, and
+    the ray derivative at 0 is the exact -s mu(K)^(s-1) * h of the
+    projection body. f is concave along rays when mu is s-concave; the
+    caller checks that class."""
+    if s <= 0:
+        raise InputError("the covariogram fixture needs s > 0")
     n = K.dim
     muK = float(mu.mass(K))
     body = ProjectionBody(K, mu, m)
@@ -282,14 +283,14 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, F: ConcavityF) -> Concave
 
     def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         g = ray_for(theta).profile()(r)
-        return np.array([F.F(v) if v > 0 else 0.0 for v in g])
+        return np.array([v ** s if v > 0 else 0.0 for v in g])
 
     support = StarBodyFn(n * m, lambda dirs: np.array(
         [ray_for(u).rho_D for u in np.asarray(dirs, dtype=float)]))
     return ConcaveRayFn(
         support=support, fn=fn,
-        value_at_zero=lambda theta: F.F(muK),
-        ray_derivative_at_zero=lambda theta: -F.F_prime(muK) * body.support(
+        value_at_zero=lambda theta: muK ** s,
+        ray_derivative_at_zero=lambda theta: -s * muK ** (s - 1.0) * body.support(
             MDirection(np.asarray(theta, dtype=float).reshape(m, n))))
 
 

@@ -1,6 +1,6 @@
 """Weighted measures d(mu) = phi d(lambda): densities, integration over
-polytopes, the weighted surface-area measure, the concavity functions F of
-the chain checks, and a midpoint spot-check of a density's concavity class.
+polytopes, the weighted surface-area measure, and a midpoint spot-check of
+a density's concavity class (s > 0, or None for log-concave).
 
 A measure is its density; there is no integration strategy to choose. A
 constant density c integrates exactly, as c * volume over a polytope and
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,11 +31,10 @@ from .polytope import LinearMap, Polytope, _volume_of_points
 __all__ = [
     "Density", "ConstantDensity", "GaussianDensity",
     "LinearPowerDensity", "ProductDensity", "ComposedDensity",
-    "WeightedMeasure", "FacetMeasure", "ConcavityF",
+    "WeightedMeasure", "FacetMeasure",
     "integrate_over_polytope", "weighted_surface_measure",
     "boundary_measure_total", "parallel_body_difference", "transform_measure",
-    "density_from_spec", "power_concavity", "log_concavity",
-    "check_concavity_tag",
+    "density_from_spec", "check_concavity_tag",
 ]
 
 
@@ -321,41 +320,6 @@ def parallel_body_difference(K: Polytope, mu: WeightedMeasure,
 def transform_measure(mu: WeightedMeasure, T: LinearMap) -> WeightedMeasure:
     """The measure with density x -> phi(T x)."""
     return WeightedMeasure(mu.density.compose_linear(T.matrix))
-
-
-# -- F-concavity scaffolding -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConcavityF:
-    """Strictly increasing F on (0, inf) with inverse and derivative."""
-
-    name: str
-    F: Callable[[float], float]
-    F_inv: Callable[[float], float]
-    F_prime: Callable[[float], float]
-
-
-def power_concavity(s: float) -> ConcavityF:
-    """F(t) = t^s on (0, inf); the s-concave case."""
-    if s <= 0:
-        raise InputError("power concavity needs s > 0")
-    return ConcavityF(
-        name=f"power({s})",
-        F=lambda t: t**s,
-        F_inv=lambda y: y ** (1.0 / s),
-        F_prime=lambda t: s * t ** (s - 1.0),
-    )
-
-
-def log_concavity() -> ConcavityF:
-    """Q(t) = log t on (0, inf); the log-concave case."""
-    return ConcavityF(
-        name="log",
-        F=math.log,
-        F_inv=math.exp,
-        F_prime=lambda t: 1.0 / t,
-    )
 
 
 # Midpoint pairs drawn by check_concavity_tag.

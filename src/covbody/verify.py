@@ -1,11 +1,12 @@
 """The inequality harness: sharp constants, inclusion chains, and volume-ratio
 bounds for the difference-body / radial-mean / polar-projection operators.
 
-Constants come in two independent routes (closed-form generalized binomial
-vs. 1-D quadrature of the defining integral); the chain and ratio checkers
-evaluate radial functions per direction and assert the monotone orderings
-with split tolerances: near-exact slack on exact paths, percent-level slack
-on quadrature paths.
+A concavity class is one number, s > 0 for s-concave or None for
+log-concave, and each sharp constant is a closed form in it: the
+generalized binomial C(1/s + p, p) or Gamma(1 + p). The chain and ratio
+checkers evaluate radial functions per direction and assert the monotone
+orderings with split tolerances: near-exact slack on exact paths,
+percent-level slack on quadrature paths.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ import numpy as np
 from ._quad import gauss_01
 from .covariogram import CovRay, MDirection, diffbody_polytope, diffbody_star
 from .errors import InputError, NumericError
-from .measure import (
-    ConcavityF,
-    WeightedMeasure,
-    integrate_over_polytope,
-)
+from .measure import WeightedMeasure, integrate_over_polytope
 from .oracle import rng_for, sphere_quadrature
 from .polytope import Polytope, StarBodyFn, star_volume
 from .projection import EXACT_POLAR_DIM, ProjectionBody, polar_projection_volume
@@ -55,86 +52,24 @@ def gen_binom(a: float, k: float) -> float:
                     - math.lgamma(k + 1.0))
 
 
-def _quad_checked(fn, lo: float, hi: float, what: str) -> float:
-    from scipy.integrate import quad  # here: loading it would cost every CLI call
-    val, err = quad(fn, lo, hi, epsrel=1e-12, epsabs=1e-14, limit=400)
-    if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-12):
-        raise NumericError(f"{what}: quadrature did not converge "
-                           f"(value {val}, error estimate {err})")
-    return val
-
-
-def berwald_const_F(F: ConcavityF, p: float, muK: float) -> float:
-    """Sharp constant for an F-concave measure of total mass muK:
-    ((p/muK) * mean of F^{-1}[F(muK)(1-t)] against t^(p-1) dt)^(-1/p),
-    with the integrand shifted by -muK on the p in (-1,0) branch."""
-    if muK <= 0:
-        raise InputError("muK must be positive")
+def berwald_const_F(s: float, p: float) -> float:
+    """Sharp constant C(1/s + p, p)^(1/p) of the chains for an s-concave
+    measure (F = t^s), the p-mean of F^(-1)[F(mu(K))(1 - t)] / mu(K)
+    against t^(p-1) dt to the power -1/p; independent of mu(K)."""
+    if s is None or s <= 0:
+        raise InputError("the power constant needs s > 0")
     if p <= -1 or p == 0:
         raise InputError("p must lie in (-1, 0) or (0, inf)")
-    FK = F.F(muK)
-    # substitute t = u^2 so the t^(p-1) endpoint weight stays integrable
-    if p > 0:
-        def integrand(u: float) -> float:
-            t = u * u
-            return F.F_inv(FK * (1.0 - t)) * t ** (p - 1.0) * 2.0 * u
-
-        mean = (p / muK) * _quad_checked(integrand, 0.0, 1.0, "berwald_const_F")
-    else:
-        def integrand(u: float) -> float:
-            t = u * u
-            # bracket is O(t) near 0, killing the t^(p-1) singularity
-            return (F.F_inv(FK * (1.0 - t)) - muK) * t ** (p - 1.0) * 2.0 * u
-
-        mean = 1.0 + (p / muK) * _quad_checked(integrand, 0.0, 1.0, "berwald_const_F")
-    if mean <= 0:
-        raise NumericError("berwald_const_F: nonpositive p-mean")
-    return mean ** (-1.0 / p)
+    return gen_binom(1.0 / s, p) ** (1.0 / p)
 
 
-def berwald_const_Q(Q: ConcavityF, p: float, muK: float = 1.0) -> float:
-    """Sharp constant for Q-concave measures (Q increasing, possibly
-    negative-valued). Q = log has the closed form Gamma(1+p)^(-1/p); other Q
-    integrate Q^{-1}[Q(muK) - t] t^(p-1) over (0, inf), truncated where the
-    integrand drops below 1e-14 of its peak."""
-    if muK <= 0:
-        raise InputError("muK must be positive")
+def berwald_const_Q(p: float) -> float:
+    """Sharp constant Gamma(1 + p)^(-1/p) of the chains for a log-concave
+    measure (Q = log), the same p-mean of Q^(-1)[Q(mu(K)) - t] / mu(K)
+    = exp(-t) over (0, inf)."""
     if p <= -1 or p == 0:
         raise InputError("p must lie in (-1, 0) or (0, inf)")
-    if Q.name == "log":
-        return math.exp(-math.lgamma(1.0 + p) / p)
-    QK = Q.F(muK)
-
-    def raw(t: float) -> float:
-        return Q.F_inv(QK - t)
-
-    hi = 1.0
-    while raw(hi) > 1e-14 * muK:
-        hi *= 2.0
-        if hi > 1e9:
-            raise NumericError("berwald_const_Q: integrand tail does not decay")
-    if p > 0:
-        def integrand(u: float) -> float:
-            t = u * u
-            return raw(t) * t ** (p - 1.0) * 2.0 * u
-
-        mean = (p / muK) * _quad_checked(integrand, 0.0, math.sqrt(hi),
-                                         "berwald_const_Q")
-    else:
-        # split at t = 1: shifted head (integrable bracket), plain tail
-        def head(u: float) -> float:
-            t = u * u
-            return (raw(t) - muK) * t ** (p - 1.0) * 2.0 * u
-
-        def tail(t: float) -> float:
-            return raw(t) * t ** (p - 1.0)
-
-        mean = 1.0 + (p / muK) * (
-            _quad_checked(head, 0.0, 1.0, "berwald_const_Q")
-            + _quad_checked(tail, 1.0, hi, "berwald_const_Q"))
-    if mean <= 0:
-        raise NumericError("berwald_const_Q: nonpositive p-mean")
-    return mean ** (-1.0 / p)
+    return math.exp(-math.lgamma(1.0 + p) / p)
 
 
 def direction_mesh(d: int, count: int, seed: int = 42) -> np.ndarray:
@@ -145,13 +80,14 @@ def direction_mesh(d: int, count: int, seed: int = 42) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Which inclusion chain to run: branch "s" (power concavity, needs s),
-    "F" (general concave F), or "Q" (increasing Q; no difference-body term)."""
+    """Which inclusion chain to run, and the concavity class its constants
+    assume: branch "s" or "F" for an s-concave measure (s > 0; "F" is the
+    same chain under F = t^s), "Q" for a log-concave one (s None; no
+    difference-body term)."""
 
     branch: str
     p_list: tuple[float, ...]
     s: float | None = None
-    F: ConcavityF | None = None
     m: int = 1
     directions: int = 200
     seed: int = 42
@@ -167,14 +103,16 @@ class ChainSpec:
             raise InputError("each p must lie in (-1, 0) or (0, inf)")
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise InputError("p_list must be strictly increasing")
-        if self.branch == "s" and (self.s is None or self.s <= 0):
-            raise InputError("the s-branch needs s > 0")
-        if self.branch in ("F", "Q") and self.F is None:
-            raise InputError(f"the {self.branch}-branch needs a concavity function")
-        if self.branch == "F" and self.F.name == "log":
+        if self.branch == "F" and self.s is None:
             raise InputError("the F-branch needs F^(-1)[F(mu(K))(1 - t)] -> 0 as t -> 1, "
                              "which F = log does not give; log-concave measures take "
                              "the Q-branch")
+        if self.branch == "Q" and self.s is not None:
+            raise InputError("the Q-branch needs Q^(-1)[Q(mu(K)) - t] for every t > 0, "
+                             "which F = t^s does not give; s-concave measures take "
+                             "the s- or F-branch")
+        if self.branch != "Q" and (self.s is None or self.s <= 0):
+            raise InputError(f"the {self.branch}-branch needs s > 0")
         if self.m < 1:
             raise InputError("m must be a positive integer")
         object.__setattr__(self, "p_list", ps)
@@ -186,27 +124,21 @@ def chain_check(K: Polytope, mu: WeightedMeasure, spec: ChainSpec) -> VerifyRepo
 
       rho_D  <=  c(p) rho_{R_p}  (descending p)  <=  endpoint * rho_{polar Pi}
 
-    s-branch: c(p) = C(1/s+p, p)^(1/p), endpoint (1/s) mu(K);
-    F-branch: c(p) = berwald_const_F,   endpoint F(muK)/F'(muK);
-    Q-branch: c(p) = berwald_const_Q,   endpoint 1/Q'(muK), no rho_D term.
+    s- and F-branch: c(p) = C(1/s+p, p)^(1/p), endpoint (1/s) mu(K);
+    Q-branch: c(p) = Gamma(1+p)^(-1/p), endpoint mu(K), no rho_D term.
     """
     muK = float(mu.mass(K))
     slack = spec.slack
     if slack is None:
         slack = 1e-6 if mu.exact else 1e-2
     desc = tuple(sorted(spec.p_list, reverse=True))
-    if spec.branch == "s":
-        consts = [gen_binom(1.0 / spec.s, p) ** (1.0 / p) for p in desc]
+    include_D = spec.branch != "Q"
+    if include_D:
+        consts = [berwald_const_F(spec.s, p) for p in desc]
         endpoint = muK / spec.s
-        include_D = True
-    elif spec.branch == "F":
-        consts = [berwald_const_F(spec.F, p, muK) for p in desc]
-        endpoint = spec.F.F(muK) / spec.F.F_prime(muK)
-        include_D = True
     else:
-        consts = [berwald_const_Q(spec.F, p, muK) for p in desc]
-        endpoint = 1.0 / spec.F.F_prime(muK)
-        include_D = False
+        consts = [berwald_const_Q(p) for p in desc]
+        endpoint = muK
     labels = ((["rho_D"] if include_D else [])
               + [f"p={p:g}" for p in desc] + ["endpoint"])
 
@@ -405,24 +337,29 @@ def zhang_check(K: Polytope, mu: WeightedMeasure, s: float, nu_list,
     )
 
 
-def general_zhang_check(K: Polytope, mu: WeightedMeasure, F: ConcavityF, nu_list,
+def general_zhang_check(K: Polytope, mu: WeightedMeasure, s: float, nu_list,
                         *, count: int | None = None, n_mc: int = 2000,
                         tolerance: float = 0.02, seed: int = 42) -> VerifyReport:
     """General concavity form of the volume-ratio bound:
 
       nu((F(muK)/F'(muK)) polar-Pi)
           >= int_K prod nu_i(y-K) dmu
-             / (nm int_0^1 F^{-1}[F(muK) t] (1-t)^(nm-1) dt).
-    """
+             / (nm int_0^1 F^{-1}[F(muK) t] (1-t)^(nm-1) dt),
+
+    for F = t^s: the dilation is muK/s and the 1-D mean muK / C(1/s + nm, nm).
+    F = log (s None) has no such bound: F^{-1}[F(muK) t] tends to 1, not 0,
+    as t -> 0, and its dilation muK log muK is not positive for muK <= 1."""
+    if s is None:
+        raise InputError("the general volume-ratio bound needs F^(-1)[F(mu(K)) t] -> 0 "
+                         "as t -> 0, which F = log does not give")
+    s = float(s)
+    if s <= 0:
+        raise InputError("s must be positive")
     _require_nondecreasing(nu_list)
     d = K.dim * len(nu_list)
     muK = float(mu.mass(K))
-    lhs, count = _polar_nu_mass(K, mu, nu_list, F.F(muK) / F.F_prime(muK),
-                                count, seed)
-    FK = F.F(muK)
-    mean_1d = d * _quad_checked(
-        lambda t: F.F_inv(FK * t) * (1.0 - t) ** (d - 1),
-        0.0, 1.0, "general_zhang_check")
+    lhs, count = _polar_nu_mass(K, mu, nu_list, muK / s, count, seed)
+    mean_1d = muK / gen_binom(1.0 / s, d)
     product_integral = _denominator_integral(K, mu, nu_list, n_mc, seed)
     rhs = product_integral / mean_1d
     # mean_1d <= muK always, so dividing by muK instead weakens the bound

@@ -113,6 +113,61 @@ def qhull_breakpoints(ray: CovRay) -> np.ndarray:
     return r[np.concatenate([[True], np.diff(r) > tol])]
 
 
+def _quad_checked(fn, lo: float, hi: float) -> float:
+    val, err = quad(fn, lo, hi, epsrel=1e-12, epsabs=1e-14, limit=400)
+    assert math.isfinite(val) and err <= 1e-8 * max(abs(val), 1e-12), (val, err)
+    return val
+
+
+def berwald_quad_F(s: float, p: float, muK: float) -> float:
+    """The chains' constant for an s-concave measure from its defining
+    integral: ((p/muK) int_0^1 F^-1[F(muK)(1 - t)] t^(p-1) dt)^(-1/p) with
+    F = t^s, by adaptive QUADPACK in t = u^2 (which keeps the t^(p-1)
+    weight integrable), the integrand shifted by -muK when p < 0."""
+    FK = muK ** s
+    # the shifted bracket is O(t) near 0, killing the t^(p-1) singularity
+    shift = muK if p < 0 else 0.0
+
+    def integrand(u: float) -> float:
+        t = u * u
+        return ((FK * (1.0 - t)) ** (1.0 / s) - shift) * t ** (p - 1.0) * 2.0 * u
+
+    mean = shift / muK + (p / muK) * _quad_checked(integrand, 0.0, 1.0)
+    return mean ** (-1.0 / p)
+
+
+def berwald_quad_Q(p: float, muK: float) -> float:
+    """The chains' constant for a log-concave measure from its defining
+    integral: ((p/muK) int_0^inf Q^-1[Q(muK) - t] t^(p-1) dt)^(-1/p) with
+    Q = log, truncated where the integrand drops below 1e-14 of muK; for
+    p < 0 the head (0, 1) is shifted by -muK and the tail is plain."""
+    QK = math.log(muK)
+
+    def raw(t: float) -> float:
+        return math.exp(QK - t)
+
+    hi = 1.0
+    while raw(hi) > 1e-14 * muK:
+        hi *= 2.0
+    if p > 0:
+        mean = (p / muK) * _quad_checked(
+            lambda u: raw(u * u) * (u * u) ** (p - 1.0) * 2.0 * u, 0.0, math.sqrt(hi))
+    else:
+        head = _quad_checked(
+            lambda u: (raw(u * u) - muK) * (u * u) ** (p - 1.0) * 2.0 * u, 0.0, 1.0)
+        tail = _quad_checked(lambda t: raw(t) * t ** (p - 1.0), 1.0, hi)
+        mean = 1.0 + (p / muK) * (head + tail)
+    return mean ** (-1.0 / p)
+
+
+def concavity_mean_quad(s: float, muK: float, d: int) -> float:
+    """d int_0^1 F^-1[F(muK) t] (1 - t)^(d-1) dt for F = t^s, the 1-D mean
+    of the general volume-ratio bound, by adaptive QUADPACK."""
+    FK = muK ** s
+    return d * _quad_checked(lambda t: (FK * t) ** (1.0 / s) * (1.0 - t) ** (d - 1),
+                             0.0, 1.0)
+
+
 def gauss_box_mass(sigma: float, lo, hi) -> float:
     """int over the box of exp(-|x|^2 / (2 sigma^2)), as a 1-D erf product."""
     total = 1.0

@@ -17,8 +17,7 @@ from covbody.covariogram import (CovRay, MDirection, covariogram,
 from covbody.genvol import (affine_ray_fn, beta_constant, chord_lower_check,
                             chord_upper_check, covariogram_ray_fn,
                             power_kernel, profile_ray_fn)
-from covbody.measure import (GaussianDensity, WeightedMeasure, log_concavity,
-                             power_concavity)
+from covbody.measure import GaussianDensity, WeightedMeasure
 from covbody.oracle import mc_measure, sphere_quadrature
 from covbody.polytope import LinearMap, Polytope, StarBodyFn
 from covbody.projection import (ProjectionBody, linear_covariance_check,
@@ -29,7 +28,7 @@ from covbody.verify import (ChainSpec, berwald_const_F, berwald_const_Q,
                             chain_check, direction_mesh, gen_binom,
                             rogers_shephard_check)
 
-from helpers import random_polytope
+from helpers import berwald_quad_F, berwald_quad_Q, random_polytope
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -153,13 +152,13 @@ def test_07_scaled_radial_mean_chains():
         ("square/lebesgue m=1", SQUARE, LEB2,
          ChainSpec(branch="s", p_list=ps, s=0.5, m=1, directions=200)),
         ("triangle/gaussian m=1", TRIANGLE, GAUSS2,
-         ChainSpec(branch="Q", p_list=ps, F=log_concavity(), m=1, directions=200)),
+         ChainSpec(branch="Q", p_list=ps, m=1, directions=200)),
         ("square/gaussian m=1", SQUARE, GAUSS2,
-         ChainSpec(branch="Q", p_list=ps, F=log_concavity(), m=1, directions=200)),
+         ChainSpec(branch="Q", p_list=ps, m=1, directions=200)),
         ("triangle/lebesgue m=2", TRIANGLE, LEB2,
          ChainSpec(branch="s", p_list=ps, s=0.5, m=2, directions=200)),
         ("square/gaussian m=2", SQUARE, GAUSS2,
-         ChainSpec(branch="Q", p_list=ps, F=log_concavity(), m=2, directions=200)),
+         ChainSpec(branch="Q", p_list=ps, m=2, directions=200)),
     ]
     all_hold = True
     reports = []
@@ -290,24 +289,23 @@ def test_11_simplex_covariogram_affinity():
 def test_12_normalization_constants():
     t0 = time.perf_counter()
     worst_f = 0.0
+    # closed forms against the quadrature of the defining integrals
     for s in (1.0 / 3.0, 0.5, 1.0):
-        F = power_concavity(s)
         for p in (0.5, 1.0, 2.0, 3.0):
+            got = berwald_const_F(s, p)
             for muK in (0.5, 1.0, 2.7):
-                want = gen_binom(1.0 / s, p) ** (1.0 / p)
-                got = berwald_const_F(F, p, muK)
+                want = berwald_quad_F(s, p, muK)
                 worst_f = max(worst_f, abs(got - want) / want)
     worst_q = 0.0
-    Q = log_concavity()
     for p in (0.5, 1.0, 2.0, 3.0):
-        want = math.gamma(1.0 + p) ** (-1.0 / p)
-        got = berwald_const_Q(Q, p)
+        want = berwald_quad_Q(p, 1.0)
+        got = berwald_const_Q(p)
         worst_q = max(worst_q, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
     ok = worst_f <= 1e-9 and worst_q <= 1e-9
-    conclude(12, ok, f"power-concavity constant vs generalized binomial "
-                     f"{worst_f:.2e}, log-concavity constant vs "
-                     f"Gamma(1+p)^(-1/p) {worst_q:.2e} (both <= 1e-9), "
+    conclude(12, ok, f"generalized binomial vs power-concavity quadrature "
+                     f"{worst_f:.2e}, Gamma(1+p)^(-1/p) vs log-concavity "
+                     f"quadrature {worst_q:.2e} (both <= 1e-9), "
                      f"{elapsed:.2f}s")
 
 
@@ -334,7 +332,7 @@ def test_13_chord_integral_bounds():
     # covariogram profile f = g^(1/2), h = t^2: the bound machinery lands on
     # the volume-ratio constant, with equality on the simplex
     H = lambda t: np.asarray(t, dtype=float) ** 2
-    fc = covariogram_ray_fn(TRIANGLE, LEB2, 1, power_concavity(0.5))
+    fc = covariogram_ray_fn(TRIANGLE, LEB2, 1, 0.5)
     clo = chord_lower_check(fc, H, G, quad)
     cup = chord_upper_check(fc, H, G, quad)
     cov_gap = max(abs(clo.ratio - 1.0), abs(cup.ratio - 1.0))

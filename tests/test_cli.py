@@ -186,6 +186,32 @@ class TestExitCodes:
         assert code == 2
         assert "the Q-branch" in capsys.readouterr().err
 
+    def test_chain_q_branch_refuses_power(self, tmp_path, capsys):
+        # Q^(-1)[Q(mu K) - t] must exist for every t > 0, and F = t^s has no
+        # inverse below 0
+        code, _ = run_job(tmp_path, {
+            "command": "verify-chain", "body": TRIANGLE_BODY,
+            "params": {"branch": "Q", "F": {"type": "power", "s": 0.5},
+                       "directions": 4}})
+        assert code == 2
+        assert "the Q-branch needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, measure", [
+        (TRIANGLE_BODY, None),
+        (SQUARE_BODY, {"type": "gaussian", "sigma": 1.0}),
+    ])
+    def test_zhang_refuses_log(self, tmp_path, capsys, body, measure):
+        # F^(-1)[F(mu K) t] = (mu K)^t tends to 1, not 0, under F = log, and
+        # the dilation mu(K) log mu(K) is not positive for mu(K) <= 1 (the
+        # simplex and the unit square under these measures)
+        job = {"command": "verify-zhang", "body": body,
+               "params": {"F": {"type": "log"}}}
+        if measure is not None:
+            job["measure"] = measure
+        code, _ = run_job(tmp_path, job)
+        assert code == 2
+        assert "F = log" in capsys.readouterr().err
+
     def test_numeric_failure_is_three(self, tmp_path, capsys):
         # a kernel with a kink inside the disk misses the dual volume's gate
         code, _ = run_job(tmp_path, {
@@ -271,6 +297,26 @@ class TestExitCodes:
         code, _ = run_job(tmp_path, job)
         assert code == 2
         assert f"{ignored} have no effect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, body, params", [
+        ("covariogram", SQUARE_BODY, {"x": [0.5, 0.0]}),
+        ("covariogram", SQUARE_BODY, {"direction": [1.0, 0.0], "grid": 4}),
+        ("dualvol", None, {"dim": 2}),
+        ("dualvol", SQUARE_BODY, {}),
+        ("rmb", SQUARE_BODY, {"p": 1.0, "direction": [1.0, 0.0]}),
+        ("rmb", SQUARE_BODY, {"p": "inf", "direction": [1.0, 0.0]}),
+    ])
+    def test_ignored_tolerance_is_two(self, tmp_path, capsys, command, body, params):
+        # these commands check no bound; rmb's tolerance bounds only the
+        # p -> -1 limit
+        job = {"command": command, "params": params, "tolerance": 1e-3}
+        if body is not None:
+            job["body"] = body
+        code, _ = run_job(tmp_path, job)
+        assert code == 2
+        assert "tolerance have no effect" in capsys.readouterr().err
+        del job["tolerance"]
+        assert run_job(tmp_path, job)[0] == 0
 
     @pytest.mark.parametrize("command, body, params", [
         ("verify-rs", SQUARE_BODY, {}),
@@ -529,12 +575,14 @@ class TestCommands:
         assert doc["result"]["method"] == "diffbody"
 
     def test_rmb_limit_report(self, tmp_path):
+        # the job's tolerance bounds the limit's error, at p = -1 only
         code, doc = run_json(tmp_path, {
-            "command": "rmb", "body": SQUARE_BODY,
+            "command": "rmb", "body": SQUARE_BODY, "tolerance": 0.05,
             "params": {"p": -1, "direction": [1.0, 0.0]}})
         assert code == 0
         rep = doc["report"]
         assert rep["name"] == "rmb-limit-neg1"
+        assert rep["tolerance"] == 0.05
         assert rep["rhs"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0, 0.0005, -0.0005])
@@ -593,6 +641,20 @@ class TestCommands:
             "command": "verify-zhang", "body": TRIANGLE_BODY, "params": {"count": 500}})
         assert code == 0
         assert doc["report"]["name"] == "zhang"
+
+    def test_chain_f_branch_is_the_s_branch(self, tmp_path):
+        # under F = t^s the F-branch's constants are the s-branch's closed
+        # forms, at p near -1 too
+        params = {"p_list": [-0.9, 1.0], "directions": 4}
+        code_f, f_rows = run_job(tmp_path, {
+            "command": "verify-chain", "body": TRIANGLE_BODY, "output": "csv",
+            "params": {"branch": "F", "F": {"type": "power", "s": 0.5}, **params}})
+        code_s, s_rows = run_job(tmp_path, {
+            "command": "verify-chain", "body": TRIANGLE_BODY, "output": "csv",
+            "params": {"branch": "s", "s": 0.5, **params}}, "s.csv")
+        assert code_f == code_s == 0
+        assert len(f_rows.splitlines()) == 5
+        assert f_rows == s_rows
 
     def test_verify_zhang_general_dispatch(self, tmp_path):
         code, doc = run_json(tmp_path, {

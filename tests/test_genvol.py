@@ -16,8 +16,7 @@ from covbody.genvol import (KernelG, affine_ray_fn, beta_constant,
                             dual_volume, kernel_from_spec, power_density_kernel,
                             power_kernel, profile_ray_fn)
 from covbody.measure import (GaussianDensity, LinearPowerDensity,
-                             WeightedMeasure, check_concavity_tag,
-                             power_concavity)
+                             WeightedMeasure, check_concavity_tag)
 from covbody.oracle import sphere_quadrature
 from covbody.polytope import Polytope, StarBodyFn, star_volume
 from covbody.projection import ProjectionBody
@@ -231,7 +230,7 @@ class TestCovariogramFixture:
 
     def test_simplex_equality_both_branches(self):
         quad = sphere_quadrature(2, count=64)
-        f = covariogram_ray_fn(TRIANGLE, LEB2, 1, power_concavity(0.5))
+        f = covariogram_ray_fn(TRIANGLE, LEB2, 1, 0.5)
         G = power_kernel(2, 1.0)
         lo = chord_lower_check(f, self.H, G, quad)
         up = chord_upper_check(f, self.H, G, quad)
@@ -241,7 +240,7 @@ class TestCovariogramFixture:
 
     def test_square_strict_both_branches(self):
         quad = sphere_quadrature(2, count=64)
-        f = covariogram_ray_fn(SQUARE, LEB2, 1, power_concavity(0.5))
+        f = covariogram_ray_fn(SQUARE, LEB2, 1, 0.5)
         G = power_kernel(2, 1.0)
         lo = chord_lower_check(f, self.H, G, quad)
         up = chord_upper_check(f, self.H, G, quad)
@@ -250,14 +249,14 @@ class TestCovariogramFixture:
         assert up.ratio < 0.8
 
     def test_tangent_body_is_scaled_polar_projection(self):
+        # F(muK) / F'(muK) = muK / s for F = t^s
         quad = sphere_quadrature(2, count=32)
-        F = power_concavity(0.5)
         for K in (TRIANGLE, SQUARE):
-            f = covariogram_ray_fn(K, LEB2, 1, F)
+            f = covariogram_ray_fn(K, LEB2, 1, 0.5)
             rep = chord_upper_check(f, self.H, power_kernel(2, 1.0), quad)
             body = ProjectionBody(K, LEB2, 1)
             muK = K.volume
-            scale = F.F(muK) / F.F_prime(muK)
+            scale = muK / 0.5
             for row, theta in zip(rep.rows, quad.nodes):
                 want = scale / body.support(theta[None, :])
                 assert row["rho_Ltilde"] == pytest.approx(want, rel=1e-9)
@@ -273,19 +272,18 @@ class TestCovariogramFixture:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("density", ["lebesgue", "gaussian"])
     def test_fixture_is_F_of_the_covariogram(self, density, m):
-        # relative to the fixture's maximum F(mu(K)): near rho_D g vanishes,
+        # relative to the fixture's maximum mu(K)^(1/2): near rho_D g vanishes,
         # and both routes round at the level of 1e-16 mu(K)
         K = random_polygon(np.random.default_rng(4), 6)
         mu = LEB2 if density == "lebesgue" else WeightedMeasure(GaussianDensity(2, 1.0))
-        F = power_concavity(0.5)
-        f = covariogram_ray_fn(K, mu, m, F)
+        f = covariogram_ray_fn(K, mu, m, 0.5)
         rng = np.random.default_rng(11)
         for _ in range(4):
             theta = rng.standard_normal(2 * m)
             theta /= np.linalg.norm(theta)
             r = rng.uniform(0.0, f.support.radial_one(theta), size=16)
-            want = [F.F(covariogram(K, mu, x * theta.reshape(m, 2))) for x in r]
-            assert np.abs(f(r, theta) - want).max() <= 1e-10 * F.F(mu.mass(K))
+            want = [covariogram(K, mu, x * theta.reshape(m, 2)) ** 0.5 for x in r]
+            assert np.abs(f(r, theta) - want).max() <= 1e-10 * mu.mass(K) ** 0.5
 
     def test_chord_check_reads_one_fit_per_ray(self, monkeypatch):
         # the chord rules' radii cost no evaluation beyond the ray's fit:
@@ -299,7 +297,7 @@ class TestCovariogramFixture:
 
         monkeypatch.setattr(CovRay, "g", counting_g)
         K = random_polygon(np.random.default_rng(4), 6)
-        f = covariogram_ray_fn(K, LEB2, 1, power_concavity(0.5))
+        f = covariogram_ray_fn(K, LEB2, 1, 0.5)
         chord_upper_check(f, self.H, power_kernel(2, 1.0), sphere_quadrature(2, count=32))
         asked = dict(asked)
         assert len(asked) == 32
@@ -334,7 +332,7 @@ def _ray_fn(case: str):
     K = random_polygon(np.random.default_rng([seed, int(m)]), 6)
     ok, msg = check_concavity_tag(mu.density, s, K.bounding_box())
     assert ok, msg
-    return covariogram_ray_fn(K, mu, int(m), power_concavity(s))
+    return covariogram_ray_fn(K, mu, int(m), s)
 
 
 @pytest.mark.parametrize("case", [f"{d}-m{m}" for d in CLASSES for m in (1, 2)]

@@ -11,8 +11,7 @@ from covbody.measure import (ConstantDensity, GaussianDensity,
                              LinearPowerDensity, ProductDensity,
                              WeightedMeasure, boundary_measure_total,
                              check_concavity_tag, density_from_spec,
-                             integrate_over_polytope, log_concavity,
-                             parallel_body_difference, power_concavity,
+                             integrate_over_polytope, parallel_body_difference,
                              transform_measure, weighted_surface_measure)
 from covbody.oracle import rng_for
 from covbody.polytope import LinearMap, Polytope, apply_linear
@@ -231,16 +230,3 @@ class TestDensitySpec:
             density_from_spec({"type": "gaussian",
                                "concavity": {"kind": "log"}}, 2)
 
-
-class TestConcavityF:
-    def test_power_roundtrip(self):
-        F = power_concavity(0.5)
-        for y in (0.1, 0.7, 2.0):
-            assert F.F(F.F_inv(y)) == pytest.approx(y, rel=1e-9)
-
-    def test_derivative_matches_finite_difference(self):
-        for F in (power_concavity(1.0 / 3), log_concavity()):
-            for t in (0.5, 1.0, 3.0):
-                h = 1e-6 * t
-                fd = (F.F(t + h) - F.F(t - h)) / (2 * h)
-                assert F.F_prime(t) == pytest.approx(fd, rel=1e-6)

@@ -210,8 +210,8 @@ def test_log_gauss_exact_on_polynomials():
 
 
 # Who may import what: the 1-D rules' constructors belong to `_quad`, and
-# QUADPACK to `verify`, whose Berwald constants take it as an independent
-# route (loaded inside a function).
+# no covbody module imports QUADPACK; the tests' quadrature of the Berwald
+# constants (`helpers.berwald_quad_F`) is the independent route.
 RULE_NAMES = {"leggauss", "legvander"}
 
 
@@ -229,8 +229,7 @@ def _import_violations(module: str, source: str) -> list[str]:
         for name in names:
             leaf = name.rsplit(".", 1)[-1]
             is_rule = leaf in RULE_NAMES or name.startswith("scipy.special.roots_")
-            if (is_rule and module != "_quad") or (
-                    name.startswith("scipy.integrate") and module != "verify"):
+            if (is_rule and module != "_quad") or name.startswith("scipy.integrate"):
                 found.append(f"{module}: {name}")
     return found
 
@@ -245,5 +244,6 @@ def test_rules_are_built_in_quad_only():
     assert _import_violations("genvol", sources["genvol"] + bad) == [
         "genvol: scipy.special.roots_jacobi"]
     assert _import_violations("genvol", "def f():\n    from scipy.integrate import quad\n")
+    assert _import_violations("verify", "def f():\n    from scipy.integrate import quad\n")
     assert _import_violations("radialmean", "from numpy.polynomial.legendre import leggauss\n")
     assert not _import_violations("_quad", bad)

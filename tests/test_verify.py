@@ -5,13 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-
 from covbody.covariogram import CovRay, MDirection
 from covbody.errors import InputError, NumericError
-from covbody.measure import (ConcavityF, ConstantDensity, GaussianDensity,
-                             LinearPowerDensity, WeightedMeasure,
-                             log_concavity, power_concavity)
+from covbody.measure import (ConstantDensity, GaussianDensity,
+                             LinearPowerDensity, WeightedMeasure)
 from covbody.oracle import sphere_quadrature
 from covbody.polytope import Polytope, StarBodyFn, star_volume
 from covbody.projection import ProjectionBody
@@ -20,7 +17,8 @@ from covbody.verify import (ChainSpec, berwald_const_F, berwald_const_Q,
                             chain_check, direction_mesh, gen_binom,
                             general_zhang_check, rogers_shephard_check,
                             zhang_check, _nu_mass_of_star)
-from helpers import random_polygon
+from helpers import (berwald_quad_F, berwald_quad_Q, concavity_mean_quad,
+                     random_polygon)
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -56,38 +54,35 @@ class TestConstants:
     @pytest.mark.parametrize("s", [1.0 / 3.0, 0.5, 1.0])
     @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.0, 3.0])
     def test_power_constant_two_routes(self, s, p):
-        # quadrature route must match the closed generalized binomial,
-        # independently of the total mass
-        want = gen_binom(1.0 / s, p) ** (1.0 / p)
-        F = power_concavity(s)
+        # the closed generalized binomial must match the quadrature of the
+        # defining integral, whatever the total mass
+        got = berwald_const_F(s, p)
+        assert got == gen_binom(1.0 / s, p) ** (1.0 / p)
         for muK in (0.5, 1.0, 2.7):
-            assert berwald_const_F(F, p, muK) == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(berwald_quad_F(s, p, muK), rel=1e-9)
 
     def test_log_constant_closed_form(self):
-        Q = log_concavity()
-        assert berwald_const_Q(Q, 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert berwald_const_Q(Q, 2.0) == pytest.approx(
+        assert berwald_const_Q(1.0) == pytest.approx(1.0, rel=1e-12)
+        assert berwald_const_Q(2.0) == pytest.approx(
             1.0 / math.sqrt(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.5])
     def test_log_constant_generic_route(self, p):
-        # renaming the log disables the closed form and exercises the
-        # truncated numeric path, which must agree
-        Q = ConcavityF(name="renamed", F=math.log, F_inv=math.exp,
-                       F_prime=lambda t: 1.0 / t)
-        want = math.exp(-math.lgamma(1.0 + p) / p)
+        # the truncated quadrature of the defining integral must agree
+        # with Gamma(1 + p)^(-1/p), whatever the total mass
         for muK in (0.5, 1.0, 3.0):
-            assert berwald_const_Q(Q, p, muK) == pytest.approx(want, rel=1e-8)
+            assert berwald_const_Q(p) == pytest.approx(berwald_quad_Q(p, muK),
+                                                       rel=1e-8)
 
     def test_constant_domain_errors(self):
-        F = power_concavity(0.5)
         for bad_p in (-1.0, 0.0):
             with pytest.raises(InputError):
-                berwald_const_F(F, bad_p, 1.0)
+                berwald_const_F(0.5, bad_p)
             with pytest.raises(InputError):
-                berwald_const_Q(log_concavity(), bad_p)
-        with pytest.raises(InputError):
-            berwald_const_F(F, 1.0, 0.0)
+                berwald_const_Q(bad_p)
+        for bad_s in (0.0, -0.5, None):
+            with pytest.raises(InputError):
+                berwald_const_F(bad_s, 1.0)
 
 
 class TestChain:
@@ -124,8 +119,7 @@ class TestChain:
 
     def test_gaussian_q_branch_second_order(self):
         mu = WeightedMeasure(GaussianDensity(2, 1.0))
-        spec = ChainSpec(branch="Q", p_list=(0.5, 1.0, 2.0),
-                         F=log_concavity(), m=2, directions=8)
+        spec = ChainSpec(branch="Q", p_list=(0.5, 1.0, 2.0), m=2, directions=8)
         rep = chain_check(TRIANGLE, mu, spec)
         assert rep.passed
         assert "rho_D" not in rep.rows[0]
@@ -136,17 +130,16 @@ class TestChain:
     def test_gaussian_q_branch_on_random_hexagon(self, seed):
         K = random_polygon(np.random.default_rng(seed), 6)
         mu = WeightedMeasure(GaussianDensity(2, 1.0))
-        spec = ChainSpec(branch="Q", p_list=(2.0, 3.0), F=log_concavity(),
-                         directions=4)
+        spec = ChainSpec(branch="Q", p_list=(2.0, 3.0), directions=4)
         assert chain_check(K, mu, spec).passed
 
     def test_f_branch_matches_s_branch(self):
-        # power F through the quadrature constants reproduces the s-branch
+        # F = t^s is the s-branch under another name
         s_rep = chain_check(TRIANGLE, LEB2, ChainSpec(
             branch="s", p_list=(1.0,), s=0.5, directions=6))
         f_rep = chain_check(TRIANGLE, LEB2, ChainSpec(
-            branch="F", p_list=(1.0,), F=power_concavity(0.5), directions=6))
-        assert f_rep.passed
+            branch="F", p_list=(1.0,), s=0.5, directions=6))
+        assert f_rep.passed and f_rep.name == "chain-F"
         for a, b in zip(s_rep.rows, f_rep.rows):
             assert b["p=1"] == pytest.approx(a["p=1"], rel=1e-9)
             assert b["endpoint"] == pytest.approx(a["endpoint"], rel=1e-9)
@@ -170,9 +163,27 @@ class TestChain:
         with pytest.raises(InputError):
             ChainSpec(branch="s", p_list=(1.0,))
         with pytest.raises(InputError):
-            ChainSpec(branch="F", p_list=(1.0,))
-        with pytest.raises(InputError):
             ChainSpec(branch="s", p_list=(1.0,), s=0.5, m=0)
+
+    def test_branch_takes_its_class(self):
+        # s > 0 on the s- and F-branches, None (log-concave) on the Q-branch
+        with pytest.raises(InputError, match="the Q-branch"):
+            ChainSpec(branch="F", p_list=(1.0,))
+        with pytest.raises(InputError, match="s- or F-branch"):
+            ChainSpec(branch="Q", p_list=(1.0,), s=0.5)
+        for branch in ("s", "F"):
+            with pytest.raises(InputError, match="needs s > 0"):
+                ChainSpec(branch=branch, p_list=(1.0,), s=-0.5)
+
+    def test_q_branch_endpoint_is_the_mass(self):
+        mu = WeightedMeasure(GaussianDensity(2, 1.0))
+        rep = chain_check(TRIANGLE, mu, ChainSpec(branch="Q", p_list=(1.0,),
+                                                  directions=3))
+        h = ProjectionBody(TRIANGLE, mu, 1).support
+        dirs = direction_mesh(2, 3, 42)
+        for row, u in zip(rep.rows, dirs):
+            want = mu.mass(TRIANGLE) / h(MDirection(u[None, :]))
+            assert row["endpoint"] == pytest.approx(want, rel=1e-12)
 
 
 class TestRogersShephard:
@@ -248,26 +259,22 @@ class TestZhang:
         assert two.ratio == pytest.approx(one.ratio, rel=1e-12)
 
     def test_general_reduces_to_power(self):
-        # d int_0^1 F^-1[F(muK) t] (1-t)^(d-1) dt = muK / C(1/s + d, d)
+        # d int_0^1 F^-1[F(muK) t] (1-t)^(d-1) dt = muK / C(1/s + d, d),
+        # the 1-D mean general_zhang_check reports
         for s in (1.0 / 3.0, 0.5):
-            F = power_concavity(s)
             for muK in (0.5, 2.0):
                 for d in (2, 4):
-                    FK = F.F(muK)
-                    val = d * quad(
-                        lambda t: F.F_inv(FK * t) * (1.0 - t) ** (d - 1),
-                        0.0, 1.0, epsrel=1e-12)[0]
-                    assert val == pytest.approx(
+                    assert concavity_mean_quad(s, muK, d) == pytest.approx(
                         muK / gen_binom(1.0 / s, d), rel=1e-9)
 
     def test_general_triangle_equality(self):
-        rep = general_zhang_check(TRIANGLE, LEB2, power_concavity(0.5), [LEB2])
+        rep = general_zhang_check(TRIANGLE, LEB2, 0.5, [LEB2])
         assert rep.passed
         assert rep.ratio == pytest.approx(1.0, rel=2e-3)
         assert "weak form holds" in rep.notes
 
     def test_general_square_strict(self):
-        rep = general_zhang_check(SQUARE, LEB2, power_concavity(0.5), [LEB2])
+        rep = general_zhang_check(SQUARE, LEB2, 0.5, [LEB2])
         assert rep.passed
         assert rep.ratio > 1.01
 
@@ -289,6 +296,13 @@ class TestZhang:
             zhang_check(TRIANGLE, LEB2, 0.5, [])
         with pytest.raises(InputError):
             zhang_check(TRIANGLE, LEB2, -0.5, [LEB2])
+
+    def test_general_refuses_log(self):
+        # F^-1[F(muK) t] = muK^t tends to 1 as t -> 0 under F = log
+        with pytest.raises(InputError, match="F = log"):
+            general_zhang_check(TRIANGLE, LEB2, None, [LEB2])
+        with pytest.raises(InputError):
+            general_zhang_check(TRIANGLE, LEB2, 0.0, [LEB2])
 
 
 class TestNuMass:
