@@ -2,11 +2,15 @@
 
 A job is a single JSON document (from a file or standard input). Its
 top-level fields are checked before anything runs, and each spec and param
-where it is parsed. The exit status encodes the
-outcome: 0 for a passing check or a plain computation, 1 for an inequality
-check that ran and failed, 2 for malformed or inconsistent input, 3 for a
-numeric routine that could not deliver its accuracy target. Reports are
-written as JSON (stable key order) or CSV to the chosen output.
+where it is read. Handlers read params only through `_Params`, on the branch
+that uses them, and the job's `measure` and `tolerance` only through `_Job`;
+a param or field that the job's path leaves unread has no effect, and the
+job exits 2 before any report is written (`seed`, `output` and `outfile`
+apply to every job). The exit status encodes the outcome: 0 for a passing
+check or a plain computation, 1 for an inequality check that ran and
+failed, 2 for malformed or inconsistent input, 3 for a numeric routine that
+could not deliver its accuracy target. Reports are written as JSON (stable
+key order) or CSV to the chosen output.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .measure import (WeightedMeasure, _integrate_points, boundary_measure_total
                       check_concavity_tag, density_from_spec)
 from .oracle import mc_measure, rng_for, sphere_quadrature
 from .polytope import (LinearMap, Polytope, StarBodyFn, _build_from_points,
-                       _intersection_vertices, lifted_system, star_volume, volume)
+                       _intersection_vertices, lifted_system, star_volume)
 from .projection import (EXACT_POLAR_DIM, linear_covariance_check,
                          polar_projection_radial, polar_projection_volume,
                          projection_support, variational_check)
@@ -55,8 +59,51 @@ JOB_FIELDS = frozenset({"schema_version", "command", "body", "measure", "params"
 # -- job plumbing -----------------------------------------------------------
 
 
+class _Params:
+    """A job's params, read only through typed reads. Each read checks its
+    value and records the key as read, so a handler reads a param on the
+    branch that uses it and `unread` names the ones no branch used."""
+
+    def __init__(self, given: dict):
+        self._given = given
+        self._read: set[str] = set()
+
+    def take(self, allowed: set[str]) -> _Params:
+        """These params, once each key is one the command takes."""
+        unknown = sorted(set(self._given) - allowed)
+        if unknown:
+            raise InputError(f"unknown parameter(s): {', '.join(unknown)}")
+        return self
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._given
+
+    def spec(self, key: str, default: Any = None) -> Any:
+        """The value as given, for a spec or a choice that its parser checks."""
+        self._read.add(key)
+        return self._given.get(key, default)
+
+    def count(self, key: str, default: int | None = None) -> int | None:
+        """A count of nodes, directions, trials, samples, blocks or
+        dimensions: a positive integer."""
+        value = self.spec(key, default)
+        if key in self._given and not (_is_integer(value) and value >= 1):
+            raise InputError(f"params.{key} must be a positive integer, got {value!r}")
+        return None if value is None else int(value)
+
+    def number(self, key: str, default: float | None = None) -> float:
+        return job_number(self.spec(key, default), f"params.{key}")
+
+    def numbers(self, key: str, default: Any = None, ndim: int | None = 1) -> np.ndarray:
+        return job_number(self.spec(key, default), f"params.{key}", ndim)
+
+    def unread(self) -> list[str]:
+        return sorted(set(self._given) - self._read)
+
+
 class _Job:
-    """Job with checked top-level fields and lazy body/measure construction."""
+    """Job with checked top-level fields, lazy body/measure construction and
+    a record of which params and fields the command's path read."""
 
     def __init__(self, raw: dict):
         unknown = sorted(set(raw) - JOB_FIELDS)
@@ -82,8 +129,13 @@ class _Job:
         self.raw = raw
         self.command: str = raw["command"]
         self.seed = int(seed)
-        self.tolerance = raw.get("tolerance")
-        self.params: dict = dict(raw.get("params", {}))
+        self.params = _Params(raw.get("params", {}))
+        self._read: set[str] = set()
+
+    @property
+    def tolerance(self) -> float | None:
+        self._read.add("tolerance")
+        return self.raw.get("tolerance")
 
     def body(self) -> Polytope:
         if not self.has_body():
@@ -98,15 +150,16 @@ class _Job:
         return "body" in self.raw
 
     def measure(self, dim: int) -> WeightedMeasure:
+        self._read.add("measure")
         if "measure" not in self.raw:
             return WeightedMeasure.lebesgue(dim)
         return WeightedMeasure(density_from_spec(self.raw["measure"], dim))
 
-
-# Params that count something (nodes, directions, trials, samples, blocks or
-# dimensions); wherever a command takes one it must be a positive integer.
-COUNT_PARAMS = frozenset({"count", "dim", "directions", "grid", "inner", "m",
-                          "n_mc", "oracle_samples", "trials"})
+    def unread(self) -> list[str]:
+        """The params, then the job fields, that the command's path left
+        unread; the other fields apply to every job."""
+        fields = [f for f in ("measure", "tolerance") if f in self.raw and f not in self._read]
+        return self.params.unread() + fields
 
 
 def _is_integer(value: Any) -> bool:
@@ -116,60 +169,35 @@ def _is_integer(value: Any) -> bool:
     return isinstance(value, int) or value.is_integer()
 
 
-def _is_count(value: Any) -> bool:
-    return _is_integer(value) and value >= 1
-
-
-def _take(params: dict, allowed: set[str]) -> dict:
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise InputError(f"unknown parameter(s): {', '.join(unknown)}")
-    for key in sorted(COUNT_PARAMS & set(params)):
-        if not _is_count(params[key]):
-            raise InputError(
-                f"params.{key} must be a positive integer, got {params[key]!r}")
-    return params
-
-
-def _refuse(params: dict, keys: tuple[str, ...], context: str) -> None:
-    """Reject params (or job fields) that the command would otherwise
-    accept and ignore."""
-    given = [k for k in keys if k in params]
-    if given:
-        raise InputError(f"parameter(s) {', '.join(given)} have no effect {context}")
-
-
-def _direction(params: dict, n: int, m: int, key: str = "direction") -> MDirection:
-    raw = params.get(key)
-    if raw is None:
-        raise InputError(f"params.{key} is required")
-    arr = job_number(raw, f"params.{key}", None)
+def _direction(p: _Params, n: int, m: int) -> MDirection:
+    if p.spec("direction") is None:
+        raise InputError("params.direction is required")
+    arr = p.numbers("direction", ndim=None)
     if arr.ndim == 1:
         if arr.size == n * m:
             arr = arr.reshape(m, n)
         else:
             raise InputError(
-                f"params.{key} must hold {n * m} coordinates ({m} blocks of "
+                f"params.direction must hold {n * m} coordinates ({m} blocks of "
                 f"dimension {n}), got {arr.size}")
     if arr.shape != (m, n):
-        raise InputError(f"params.{key} must be an {m} x {n} tuple of vectors")
+        raise InputError(f"params.direction must be an {m} x {n} tuple of vectors")
     return MDirection.normalized(arr)
 
 
-def _shifts(params: dict, n: int) -> np.ndarray:
-    arr = job_number(params["x"], "params.x", None)
+def _shifts(p: _Params, n: int) -> np.ndarray:
+    arr = p.numbers("x", ndim=None)
     if arr.size == 0:
         raise InputError("params.x must hold at least one shift vector")
-    m = params.get("m")
+    m = p.count("m")
     if arr.ndim == 1:
-        if m is None:
-            if arr.size % n:
-                raise InputError(f"params.x length must be a multiple of {n}")
-            m = arr.size // n
-        arr = arr.reshape(int(m), -1)
+        if arr.size % n or (m is not None and arr.size != m * n):
+            raise InputError(f"params.x must hold {m or 'whole'} shift vector(s) of "
+                             f"dimension {n}, got {arr.size} coordinates")
+        arr = arr.reshape(-1, n)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise InputError(f"params.x must be an m x {n} array of shift vectors")
-    if m is not None and arr.shape[0] != int(m):
+    if m is not None and arr.shape[0] != m:
         raise InputError("params.m contradicts the shape of params.x")
     return arr
 
@@ -242,20 +270,12 @@ def _result_payload(command: str, result: dict):
 
 
 def _cmd_covariogram(job: _Job):
-    p = _take(job.params, {"x", "m", "direction", "grid", "oracle",
-                           "oracle_samples"})
-    _refuse(job.raw, ("tolerance",), "on covariogram, which checks no bound")
+    p = job.params.take({"x", "m", "direction", "grid", "oracle", "oracle_samples"})
     K = job.body()
     mu = job.measure(K.dim)
     n = K.dim
     if "x" not in p and "direction" not in p:
         raise InputError("covariogram needs params.x or params.direction")
-    if "x" not in p:
-        _refuse(p, ("oracle", "oracle_samples"), "without params.x")
-    elif not p.get("oracle", True):
-        _refuse(p, ("oracle_samples",), "when params.oracle is false")
-    if "direction" not in p:
-        _refuse(p, ("grid",), "without params.direction")
     result: dict[str, Any] = {}
     if "x" in p:
         shifts = _shifts(p, n)
@@ -266,8 +286,8 @@ def _cmd_covariogram(job: _Job):
         result["value"] = 0.0 if pts is None else _integrate_points(mu, n, pts)
         result["intersection_volume"] = 0.0 if pts is None else _build_from_points(
             n, pts, allow_degenerate=True).volume
-        if p.get("oracle", "oracle_samples" in p):
-            samples = int(p.get("oracle_samples", 200_000))
+        if p.spec("oracle", "oracle_samples" in p):
+            samples = p.count("oracle_samples", 200_000)
             box = K.bounding_box()  # the intersection lies inside K
             A, b, c = lifted_system(K, shifts)
 
@@ -280,30 +300,31 @@ def _cmd_covariogram(job: _Job):
             result["oracle_estimate"] = est
             result["oracle_stderr"] = err
     if "direction" in p:
-        m = int(p.get("m", 1)) if "x" not in p else int(result["m"])
+        m = p.count("m", 1) if "x" not in p else result["m"]
         theta = _direction(p, n, m)
-        sl = covariogram_slice(K, mu, theta, grid=int(p.get("grid", 32)))
+        sl = covariogram_slice(K, mu, theta, grid=p.count("grid", 32))
         result["slice"] = {"rho_D": sl.rho_D, "nodes": sl.nodes,
                            "values": sl.node_values}
     return _result_payload("covariogram", result)
 
 
 def _cmd_diffbody(job: _Job):
-    p = _take(job.params, {"m", "direction", "count", "x"})
-    _refuse(job.raw, ("measure",), "on diffbody, which is a Lebesgue construction")
+    p = job.params.take({"m", "direction", "count", "x"})
+    # read and ignored: the benchmark's diffbody jobs set a tolerance, so its
+    # refusal waits for a benchmark change (CHANGES.md FOUND line on
+    # diffbody/projbody tolerance; ROADMAP Direction 5)
+    job.tolerance
     K = job.body()
     n = K.dim
-    m = int(p.get("m", 1))
+    m = p.count("m", 1)
     d = n * m
     result: dict[str, Any] = {"m": m, "dim": d}
-    if m == 1:
-        _refuse(p, ("count",), "at m = 1, where the volume is exact")
     D = None  # the explicit polytope, built once if a route reads it
     if m == 1 or ("count" not in p and d <= EXACT_DIFFBODY_DIM):
         D = diffbody_polytope(K, m)
-        vol = volume(D)
+        vol = D.volume
     else:
-        quad = sphere_quadrature(d, int(p.get("count", DEFAULT_COUNT)), job.seed)
+        quad = sphere_quadrature(d, p.count("count", DEFAULT_COUNT), job.seed)
         vol = star_volume(diffbody_star(K, m, "lp"), quad)
         result["quadrature_nodes"] = len(quad.nodes)
     result["volume"] = vol
@@ -316,7 +337,7 @@ def _cmd_diffbody(job: _Job):
             result["radial_hull"] = D.radial(theta.flat, np.zeros(d))
             result["support"] = D.support(theta.flat)
     if "x" in p:
-        x = job_number(p["x"], "params.x", None)
+        x = p.numbers("x", ndim=None)
         if x.shape != (d,):
             raise InputError(f"params.x must be a point in R^{d}")
         result["roof"] = roof(D or diffbody_polytope(K, m), x)
@@ -324,56 +345,51 @@ def _cmd_diffbody(job: _Job):
 
 
 def _cmd_projbody(job: _Job):
-    p = _take(job.params, {"m", "direction", "volume", "count"})
+    p = job.params.take({"m", "direction", "volume", "count"})
+    job.tolerance  # read and ignored, as on diffbody
     K = job.body()
     mu = job.measure(K.dim)
     n = K.dim
-    m = int(p.get("m", 1))
-    if not (p.get("volume") and n * m > 2):
-        _refuse(p, ("count",), "unless params.volume is set and nm > 2")
+    m = p.count("m", 1)
     result: dict[str, Any] = {"m": m,
                               "surface_mass_total": boundary_measure_total(K, mu)}
     if "direction" in p:
         theta = _direction(p, n, m)
         result["support"] = projection_support(K, mu, theta.blocks)
         result["polar_radial"] = polar_projection_radial(K, mu, theta)
-    if p.get("volume"):
+    if p.spec("volume"):
         d = n * m
-        quad = (sphere_quadrature(d, int(p.get("count", DEFAULT_COUNT)), job.seed)
-                if "count" in p or d > EXACT_POLAR_DIM else None)
+        sphere = d > 2 and ("count" in p or d > EXACT_POLAR_DIM)
+        quad = (sphere_quadrature(d, p.count("count", DEFAULT_COUNT), job.seed)
+                if sphere else None)
         result["polar_volume"] = polar_projection_volume(K, mu, m, quad)
     return _result_payload("projbody", result)
 
 
 def _cmd_rmb(job: _Job):
-    p = _take(job.params, {"p", "m", "direction", "method", "p_seq"})
+    p = job.params.take({"p", "m", "direction", "method", "p_seq"})
     K = job.body()
-    mu = job.measure(K.dim)
-    m = int(p.get("m", 1))
+    m = p.count("m", 1)
     theta = _direction(p, K.dim, m)
-    raw_p = p.get("p", 1.0)
+    raw_p = p.spec("p", 1.0)
     if isinstance(raw_p, str):
         if raw_p not in ("inf", "+inf", "infinity"):
             raise InputError(f"bad p value {raw_p!r}")
         pval = math.inf
     else:
-        pval = job_number(raw_p, "params.p")
-    if pval == -1.0:
-        _refuse(p, ("method",), "at p = -1, which tabulates the Mellin route")
-        p_seq = job_number(p.get("p_seq", (-0.9, -0.99, -0.999)), "params.p_seq", 1)
+        pval = p.number("p")
+    if pval == math.inf:  # R_p is the difference body: no measure, no method
+        return _result_payload("rmb", {"p": "inf", "m": m, "method": "diffbody",
+                                       "value": diffbody_radial(K, theta)})
+    mu = job.measure(K.dim)
+    if pval == -1.0:  # the limit tabulates the Mellin route
+        p_seq = p.numbers("p_seq", (-0.9, -0.99, -0.999))
         rep = rmb_limit_neg1(K, mu, theta, tuple(p_seq.tolist()),
                              tolerance=job.tolerance or 0.01, seed=job.seed)
         return _report_payload("rmb", rep)
-    _refuse(p, ("p_seq",), "unless p = -1")
-    _refuse(job.raw, ("tolerance",), "unless p = -1, where it bounds the limit's error")
-    if pval == math.inf:
-        _refuse(job.raw, ("measure",), "at p = inf, where R_p is the difference body")
-        _refuse(p, ("method",), "at p = inf, where R_p is the difference body")
-        return _result_payload("rmb", {"p": "inf", "m": m, "method": "diffbody",
-                                       "value": diffbody_radial(K, theta)})
     # |p| < P0_SWITCH runs the p = 0 body, which has only the direct route
     near_zero = abs(pval) < P0_SWITCH
-    method = p.get("method", "direct" if near_zero else "mellin")
+    method = p.spec("method", "direct" if near_zero else "mellin")
     if near_zero and method == "mellin":
         raise InputError(f"method 'mellin' has no form at |p| < {P0_SWITCH:g}, "
                          "where the p = 0 body runs the direct route")
@@ -384,27 +400,24 @@ def _cmd_rmb(job: _Job):
 
 
 def _cmd_verify_chain(job: _Job):
-    p = _take(job.params, {"branch", "s", "F", "p_list", "m", "directions"})
+    p = job.params.take({"branch", "s", "F", "p_list", "m", "directions"})
     K = job.body()
     mu = job.measure(K.dim)
-    branch = p.get("branch", "s")
+    branch = p.spec("branch", "s")
     if branch == "s":
-        _refuse(p, ("F",), "on the s-branch, whose class is params.s")
         if "s" not in p:
             raise InputError("the s-branch needs params.s")
-        s = job_number(p["s"], "params.s")
+        s = p.number("s")
     elif branch in ("F", "Q"):
-        _refuse(p, ("s",), f"on the {branch}-branch, whose class is params.F")
-        fspec = p.get("F", {"type": "log"} if branch == "Q" else None)
+        fspec = p.spec("F", {"type": "log"} if branch == "Q" else None)
         if fspec is None:
             raise InputError("the F-branch needs params.F")
         s = _concavity_from_spec(fspec)
     else:
         raise InputError(f"unknown branch {branch!r}")
-    p_list = job_number(p.get("p_list", (0.5, 1.0, 2.0)), "params.p_list", 1)
+    p_list = p.numbers("p_list", (0.5, 1.0, 2.0))
     spec = ChainSpec(branch=branch, p_list=tuple(p_list.tolist()),
-                     s=s, m=int(p.get("m", 1)),
-                     directions=int(p.get("directions", 200)),
+                     s=s, m=p.count("m", 1), directions=p.count("directions", 200),
                      seed=job.seed, slack=job.tolerance)
     # s is the concavity class the chain's constants assume, spot-checked
     # against the density once the branch has accepted it
@@ -413,46 +426,41 @@ def _cmd_verify_chain(job: _Job):
 
 
 def _cmd_verify_zhang(job: _Job):
-    p = _take(job.params, {"s", "F", "m", "nu", "count", "n_mc"})
+    p = job.params.take({"s", "F", "m", "nu", "count", "n_mc"})
     K = job.body()
     mu = job.measure(K.dim)
     n = K.dim
-    m = int(p.get("m", 1))
+    m = p.count("m", 1)
     if "nu" not in p:
         nu_list = [WeightedMeasure.lebesgue(n) for _ in range(m)]
     else:
-        nu_specs = p["nu"]
+        nu_specs = p.spec("nu")
         if not isinstance(nu_specs, list) or len(nu_specs) != m:
             raise InputError(f"params.nu must list {m} densities (one per block)")
         nu_list = [WeightedMeasure(density_from_spec(sp, n)) for sp in nu_specs]
-    if all(nu.exact for nu in nu_list):
-        _refuse(p, ("n_mc",), "when every factor measure is constant")
     kw: dict[str, Any] = {"tolerance": job.tolerance or 0.02, "seed": job.seed,
-                          "n_mc": int(p.get("n_mc", 2000))}
-    if "count" in p:
-        kw["count"] = int(p["count"])
+                          "count": p.count("count")}
+    if not all(nu.exact for nu in nu_list):  # else the denominator is exact
+        kw["n_mc"] = p.count("n_mc", 2000)
     # params.F or params.s is the concavity class the bound assumes,
     # spot-checked against the density as verify-chain does
     if "F" in p:
-        _refuse(p, ("s",), "next to params.F, which states the concavity class")
-        s = _concavity_from_spec(p["F"])
+        s = _concavity_from_spec(p.spec("F"))
         _check_declared_tag(mu, K, s)
         rep = general_zhang_check(K, mu, s, nu_list, **kw)
     else:
-        s = job_number(p.get("s", 1.0 / n), "params.s")
+        s = p.number("s", 1.0 / n)
         _check_declared_tag(mu, K, s)
         rep = zhang_check(K, mu, s, nu_list, **kw)
     return _report_payload("verify-zhang", rep)
 
 
 def _cmd_verify_rs(job: _Job):
-    p = _take(job.params, {"m", "count"})
-    _refuse(job.raw, ("measure",), "on verify-rs, which is a Lebesgue volume ratio")
-    m = int(p.get("m", 1))
-    if m == 1:
-        _refuse(p, ("count",), "at m = 1, where the volume is exact")
+    p = job.params.take({"m", "count"})
+    m = p.count("m", 1)
     K = job.body()
-    rep = rogers_shephard_check(K, m, count=int(p["count"]) if "count" in p else None,
+    # at m = 1 the volume is exact and no sphere rule runs
+    rep = rogers_shephard_check(K, m, count=p.count("count") if m > 1 else None,
                                 tolerance=job.tolerance or 0.02, seed=job.seed)
     return _report_payload("verify-rs", rep)
 
@@ -473,14 +481,13 @@ def _worst_of(reports: list[VerifyReport], **fields) -> VerifyReport:
 
 
 def _cmd_verify_variational(job: _Job):
-    p = _take(job.params, {"m", "directions", "steps"})
+    p = job.params.take({"m", "directions", "steps"})
     K = job.body()
     mu = job.measure(K.dim)
     n = K.dim
-    m = int(p.get("m", 1))
-    count = int(p.get("directions", 20))
-    steps = tuple(job_number(p.get("steps", (1e-2, 5e-3, 2.5e-3)),
-                             "params.steps", 1).tolist())
+    m = p.count("m", 1)
+    count = p.count("directions", 20)
+    steps = tuple(p.numbers("steps", (1e-2, 5e-3, 2.5e-3)).tolist())
     tol = job.tolerance or 1e-3
     dirs = direction_mesh(n * m, count, job.seed)
     reps, rows = [], []
@@ -496,13 +503,13 @@ def _cmd_verify_variational(job: _Job):
 
 
 def _cmd_verify_linear(job: _Job):
-    p = _take(job.params, {"m", "trials", "directions"})
+    p = job.params.take({"m", "trials", "directions"})
     K = job.body()
     mu = job.measure(K.dim)
     n = K.dim
-    m = int(p.get("m", 1))
-    trials = int(p.get("trials", 20))
-    count = int(p.get("directions", 50))
+    m = p.count("m", 1)
+    trials = p.count("trials", 20)
+    count = p.count("directions", 50)
     reps, rows = [], []
     for t in range(trials):
         rng = rng_for(job.seed, f"cli-linear-{t}")
@@ -536,51 +543,44 @@ def _h_from_spec(spec: Any) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _cmd_verify_chord(job: _Job):
-    p = _take(job.params, {"fixture", "bound", "dim", "kernel", "h", "m", "s",
-                           "count", "cap_cos", "inner"})
-    fixture = p.get("fixture", "affine")
+    p = job.params.take({"fixture", "bound", "dim", "kernel", "h", "m", "s",
+                         "count", "cap_cos", "inner"})
+    fixture = p.spec("fixture", "affine")
     tol = job.tolerance or 1e-3
-    inner = int(p.get("inner", 64))
+    inner = p.count("inner", 64)
     if fixture == "covariogram":
-        _refuse(p, ("h", "dim", "cap_cos"), "on the covariogram fixture")
         K = job.body()
         mu = job.measure(K.dim)
-        m = int(p.get("m", 1))
+        m = p.count("m", 1)
         # params.s is the class the bound assumes; g^s is concave on the
         # difference body when the density is s-concave
-        s = job_number(p.get("s", 1.0 / K.dim), "params.s")
+        s = p.number("s", 1.0 / K.dim)
         _check_declared_tag(mu, K, s)
         d = K.dim * m
         f = covariogram_ray_fn(K, mu, m, s)
         h = lambda t: np.asarray(t, dtype=float) ** (1.0 / s)
-        bound = p.get("bound", "upper")
+        bound = p.spec("bound", "upper")
     else:
-        _refuse(p, ("m", "s") + (() if fixture == "capped" else ("cap_cos",)),
-                f"on fixture {fixture!r}")
-        _refuse(job.raw, ("measure",), f"on fixture {fixture!r}")
         if job.has_body():
-            _refuse(p, ("dim",), "when a body is given")
             K = job.body()
             d = K.dim
             L = StarBodyFn.of_polytope(K)
         else:
-            d = int(p.get("dim", 2))
+            d = p.count("dim", 2)
             L = StarBodyFn.ball(d, 1.0)
         if fixture == "affine":
             f = affine_ray_fn(L)
         elif fixture == "parabola":
             f = profile_ray_fn(L, lambda t: 1.0 - t ** 2, 0.0)
         elif fixture == "capped":
-            f = capped_ray_fn(L, job_number(p.get("cap_cos", 0.5), "params.cap_cos"))
+            f = capped_ray_fn(L, p.number("cap_cos", 0.5))
         else:
             raise InputError(f"unknown fixture {fixture!r}")
-        h = _h_from_spec(p.get("h", {"type": "identity"}))
-        bound = p.get("bound", "upper" if fixture == "capped" else "lower")
-    G = kernel_from_spec(p.get("kernel", {"type": "power", "exponent": d - 1}),
-                         d)
+        h = _h_from_spec(p.spec("h", {"type": "identity"}))
+        bound = p.spec("bound", "upper" if fixture == "capped" else "lower")
+    G = kernel_from_spec(p.spec("kernel", {"type": "power", "exponent": d - 1}), d)
     G.validate(seed=job.seed)
-    quad = sphere_quadrature(d, int(p.get("count", 400 if d == 2 else 2000)),
-                             job.seed)
+    quad = sphere_quadrature(d, p.count("count", 400 if d == 2 else 2000), job.seed)
     if bound == "lower":
         rep = chord_lower_check(f, h, G, quad, inner=inner, tolerance=tol)
     elif bound == "upper":
@@ -591,32 +591,23 @@ def _cmd_verify_chord(job: _Job):
 
 
 def _cmd_dualvol(job: _Job):
-    p = _take(job.params, {"kernel", "dim", "radius", "base", "count",
-                           "with_volume"})
-    _refuse(job.raw, ("measure", "tolerance"),
-            "on dualvol, which integrates a kernel over the sphere")
+    p = job.params.take({"kernel", "dim", "radius", "base", "count", "with_volume"})
     if job.has_body():
-        _refuse(p, ("dim", "radius"), "when a body is given")
         K = job.body()
         d = K.dim
-        base = p.get("base")
-        if base is not None:
-            base = job_number(base, "params.base", 1)
-            if base.shape != (d,):
-                raise InputError(f"params.base must be a point in R^{d}")
+        base = None if p.spec("base") is None else p.numbers("base")
+        if base is not None and base.shape != (d,):
+            raise InputError(f"params.base must be a point in R^{d}")
         L = StarBodyFn.of_polytope(K, base)
     else:
-        _refuse(p, ("base",), "without a body")
-        d = int(p.get("dim", 2))
-        L = StarBodyFn.ball(d, job_number(p.get("radius", 1.0), "params.radius"))
+        d = p.count("dim", 2)
+        L = StarBodyFn.ball(d, p.number("radius", 1.0))
     # default kernel d * r^(d-1) makes the dual volume equal the volume
-    kspec = p.get("kernel", {"type": "power", "exponent": d - 1,
-                             "scale": float(d)})
-    G = kernel_from_spec(kspec, d)
-    quad = sphere_quadrature(d, int(p.get("count", 400 if d == 2 else 20_000)),
-                             job.seed)
+    G = kernel_from_spec(p.spec("kernel", {"type": "power", "exponent": d - 1,
+                                           "scale": float(d)}), d)
+    quad = sphere_quadrature(d, p.count("count", 400 if d == 2 else 20_000), job.seed)
     result: dict[str, Any] = {"dim": d, "value": dual_volume(G, L, quad)}
-    if p.get("with_volume", True):
+    if p.spec("with_volume", True):
         result["star_volume"] = star_volume(L, quad)
     return _result_payload("dualvol", result)
 
@@ -679,6 +670,10 @@ def run(job: dict) -> int:
             raise InputError(f"{bad} must be a finite number")
         parsed = _Job(job)
         payload, rep, code = _HANDLERS[parsed.command](parsed)
+        unread = parsed.unread()
+        if unread:
+            raise InputError(f"parameter(s) {', '.join(unread)} have no effect "
+                             f"on this {parsed.command} job")
         if job.get("output", "json") == "csv":
             text = _render_csv(payload, rep)
         else:

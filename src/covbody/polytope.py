@@ -462,12 +462,6 @@ def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> np.ndarray | None
     return pts
 
 
-def volume(P: Polytope | None) -> float:
-    if P is None:
-        return 0.0
-    return P.volume
-
-
 @dataclass
 class LinearMap:
     """Invertible linear map with cached |det| and inverse."""

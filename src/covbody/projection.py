@@ -105,8 +105,11 @@ def polar_projection_volume(K: Polytope, mu: WeightedMeasure, m: int,
         return star_volume(body.polar_star(), quad)
     if d > EXACT_POLAR_DIM:
         raise InputError(f"sphere quadrature required for nm > {EXACT_POLAR_DIM}")
-    # a zero-weight atom is no summand, so its edges bound nothing
+    # a zero-weight atom is no summand, so its edges bound nothing; the edges
+    # of -u_F are parallel to those of u_F, so one atom of each pair spans both
     normals = body.surface.normals[body.surface.weights > 0]
+    antipodal = np.abs(normals @ normals.T + 1.0) < 1e-12
+    normals = normals[~np.triu(antipodal, 1).any(axis=0)]
     eye = np.eye(body.m)
     i, j = np.triu_indices(body.m, 1)
     blocks = np.vstack([eye, eye[i] - eye[j]])

@@ -1,5 +1,6 @@
 """Command-line front door: job checks, handlers, exit codes, and rendering."""
 
+import ast
 import io
 import json
 import math
@@ -338,6 +339,26 @@ class TestExitCodes:
         del job["measure"]
         assert run_job(tmp_path, job)[0] == 0
 
+    def test_refused_job_writes_no_report(self, tmp_path, capsys):
+        job = {"command": "covariogram", "body": SQUARE_BODY,
+               "params": {"x": [0.5, 0.0]}, "tolerance": 1e-3}
+        out = tmp_path / "out.json"
+        assert cli.run({**job, "outfile": str(out)}) == 2
+        assert not out.exists()
+        assert cli.run(job) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_unread_param_outranks_a_failed_check(self, tmp_path, capsys):
+        # under a Gaussian the p -> -1 limit misses a 1e-12 tolerance and the
+        # job exits 1; a method that the limit never reads makes it exit 2
+        job = {"command": "rmb", "body": TRIANGLE_BODY,
+               "measure": {"type": "gaussian", "sigma": 1.0},
+               "params": {"p": -1, "direction": [1.0, 0.0]}, "tolerance": 1e-12}
+        assert run_job(tmp_path, job)[0] == 1
+        job["params"] = {**job["params"], "method": "direct"}
+        assert run_job(tmp_path, job, "b.json") == (2, "")
+        assert "method have no effect" in capsys.readouterr().err
+
     def test_single_oracle_sample_is_two(self, tmp_path, capsys):
         code, _ = run_job(tmp_path, {
             "command": "covariogram", "body": SQUARE_BODY,
@@ -454,6 +475,8 @@ class TestExitCodes:
          "body.halfspaces"),
         ({"command": "projbody", "body": SQUARE_BODY,
           "measure": {"type": "product", "factors": 5}}, "factors"),
+        ({"command": "covariogram", "body": SQUARE_BODY,
+          "params": {"x": [0.5, 0.0, 0.1], "m": 2}}, "params.x"),
     ])
     def test_malformed_spec_is_two(self, tmp_path, capsys, job, key):
         # a body, density, h or concavity spec that lacks a key its kind
@@ -464,6 +487,37 @@ class TestExitCodes:
         assert run_job(tmp_path, job)[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and key in err
+
+
+class TestParamsRule:
+    """Only cli._Job reads a job's raw dict and only cli._Params its params
+    dict, so every param and field a handler uses is one the unread check
+    sees as read."""
+
+    @staticmethod
+    def escapes(source):
+        owner = {"raw": "_Job", "_given": "_Params"}
+        found = []
+
+        def visit(node, cls):
+            if isinstance(node, ast.ClassDef):
+                cls = node.name
+            if isinstance(node, ast.Attribute) and owner.get(node.attr, cls) != cls:
+                found.append(node.attr)
+            for child in ast.iter_child_nodes(node):
+                visit(child, cls)
+
+        visit(ast.parse(source), None)
+        return found
+
+    def test_only_the_reader_reads_params(self):
+        assert self.escapes(Path(cli.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("read, attr", [("job.raw['measure']", "raw"),
+                                            ("job.params._given['x']", "_given")])
+    def test_a_handler_that_reads_around_it_is_seen(self, read, attr):
+        handler = f"\n\ndef _cmd_scratch(job):\n    return {read}\n"
+        assert self.escapes(Path(cli.__file__).read_text() + handler) == [attr]
 
 
 class TestMellinExitOnValidInput:

@@ -22,7 +22,7 @@ from covbody._quad import simplex_rule, simplex_volumes, triangulate_vertices
 from covbody.covariogram import MDirection, covariogram, diffbody_polytope, diffbody_radial
 from covbody.measure import ConstantDensity, WeightedMeasure
 from covbody.polytope import (Polytope, _volume_of_points, dedupe_points,
-                              enumerate_vertices, intersect_translates, volume)
+                              enumerate_vertices, intersect_translates)
 from helpers import random_polygon, random_polytope
 
 
@@ -225,7 +225,8 @@ def test_cached_table_gives_the_plain_solve_vertices(case):
     assert gap.min(axis=0).max() <= polytope.DEDUPE_TOL
     if s == 1.0:
         # rho_D's translates only touch K
-        assert volume(intersect_translates(K, shifts)) == 0.0
+        P = intersect_translates(K, shifts)
+        assert P is None or P.volume == 0.0
 
 
 def test_a_warm_table_changes_no_value():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import covbody.projection as projection_mod
 from covbody.covariogram import MDirection, diffbody_radial
 from covbody.errors import DegenerateMeasureError, InputError
 from covbody.measure import (GaussianDensity, LinearPowerDensity,
@@ -123,6 +124,25 @@ class TestPolar:
         mu = WeightedMeasure.lebesgue(K.dim)
         got = K.volume ** (K.dim * m - m) * polar_projection_volume(K, mu, m)
         assert got == pytest.approx(product, rel=1e-12)
+
+    def test_antipodal_atoms_share_their_edges(self, monkeypatch):
+        # the regular 12-gon's atoms form 6 antipodal pairs with parallel
+        # edges, so 6 x 3 edge directions give C(18, 3) = 816 subsets, not
+        # C(36, 3) = 7140, and the volume all 36 edges gave
+        angles = 2.0 * np.pi * np.arange(12) / 12
+        K = Polytope.from_vertices(np.c_[np.cos(angles), np.sin(angles)])
+        sizes = []
+        row_subsets = projection_mod._row_subsets
+
+        def counted(rows, k):
+            subsets = row_subsets(rows, k)
+            sizes.append(len(subsets))
+            return subsets
+
+        monkeypatch.setattr(projection_mod, "_row_subsets", counted)
+        assert polar_projection_volume(K, LEB2, 2) == pytest.approx(
+            0.24610418369141557, rel=1e-12)
+        assert sizes == [816]
 
     def test_exact_matches_sphere_rule_under_gaussian(self):
         # two independent routes: the hull of boundary points over the
