@@ -91,6 +91,13 @@ class _Params:
             raise InputError(f"params.{key} must be a positive integer, got {value!r}")
         return None if value is None else int(value)
 
+    def flag(self, key: str, default: bool) -> bool:
+        """A switch: JSON true or false."""
+        value = self.spec(key, default)
+        if not isinstance(value, bool):
+            raise InputError(f"params.{key} must be true or false, got {value!r}")
+        return value
+
     def number(self, key: str, default: float | None = None) -> float:
         return job_number(self.spec(key, default), f"params.{key}")
 
@@ -286,7 +293,7 @@ def _cmd_covariogram(job: _Job):
         result["value"] = 0.0 if pts is None else _integrate_points(mu, n, pts)
         result["intersection_volume"] = 0.0 if pts is None else _build_from_points(
             n, pts, allow_degenerate=True).volume
-        if p.spec("oracle", "oracle_samples" in p):
+        if p.flag("oracle", "oracle_samples" in p):
             samples = p.count("oracle_samples", 200_000)
             box = K.bounding_box()  # the intersection lies inside K
             A, b, c = lifted_system(K, shifts)
@@ -357,7 +364,7 @@ def _cmd_projbody(job: _Job):
         theta = _direction(p, n, m)
         result["support"] = projection_support(K, mu, theta.blocks)
         result["polar_radial"] = polar_projection_radial(K, mu, theta)
-    if p.spec("volume"):
+    if p.flag("volume", False):
         d = n * m
         sphere = d > 2 and ("count" in p or d > EXACT_POLAR_DIM)
         quad = (sphere_quadrature(d, p.count("count", DEFAULT_COUNT), job.seed)
@@ -426,7 +433,7 @@ def _cmd_verify_chain(job: _Job):
 
 
 def _cmd_verify_zhang(job: _Job):
-    p = job.params.take({"s", "F", "m", "nu", "count", "n_mc"})
+    p = job.params.take({"s", "F", "m", "nu", "count"})
     K = job.body()
     mu = job.measure(K.dim)
     n = K.dim
@@ -440,8 +447,6 @@ def _cmd_verify_zhang(job: _Job):
         nu_list = [WeightedMeasure(density_from_spec(sp, n)) for sp in nu_specs]
     kw: dict[str, Any] = {"tolerance": job.tolerance or 0.02, "seed": job.seed,
                           "count": p.count("count")}
-    if not all(nu.exact for nu in nu_list):  # else the denominator is exact
-        kw["n_mc"] = p.count("n_mc", 2000)
     # params.F or params.s is the concavity class the bound assumes,
     # spot-checked against the density as verify-chain does
     if "F" in p:
@@ -607,7 +612,7 @@ def _cmd_dualvol(job: _Job):
                                            "scale": float(d)}), d)
     quad = sphere_quadrature(d, p.count("count", 400 if d == 2 else 20_000), job.seed)
     result: dict[str, Any] = {"dim": d, "value": dual_volume(G, L, quad)}
-    if p.spec("with_volume", True):
+    if p.flag("with_volume", True):
         result["star_volume"] = star_volume(L, quad)
     return _result_payload("dualvol", result)
 

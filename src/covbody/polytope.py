@@ -346,15 +346,6 @@ class Polytope:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def translate(self, v: Sequence[float]) -> "Polytope":
-        v = np.asarray(v, dtype=float)
-        facets = tuple(
-            Facet(f.normal.copy(), f.offset + float(f.normal @ v), f.area, f.vertices + v)
-            for f in self.facets
-        )
-        return Polytope(self.dim, self.A, self.b + self.A @ v, self.vertices + v, facets,
-                        self.volume, _degenerate=self.is_degenerate)
-
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
                 f"facets={len(self.facets)}, volume={self.volume:.6g})")

@@ -118,6 +118,42 @@ class TestExitCodes:
         assert code == 2
         assert "turbo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nu", [
+        [{"type": "linear-power", "a": [0.3, 0.2]}], [{"type": "constant"}]],
+        ids=["varying", "constant"])
+    def test_zhang_sample_count_is_unknown(self, tmp_path, capsys, nu):
+        # the denominator draws no samples
+        code, _ = run_job(tmp_path, {
+            "command": "verify-zhang", "body": TRIANGLE_BODY,
+            "params": {"nu": nu, "n_mc": 2000}})
+        assert code == 2
+        assert "unknown parameter(s): n_mc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, params", [
+        ("projbody", {"volume": "no"}),
+        ("projbody", {"volume": 1}),
+        ("covariogram", {"x": [0.5, 0.0], "oracle": "false", "oracle_samples": 1000}),
+        ("dualvol", {"with_volume": None}),
+    ])
+    def test_flag_is_a_boolean(self, tmp_path, capsys, command, params):
+        body = {} if command == "dualvol" else {"body": SQUARE_BODY}
+        code, _ = run_job(tmp_path, {"command": command, **body, "params": params})
+        assert code == 2
+        assert "must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, params, name, key", [
+        ("projbody", {}, "volume", "polar_volume"),
+        ("covariogram", {"x": [0.5, 0.0]}, "oracle", "oracle_estimate"),
+        ("dualvol", {}, "with_volume", "star_volume"),
+    ])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_flag_switches(self, tmp_path, command, params, name, key, flag):
+        body = {} if command == "dualvol" else {"body": SQUARE_BODY}
+        code, doc = run_json(tmp_path, {"command": command, **body,
+                                        "params": {**params, name: flag}})
+        assert code == 0
+        assert (key in doc["result"]) == flag
+
     def test_inconsistent_concavity_tag_is_two(self, tmp_path, capsys):
         code, _ = run_job(tmp_path, {
             "command": "verify-chain", "body": SQUARE_BODY,
@@ -270,10 +306,9 @@ class TestExitCodes:
          {"s": 0.5, "F": {"type": "log"}, "directions": 2}, "F"),
         ("verify-zhang", SQUARE_BODY,
          {"s": 0.5, "F": {"type": "power", "s": 0.5}}, "s"),
-        ("verify-zhang", TRIANGLE_BODY, {"n_mc": 10}, "n_mc"),
-        ("verify-zhang", TRIANGLE_BODY,
-         {"m": 2, "n_mc": 10, "nu": [{"type": "constant"}, {"type": "constant", "c": 2}]},
-         "n_mc"),
+        ("projbody", TRIANGLE_BODY, {"m": 2, "volume": False, "count": 100}, "count"),
+        ("covariogram", SQUARE_BODY, {"direction": [1.0, 0.0], "oracle": False},
+         "oracle"),
         ("rmb", SQUARE_BODY, {"p": "inf", "direction": [1.0, 0.0], "method": "direct"},
          "method"),
         ("diffbody", SQUARE_BODY, {"count": 100}, "count"),
@@ -695,6 +730,24 @@ class TestCommands:
             "command": "verify-zhang", "body": TRIANGLE_BODY, "params": {"count": 500}})
         assert code == 0
         assert doc["report"]["name"] == "zhang"
+
+    @pytest.mark.parametrize("F", [None, {"type": "power", "s": 0.5}])
+    def test_verify_zhang_varying_factor_is_seed_free(self, tmp_path, F):
+        # the 2-simplex under a linear-power factor: both the numerator's
+        # 1000-direction rule on S^1 and the denominator's rule take no seed
+        params = {"nu": [{"type": "linear-power", "a": [0.3, 0.2]}]}
+        if F is not None:
+            params["F"] = F
+        reports = []
+        for seed in (1, 2):
+            code, doc = run_json(tmp_path, {"command": "verify-zhang", "body": TRIANGLE_BODY,
+                                            "params": params, "seed": seed})
+            assert code == 0
+            reports.append({k: v for k, v in doc["report"].items() if k != "seed"})
+        assert reports[0] == reports[1]
+        assert reports[0]["pass"] is True
+        assert reports[0]["notes"].endswith("denominator nested simplex rule" + (
+            "" if F is None else f"; 1-D concavity mean {0.5 / 6.0:.12g}"))
 
     def test_chain_f_branch_is_the_s_branch(self, tmp_path):
         # under F = t^s the F-branch's constants are the s-branch's closed

@@ -147,14 +147,6 @@ def test_difference_body_volume_closed_forms(K, m, closed_form):
     assert diffbody_polytope(K, m).volume == pytest.approx(closed_form, rel=1e-12)
 
 
-def test_translate_runs_no_qhull(hull_calls):
-    K = Polytope.named("cross", 3)
-    hull_calls.clear()
-    T = K.translate([0.3, -0.2, 0.1])
-    assert hull_calls == []
-    assert T.volume == K.volume
-
-
 @pytest.mark.parametrize("name, rows, expect", [
     # octahedron: every vertex lies on four facets (non-simple)
     ("octahedron", [s for s in itertools.product((-1.0, 1.0), repeat=3)],

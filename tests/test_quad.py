@@ -247,3 +247,37 @@ def test_rules_are_built_in_quad_only():
     assert _import_violations("verify", "def f():\n    from scipy.integrate import quad\n")
     assert _import_violations("radialmean", "from numpy.polynomial.legendre import leggauss\n")
     assert not _import_violations("_quad", bad)
+
+
+# The check layer integrates by rules: `verify` draws no random numbers of
+# its own, so no Monte Carlo integral comes back into it. (Its sphere rules
+# come from `oracle.sphere_quadrature`, seeded from R^4 up.)
+RANDOM_NAMES = {"random", "rng_for", "mc_measure"}
+
+
+def _random_uses(source: str) -> list[str]:
+    """The random-number imports and `.random` attributes of a source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [f"<expr>.{node.attr}"]
+        else:
+            continue
+        found += [name for name in names if RANDOM_NAMES & set(name.split("."))]
+    return found
+
+
+def test_verify_draws_no_random_numbers():
+    source = (Path(covbody.__file__).parent / "verify.py").read_text()
+    assert _random_uses(source) == []
+    # the guard sees what it guards against
+    assert _random_uses("from .oracle import rng_for, sphere_quadrature\n") == [
+        "oracle.rng_for"]
+    assert _random_uses("def f():\n    from numpy.random import default_rng\n")
+    assert _random_uses("import numpy as np\nx = np.random.default_rng(1).random(3)\n")
+    assert _random_uses("from numpy import random\n")
+    assert _random_uses("from .oracle import mc_measure\n")

@@ -9,14 +9,14 @@ from covbody.covariogram import CovRay, MDirection
 from covbody.errors import InputError, NumericError
 from covbody.measure import (ConstantDensity, GaussianDensity,
                              LinearPowerDensity, WeightedMeasure)
-from covbody.oracle import sphere_quadrature
+from covbody.oracle import mc_measure, sphere_quadrature
 from covbody.polytope import Polytope, StarBodyFn, star_volume
 from covbody.projection import ProjectionBody
 from covbody.radialmean import rmb_radial_mellin
 from covbody.verify import (ChainSpec, berwald_const_F, berwald_const_Q,
                             chain_check, direction_mesh, gen_binom,
                             general_zhang_check, rogers_shephard_check,
-                            zhang_check, _nu_mass_of_star)
+                            zhang_check, _denominator_integral, _nu_mass_of_star)
 from helpers import (berwald_quad_F, berwald_quad_Q, concavity_mean_quad,
                      random_polygon)
 
@@ -270,8 +270,29 @@ class TestZhang:
     def test_general_triangle_equality(self):
         rep = general_zhang_check(TRIANGLE, LEB2, 0.5, [LEB2])
         assert rep.passed
-        assert rep.ratio == pytest.approx(1.0, rel=2e-3)
-        assert "weak form holds" in rep.notes
+        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
+        assert rep.notes.endswith(f"; 1-D concavity mean {0.5 / 6.0:.12g}")
+
+    @pytest.mark.parametrize("K, s, nus, count", [
+        (TRIANGLE, 0.5, [LEB2], None),
+        (SQUARE, 0.5, [LEB2], None),
+        (TRIANGLE, 0.5, [LEB2, LEB2], None),
+        (TRIANGLE, 0.5, [LEB2, LEB2], 100_000),
+        (TRIANGLE, 0.5, [LEB2, WeightedMeasure(ConstantDensity(2, 2.0))], None),
+        (SQUARE, 0.25, [WeightedMeasure(LinearPowerDensity([0.3, 0.2]))], None),
+    ], ids=["triangle", "square", "triangle-m2", "triangle-m2-count", "constant-c2",
+            "linear-power"])
+    def test_general_is_zhang_over_its_bound(self, K, s, nus, count):
+        # under F = t^s the general form divides zhang_check's inequality by
+        # mu(K): same verdict and margin, ratio over the bound
+        zhang = zhang_check(K, LEB2, s, nus, count=count)
+        general = general_zhang_check(K, LEB2, s, nus, count=count)
+        assert general.passed == zhang.passed
+        assert general.margin == pytest.approx(zhang.margin, abs=1e-15)
+        assert general.ratio == zhang.ratio / zhang.bound
+        assert general.bound == 1.0
+        assert general.lhs * K.volume == pytest.approx(zhang.lhs, rel=1e-15)
+        assert general.rhs == pytest.approx(zhang.rhs * zhang.bound / K.volume, rel=1e-15)
 
     def test_general_square_strict(self):
         rep = general_zhang_check(SQUARE, LEB2, 0.5, [LEB2])
@@ -303,6 +324,102 @@ class TestZhang:
             general_zhang_check(TRIANGLE, LEB2, None, [LEB2])
         with pytest.raises(InputError):
             general_zhang_check(TRIANGLE, LEB2, 0.0, [LEB2])
+
+
+def _mc_denominator(K, mu, nus, n_samples, seed):
+    """int_K prod_i nu_i(y - K) dmu(y) as one Monte Carlo integral over
+    K^(m+1) in R^(n(m+1)): density phi_mu(y) prod_i phi_i(y - z_i), every
+    block (y, z_1, ..., z_m) in K."""
+    n, m = K.dim, len(nus)
+    lo, hi = K.bounding_box()
+
+    def density(X):
+        y = X[:, :n]
+        out = mu.density(y)
+        for i, nu in enumerate(nus):
+            out = out * nu.density(y - X[:, n * (i + 1):n * (i + 2)])
+        return out
+
+    def member(X):
+        return np.all([(X[:, n * j:n * (j + 1)] @ K.A.T <= K.b + 1e-12).all(axis=1)
+                       for j in range(m + 1)], axis=0)
+
+    return mc_measure(density, member, (np.tile(lo, m + 1), np.tile(hi, m + 1)),
+                      n_samples=n_samples, seed=seed, tag="zhang-denominator-reference")
+
+
+class TestZhangDenominator:
+    """The denominator int_K prod_i nu_i(y - K) dmu(y): the nested simplex
+    rule against an independent Monte Carlo reference and a closed form,
+    exact under constant factors, seed-free, and gated."""
+
+    LP2 = [WeightedMeasure(LinearPowerDensity([0.3, 0.2])),
+           WeightedMeasure(LinearPowerDensity([-0.1, 0.5], 0.0, 2.0))]
+    LP3 = [WeightedMeasure(LinearPowerDensity([0.3, 0.2, 0.1])),
+           WeightedMeasure(LinearPowerDensity([-0.2, 0.1, 0.4], 0.0, 2.0))]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("body", ["triangle", "cube"])
+    def test_matches_monte_carlo(self, body, m):
+        if body == "triangle":
+            K, mu, nus = TRIANGLE, LEB2, self.LP2[:m]
+        else:
+            K, mu, nus = (Polytope.named("cube", 3),
+                          WeightedMeasure(GaussianDensity(3, 1.0)), self.LP3[:m])
+        got = _denominator_integral(K, mu, nus, 0.02)
+        est, se = _mc_denominator(K, mu, nus, 10**6, seed=1)
+        assert abs(got - est) <= 3.0 * se
+
+    def test_constant_factors_are_exact(self):
+        c2 = WeightedMeasure(ConstantDensity(2, 2.0))
+        gauss = WeightedMeasure(GaussianDensity(2, 1.0))
+        vol = SQUARE.volume
+        assert _denominator_integral(SQUARE, gauss, [c2, LEB2], 0.02) == (
+            (2.0 * vol) * (1.0 * vol) * gauss.mass(SQUARE))
+        # a constant factor stands outside the rule of the varying ones
+        assert _denominator_integral(SQUARE, gauss, [c2, self.LP2[0]], 0.02) == (
+            (2.0 * vol) * _denominator_integral(SQUARE, gauss, [self.LP2[0]], 0.02))
+
+    def test_seed_moves_only_a_sphere_rule(self):
+        # m = 2 with count takes a seeded sphere rule in R^4 for the numerator
+        one = zhang_check(TRIANGLE, LEB2, 0.5, self.LP2, count=2000, seed=1)
+        two = zhang_check(TRIANGLE, LEB2, 0.5, self.LP2, count=2000, seed=2)
+        assert one.rhs == two.rhs
+        assert one.lhs != two.lhs
+
+    def test_levels_that_disagree_raise(self):
+        # at tolerance 1e-6 the two levels' relative gap (4.1e-5 on this
+        # kinked factor) exceeds a tenth of it
+        with pytest.raises(NumericError, match=r"level 16 and .* at level 20, more than"):
+            zhang_check(TRIANGLE, LEB2, 0.5, self.LP2[:1], tolerance=1e-6)
+        assert zhang_check(TRIANGLE, LEB2, 0.5, self.LP2[:1]).passed
+
+    @pytest.mark.parametrize("K, a, k, count", [
+        (TRIANGLE, [0.3, 0.2], 1.0, None),
+        (Polytope.from_vertices([[0.1, -0.4], [1.3, 0.2], [-0.5, 0.9]]), [0.3, 0.2], 1.0,
+         None),
+        (TRIANGLE, [-0.3, 0.5], 2.0, None),
+        (Polytope.named("simplex", 3), [0.3, 0.2, 0.1], 1.0, 20_000),
+    ], ids=["triangle", "other-triangle", "triangle-k2", "tetrahedron"])
+    def test_homogeneous_factor_closed_form(self, K, a, k, count):
+        # Zhang's inequality for a homogeneous measure, as in Langharst,
+        # Roysdon and Zvavitch: nu with density phi = (<a, x>)_+^k is
+        # (n + k)-homogeneous. Under Lebesgue mu, g^(1/n) is concave along
+        # rays and -g'(0+) = h_{Pi K}, so g(r u) <= vol(K) (1 - r / R(u))^n
+        # with R = n vol(K) rho_{polar Pi K} >= rho_D, equal on simplices. In
+        # polar coordinates int_K nu(y - K) dy = int phi(u) int_0^rho_D
+        # r^(n+k-1) g(r u) dr du is then at most vol(K) B(n + k, n + 1)
+        # int phi(u) R(u)^(n+k) du, while at s = 1/n the numerator is vol(K)
+        # int phi(u) R(u)^(n+k) / (n + k) du: the ratio is at least
+        # 1 / ((n + k) B(n + k, n + 1)) = C(2n + k, n), reached on simplices.
+        n = K.dim
+        rep = zhang_check(K, WeightedMeasure.lebesgue(n), 1.0 / n,
+                          [WeightedMeasure(LinearPowerDensity(a, 0.0, k))], count=count)
+        assert rep.ratio == pytest.approx(math.comb(2 * n + int(k), n), rel=1e-3)
+
+    def test_homogeneous_factor_square_is_strict(self):
+        rep = zhang_check(SQUARE, LEB2, 0.5, self.LP2[:1])
+        assert rep.ratio > 1.5 * math.comb(5, 2)
 
 
 class TestNuMass:
