@@ -24,6 +24,8 @@ The geometry kernel lives here too: `simplex_volumes` is the one simplex
 volume formula, and `triangulate_vertices` / `hull_simplices` the one
 simplicial decomposition of a convex hull, shared by exact volumes
 (`polytope._volume_of_points`, body builds) and by the simplex rule.
+`triangulate_vertices` takes many point sets at once, and `segment_sums`
+sums what they give set by set.
 """
 
 from __future__ import annotations
@@ -194,34 +196,85 @@ def hull_simplices(pts: np.ndarray, hull: ConvexHull) -> np.ndarray:
     return _cones(pts[hull.vertices].mean(axis=0), pts[hull.simplices])
 
 
-def triangulate_vertices(dim: int, pts: np.ndarray) -> np.ndarray:
-    """Split the convex hull of pts in R^dim into simplices, a stack
-    (S, dim+1, dim): cones from an interior apex over the boundary.
+def segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each run of values along axis 0, run i holding the next
+    sizes[i] entries (0 for an empty run). A run's sum reads its own
+    entries alone, so it is the same bits whatever runs lie beside it."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    full = sizes > 0
+    if full.all() and len(values):
+        return np.add.reduceat(values, starts, axis=0)
+    out = np.zeros((len(sizes),) + np.shape(values)[1:])
+    if full.any():
+        out[full] = np.add.reduceat(values, starts[full], axis=0)
+    return out
 
-    In R^1 that is the segment itself. In R^2 a vertex set (points in
-    convex position, as every intersection is) is fanned from its mean over
-    its counterclockwise ring; any other set, and every set from R^3 up,
-    goes through `hull_simplices` of its Qhull hull. Degenerate simplices
-    are kept (volume 0). Raises NumericError when Qhull finds the set
-    lower-dimensional.
+
+def triangulate_vertices(dim: int, pts: np.ndarray,
+                         sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the convex hull of each point set in R^dim into simplices:
+    cones from an interior apex over the boundary. The sets are runs of
+    pts, set i holding the next sizes[i] points. Returns every set's
+    simplices, set by set, as one stack (T, dim+1, dim), and each set's
+    count of them: 0 for a set of at most dim points or one that Qhull
+    finds lower-dimensional.
+
+    In R^1 a set's simplex is its extent. In R^2 every set in convex
+    position (as every intersection is) is fanned from its mean over its
+    counterclockwise ring, all sets at once; any other set, and every set
+    from R^3 up, goes through `hull_simplices` of its own Qhull hull.
+    Degenerate fan triangles are kept (volume 0). A set's simplices depend
+    on its own points alone.
     """
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) < dim + 1:
-        raise NumericError(f"degenerate {dim}-d point set")
+    pts = np.asarray(pts, dtype=float).reshape(-1, dim)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    solid = sizes > dim
+    if not solid.all():  # the sets of at most dim points get no simplex
+        simplices, counts = triangulate_vertices(dim, pts[np.repeat(solid, sizes)],
+                                                 sizes[solid])
+        sizes = np.zeros(len(sizes), dtype=np.intp)
+        sizes[solid] = counts
+        return simplices, sizes
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     if dim == 1:
-        lo, hi = pts.min(), pts.max()
-        if hi - lo <= 0:
-            raise NumericError("degenerate 1-d point set")
-        return np.array([[[lo], [hi]]])
-    if dim == 2:
-        ring = pts[order_polygon(pts)]
-        edges = np.concatenate([ring[1:], ring[:1]]) - ring
-        following = np.concatenate([edges[1:], edges[:1]])
-        turns = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
-        # no reflex turn: the ring is the hull's boundary
-        if turns.min() >= -1e-12 * (edges * edges).sum(axis=1).max():
-            return _cones(ring.mean(axis=0), np.stack([ring, ring + edges], axis=1))
-    try:
-        return hull_simplices(pts, ConvexHull(pts))
-    except QhullError as exc:
-        raise NumericError(f"degenerate {dim}-d point set: {exc}") from exc
+        lo = np.minimum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
+        hi = np.maximum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
+        return np.stack([lo, hi], axis=1)[hi > lo, :, None], (hi > lo).astype(np.intp)
+    fan = np.zeros(len(sizes), dtype=bool)
+    if dim == 2 and len(pts):
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        center = np.add.reduceat(pts, starts) / sizes[:, None]
+        rel = pts - center[owner]
+        ring = pts[np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))]
+        after = np.arange(1, len(pts) + 1)
+        after[ends - 1] = starts
+        fans = np.empty((len(pts), 3, 2))
+        fans[:, 0] = center[owner]
+        fans[:, 1] = ring
+        fans[:, 2] = ring[after]
+        edges = fans[:, 2] - ring
+        e0, e1 = edges[:, 0], edges[:, 1]
+        length = np.hypot(e0, e1)
+        # no reflex turn, one whose sine falls below -1e-12: the ring is the
+        # hull's boundary, and a turn let through costs at most 1e-12 of the
+        # area of the triangle its two edges span
+        reflex = e0 * e1[after] - e1 * e0[after] < -1e-12 * length * length[after]
+        fan[:] = True
+        fan[owner[reflex]] = False
+        if fan.all():
+            return fans, sizes
+    counts = np.where(fan, sizes, 0)
+    parts = []
+    for s in range(len(sizes)):
+        if fan[s]:
+            parts.append(fans[starts[s]:ends[s]])
+            continue
+        P = pts[starts[s]:ends[s]]
+        try:
+            parts.append(hull_simplices(P, ConvexHull(P)))
+        except QhullError:
+            continue
+        counts[s] = len(parts[-1])
+    return (np.concatenate(parts) if parts else np.empty((0, dim + 1, dim))), counts

@@ -287,11 +287,11 @@ def _cmd_covariogram(job: _Job):
     if "x" in p:
         shifts = _shifts(p, n)
         # one vertex set; value and volume come from two decompositions of it
-        pts = _intersection_vertices(K, shifts)
+        pts, sizes = _intersection_vertices(K, shifts[None])
         result["m"] = len(shifts)
         result["x"] = shifts
-        result["value"] = 0.0 if pts is None else _integrate_points(mu, n, pts)
-        result["intersection_volume"] = 0.0 if pts is None else _build_from_points(
+        result["value"] = float(_integrate_points(mu, n, pts, sizes)[0])
+        result["intersection_volume"] = 0.0 if len(pts) == 0 else _build_from_points(
             n, pts, allow_degenerate=True).volume
         if p.flag("oracle", "oracle_samples" in p):
             samples = p.count("oracle_samples", 200_000)
@@ -494,16 +494,13 @@ def _cmd_verify_variational(job: _Job):
     count = p.count("directions", 20)
     steps = tuple(p.numbers("steps", (1e-2, 5e-3, 2.5e-3)).tolist())
     tol = job.tolerance or 1e-3
-    dirs = direction_mesh(n * m, count, job.seed)
-    reps, rows = [], []
-    for i, flat in enumerate(dirs):
-        rep = variational_check(K, mu, flat.reshape(m, n), steps, tol, job.seed)
-        reps.append(rep)
-        rows.append({"direction": i, "lhs": rep.lhs, "rhs": rep.rhs,
-                     "rel_error": tol - rep.margin})
+    dirs = direction_mesh(n * m, count, job.seed).reshape(count, m, n)
+    reps = variational_check(K, mu, dirs, steps, tol, job.seed)
+    rows = tuple({"direction": i, "lhs": rep.lhs, "rhs": rep.rhs,
+                  "rel_error": tol - rep.margin} for i, rep in enumerate(reps))
     agg = _worst_of(reps, name="variational", samples=count, seed=job.seed,
                     notes=f"worst of {count} directions; per-direction rows attached",
-                    rows=tuple(rows))
+                    rows=rows)
     return _report_payload("verify-variational", agg)
 
 

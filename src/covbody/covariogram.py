@@ -84,18 +84,22 @@ def as_mdirection(theta, m: int | None = None) -> MDirection:
     return MDirection(b)
 
 
-def covariogram(K: Polytope, mu: WeightedMeasure, xbar: Sequence[Sequence[float]]) -> float:
+def covariogram(K: Polytope, mu: WeightedMeasure, xbar: Sequence[Sequence[float]]):
     """g_{mu,m}(K, xbar) = mu(K cap_i (x_i + K)); 0 when the intersection is
-    empty or degenerate."""
+    empty or degenerate.
+
+    xbar is one m-tuple of shifts (m, n), or one shift (n,), which gives a
+    float, or a stack of m-tuples (S, m, n), which gives the S values from
+    one vertex enumeration and one integration call. A value is the same
+    bits whatever stack it rides in."""
     shifts = np.asarray(xbar, dtype=float)
     if shifts.ndim == 1:
         shifts = shifts[None, :]
-    if shifts.shape[1] != K.dim:
+    if shifts.ndim not in (2, 3) or shifts.shape[-1] != K.dim:
         raise InputError("shift dimension mismatch")
-    pts = _intersection_vertices(K, shifts)
-    if pts is None:
-        return 0.0
-    return _integrate_points(mu, K.dim, pts)
+    pts, sizes = _intersection_vertices(K, shifts if shifts.ndim == 3 else shifts[None])
+    values = _integrate_points(mu, K.dim, pts, sizes)
+    return values if shifts.ndim == 3 else float(values[0])
 
 
 def diffbody_radial(K: Polytope, theta: MDirection | Sequence[Sequence[float]]) -> float:
@@ -240,11 +244,17 @@ class CovRay:
             raise InputError("ray parameter must be >= 0")
         if r == 0.0:
             return self.mu_K
-        val = self._cache.get(r)
-        if val is None:
-            val = covariogram(self.K, self.mu, self.theta.shifts(r))
-            self._cache[r] = val
-        return val
+        if r not in self._cache:
+            self._evaluate([r])
+        return self._cache[r]
+
+    def _evaluate(self, rs) -> None:
+        """Put g at every r > 0 of rs that the memo lacks into it, from one
+        covariogram call."""
+        new = [r for r in dict.fromkeys(map(float, rs)) if r > 0.0 and r not in self._cache]
+        if new:
+            values = covariogram(self.K, self.mu, np.multiply.outer(new, self.theta.blocks))
+            self._cache.update(zip(new, values.tolist()))
 
     def describe(self) -> str:
         """The direction, rounded, for error messages that name a rerun."""
@@ -272,8 +282,8 @@ class CovRay:
         idx, _, det = table.factors
         x0, x1 = _basic_solutions(table, b), _basic_solutions(table, c)
         # einsum, not a matmul: one fixed loop, whatever the BLAS
-        gap = b - np.einsum("hj,kj->kh", A, x0)
-        slope = np.einsum("hj,kj->kh", A, x1) - c
+        gap = b - np.einsum("hj,jk->kh", A, x0)
+        slope = np.einsum("hj,jk->kh", A, x1) - c
         regular = det[:, None] * np.abs(slope) > 1e-12
         np.put_along_axis(regular, idx, False, axis=1)  # T's own rows: noise
         # T's line satisfies every row within TOL, A x <= b + r c + TOL, for
@@ -310,27 +320,33 @@ class CovRay:
         degree = self.K.dim if self.mu.exact else FIT_DEGREE
         depth = 0 if self.mu.exact else SPLIT_DEPTH
         t, to_coeffs = chebyshev_01(degree)
+        nodes = np.append(t, CHECK_NODE)
         ends = np.concatenate([[0.0], self.breakpoints(), [self.rho_D]])
-        todo = [(ends[k], ends[k + 1], k, 0) for k in reversed(range(len(ends) - 1))]
+        todo = [(ends[k], ends[k + 1], k, 0) for k in range(len(ends) - 1)]
         gate = FIT_GATE * self.mu_K
-        fits = []  # (right end, values, coeffs) of each interval, left to right
-        while todo:  # a stack: the leftmost interval still to fit on top
-            a, b, k, halvings = todo.pop()
-            vals = np.array([self.g(x) for x in a + (b - a) * t])
-            c = to_coeffs @ vals
-            resid = abs(self.g(a + (b - a) * CHECK_NODE) - chebval(2.0 * CHECK_NODE - 1.0, c))
-            if resid <= gate:
-                fits.append((b, vals, c))
-            elif halvings < depth:
-                mid = 0.5 * (a + b)
-                todo += [(mid, b, k, halvings + 1), (a, mid, k, halvings + 1)]
-            else:
-                raise NumericError(
-                    f"ray profile fit misses its check node on r in [{a:.9g}, {b:.9g}] "
-                    f"of piece {k + 1} of {len(ends) - 1} ({degree + 2} evaluations per "
-                    f"piece, halved {halvings} times): residual {resid:.3g} against "
-                    f"gate {gate:.3g}, {self.describe()}")
-        right, values, coeffs = zip(*fits)
+        fits = []  # (left end, right end, values, coeffs) of each interval
+        while todo:  # a round: every interval still to fit, left to right
+            self._evaluate(np.concatenate([a + (b - a) * nodes for a, b, _, _ in todo]))
+            halves = []
+            for a, b, k, halvings in todo:
+                x = a + (b - a) * nodes
+                vals = np.array([self.g(r) for r in x[:-1]])
+                c = to_coeffs @ vals
+                resid = abs(self.g(x[-1]) - chebval(2.0 * CHECK_NODE - 1.0, c))
+                if resid <= gate:
+                    fits.append((a, b, vals, c))
+                elif halvings < depth:
+                    mid = 0.5 * (a + b)
+                    halves += [(a, mid, k, halvings + 1), (mid, b, k, halvings + 1)]
+                else:
+                    raise NumericError(
+                        f"ray profile fit misses its check node on r in [{a:.9g}, {b:.9g}] "
+                        f"of piece {k + 1} of {len(ends) - 1} ({degree + 2} evaluations per "
+                        f"piece, halved {halvings} times): residual {resid:.3g} against "
+                        f"gate {gate:.3g}, {self.describe()}")
+            todo = halves
+        fits.sort(key=lambda fit: fit[0])
+        _, right, values, coeffs = zip(*fits)
         self._profile = RayProfile(np.array([0.0, *right]), np.array(values), np.array(coeffs))
         return self._profile
 

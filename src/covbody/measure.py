@@ -22,18 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import gauss_01, simplex_rule, triangulate_vertices
-from .errors import (DegenerateMeasureError, InputError, NumericError, job_field, job_number,
-                     spec_kind)
+from ._quad import segment_sums, simplex_rule, triangulate_vertices
+from .errors import DegenerateMeasureError, InputError, job_field, job_number, spec_kind
 from .oracle import rng_for
-from .polytope import LinearMap, Polytope, _volume_of_points
+from .polytope import DEDUPE_BLOCK, LinearMap, Polytope, _volume_of_points
 
 __all__ = [
     "Density", "ConstantDensity", "GaussianDensity",
     "LinearPowerDensity", "ProductDensity", "ComposedDensity",
     "WeightedMeasure", "FacetMeasure",
     "integrate_over_polytope", "weighted_surface_measure",
-    "boundary_measure_total", "parallel_body_difference", "transform_measure",
+    "boundary_measure_total", "transform_measure",
     "density_from_spec", "check_concavity_tag",
 ]
 
@@ -184,19 +183,29 @@ def integrate_over_polytope(mu: WeightedMeasure, P: Polytope | None) -> float:
     """mu(P); 0 for empty/degenerate P."""
     if P is None or P.is_degenerate:
         return 0.0
-    return _integrate_points(mu, P.dim, P.vertices)
+    return float(_integrate_points(mu, P.dim, P.vertices, [len(P.vertices)])[0])
 
 
-def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray) -> float:
-    """Integral of the density over the convex hull of pts."""
+def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray, sizes) -> np.ndarray:
+    """Integral of the density over the convex hull of each point set, the
+    runs of pts of sizes[i] points; 0 for a lower-dimensional set. Under
+    a non-constant density the simplex rule runs on whole sets, as many
+    per call as keep its nodes within DEDUPE_BLOCK floats, and each set's
+    sum reads its own nodes alone."""
     if mu.exact:
-        return mu.density.c * _volume_of_points(dim, pts)
-    try:
-        simplices = triangulate_vertices(dim, pts)
-    except NumericError:
-        return 0.0
-    X, w = simplex_rule(simplices, SIMPLEX_LEVEL)
-    return float(w @ mu.density(X))
+        return mu.density.c * _volume_of_points(dim, pts, sizes)
+    simplices, counts = triangulate_vertices(dim, pts, sizes)
+    nodes = SIMPLEX_LEVEL ** dim  # per simplex
+    step = max(1, DEDUPE_BLOCK // max(1, int(counts.max(initial=0)) * nodes * dim))
+    ends = np.cumsum(counts)
+    out = np.zeros(len(counts))
+    for s in range(0, len(counts), step):
+        part = counts[s:s + step]
+        if part.any():
+            lo = ends[s] - counts[s]
+            X, w = simplex_rule(simplices[lo:lo + part.sum()], SIMPLEX_LEVEL)
+            out[s:s + step] = segment_sums(w * mu.density(X), part * nodes)
+    return out
 
 
 # -- weighted surface-area measure ------------------------------------------
@@ -250,71 +259,6 @@ def weighted_surface_measure(K: Polytope, mu: WeightedMeasure) -> FacetMeasure:
 def boundary_measure_total(K: Polytope, mu: WeightedMeasure) -> float:
     """mu^+(dK): total mass of the weighted surface-area measure."""
     return weighted_surface_measure(K, mu).total
-
-
-def parallel_body_difference(K: Polytope, mu: WeightedMeasure,
-                             eps: float = 1e-3) -> float:
-    """(mu(K + eps B) - mu(K)) / eps, for cross-validating the boundary mass.
-
-    The outer shell is decomposed exactly: facet prisms plus vertex sectors
-    (n = 2, any density; n = 1 likewise), or the Steiner formula (n = 3,
-    constant density).
-    """
-    density = mu.density
-    if K.dim == 1:
-        lo, hi = K.vertices.min(), K.vertices.max()
-        u, w = gauss_01(32)
-        left = (lo - eps) + eps * u
-        right = hi + eps * u
-        total = eps * float(w @ density(left[:, None]) + w @ density(right[:, None]))
-        return total / eps
-    if K.dim == 2:
-        total = 0.0
-        u, w = gauss_01(24)
-        for f in K.facets:
-            a, b = f.vertices[0], f.vertices[-1]
-            s, t = np.meshgrid(u, u, indexing="ij")
-            pts = a + s[..., None] * (b - a) + (eps * t)[..., None] * f.normal
-            wt = np.outer(w, w) * np.linalg.norm(b - a) * eps
-            total += float(wt.ravel() @ density(pts.reshape(-1, 2)))
-        # vertex sectors: wedge between the two adjacent facet normals
-        for v in K.vertices:
-            adj = [f for f in K.facets
-                   if np.abs(f.normal @ v - f.offset) < 1e-9]
-            if len(adj) != 2:
-                raise NumericError("vertex with != 2 incident edges")
-            a0 = math.atan2(adj[0].normal[1], adj[0].normal[0])
-            a1 = math.atan2(adj[1].normal[1], adj[1].normal[0])
-            span = (a1 - a0) % (2.0 * math.pi)
-            if span > math.pi:
-                a0, span = a1, 2.0 * math.pi - span
-            phi = a0 + span * u
-            r = eps * u
-            R, PHI = np.meshgrid(r, phi, indexing="ij")
-            pts = np.stack([v[0] + R * np.cos(PHI), v[1] + R * np.sin(PHI)], axis=-1)
-            wt = np.outer(eps * w * r, span * w)  # r dr dphi
-            total += float(wt.ravel() @ density(pts.reshape(-1, 2)))
-        return total / eps
-    if K.dim == 3 and mu.exact:
-        surf = sum(f.area for f in K.facets)
-        edge_term = 0.0
-        for i in range(len(K.facets)):
-            for j in range(i + 1, len(K.facets)):
-                fi, fj = K.facets[i], K.facets[j]
-                shared = [v for v in fi.vertices
-                          if np.abs(fj.normal @ v - fj.offset) < 1e-9
-                          and np.abs(fi.normal @ v - fi.offset) < 1e-9]
-                shared = np.array(shared)
-                if len(shared) < 2:
-                    continue
-                d2 = np.linalg.norm(shared[:, None, :] - shared[None, :, :], axis=-1)
-                length = float(d2.max())
-                gamma = math.acos(float(np.clip(fi.normal @ fj.normal, -1, 1)))
-                edge_term += length * gamma
-        shell = surf * eps + 0.5 * edge_term * eps**2 + (4.0 * math.pi / 3.0) * eps**3
-        return density.c * shell / eps
-    raise InputError("parallel-body difference implemented for n <= 2 "
-                     "(any density) and n = 3 (constant density)")
 
 
 def transform_measure(mu: WeightedMeasure, T: LinearMap) -> WeightedMeasure:

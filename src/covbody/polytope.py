@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from ._quad import hull_simplices, order_polygon, simplex_volumes, triangulate_vertices
+from ._quad import (hull_simplices, order_polygon, segment_sums, simplex_volumes,
+                    triangulate_vertices)
 from .errors import InputError, NumericError, job_field, job_number, spec_kind
 from .simplexlp import solve_lp_max
 
@@ -103,48 +104,93 @@ def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx, inv, det
 
 
-def enumerate_vertices(system: SubsetTable | np.ndarray, b: np.ndarray) -> np.ndarray:
+def enumerate_vertices(system: SubsetTable | np.ndarray,
+                       b: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """All vertices of {A x <= b}: basic solutions that satisfy every row.
 
     `system` is A's `SubsetTable`, or A itself, whose table is then built
-    for this call alone. Each call costs one batched product of the
-    table's inverses with b, the feasibility test and one dedupe; the
-    vertex kept at a point where more than n rows meet is the basic
-    solution of the subset with the largest |det|. Suitable for the small
+    for this call alone. b is one right-hand side (H,), which gives its
+    vertex array, or a stack (S, H), which gives the vertices of every
+    system, set by set, and each set's count. A stack costs one product of
+    the table's inverses with every b, one feasibility test and one
+    segmented dedupe per chunk of systems, a chunk's feasibility tests
+    holding at most DEDUPE_BLOCK floats; the vertex kept at a point where
+    more than n rows meet is the basic solution of the subset with the
+    largest |det|. A system's vertices are the same bits whatever it is
+    stacked with. Suitable for the small
     systems this package works with (tens of rows, n <= 3 ambient, nm <= 6
     lifted).
     """
     table = system if isinstance(system, SubsetTable) else SubsetTable(system)
     A = table.A
-    b = np.asarray(b, dtype=float)
-    H, n = A.shape
-    if n == 1:
-        pos = A[:, 0] > TOL
-        neg = A[:, 0] < -TOL
-        if not pos.any() or not neg.any():
-            return np.empty((0, 1))
-        hi = (b[pos] / A[pos, 0]).min()
-        lo = (b[neg] / A[neg, 0]).max()
-        if lo > hi + TOL:
-            return np.empty((0, 1))
-        if hi - lo <= TOL:
-            return np.array([[0.5 * (lo + hi)]])
-        return np.array([[lo], [hi]])
-    X = _basic_solutions(table, b)
-    return dedupe_points(X[(A @ X.T <= b[:, None] + TOL).all(axis=0)])
+    B = np.asarray(b, dtype=float)
+    stack = B.reshape(-1, A.shape[0])
+    if A.shape[1] == 1:
+        pts, sizes = _interval_ends(A[:, 0], stack)
+    else:
+        step = max(1, DEDUPE_BLOCK // max(1, len(table.factors[0]) * A.shape[0]))
+        if len(stack) <= step:
+            pts, sizes = _feasible_vertices(table, stack)
+        else:
+            parts = [_feasible_vertices(table, stack[s:s + step])
+                     for s in range(0, len(stack), step)]
+            pts = np.concatenate([p for p, _ in parts])
+            sizes = np.concatenate([c for _, c in parts])
+    return (pts, sizes) if B.ndim == 2 else pts
+
+
+def _interval_ends(a: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of each {x in R : a x <= b} for the rows b of B: both
+    ends, one point where they meet within TOL, none when empty."""
+    pos, neg = a > TOL, a < -TOL
+    if not pos.any() or not neg.any():
+        return np.empty((0, 1)), np.zeros(len(B), dtype=np.intp)
+    hi = (B[:, pos] / a[pos]).min(axis=1)
+    lo = (B[:, neg] / a[neg]).max(axis=1)
+    empty = lo > hi + TOL
+    one = ~empty & (hi - lo <= TOL)
+    ends = np.stack([np.where(one, 0.5 * (lo + hi), lo), hi], axis=1)
+    take = np.stack([~empty, ~empty & ~one], axis=1)
+    return ends[take][:, None], take.sum(axis=1)
+
+
+def _feasible_vertices(table: SubsetTable, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`enumerate_vertices` on a stack B (S, H): the deduped feasible basic
+    solutions of each row, set by set, and each set's count."""
+    X = _basic_solutions(table, B)  # (n, S, k)
+    # a stacked matmul runs one BLAS product per system, of that system's
+    # shape, so the stack changes no bit of it
+    feasible = (table.A @ X.transpose(1, 0, 2) <= (B + TOL)[:, :, None]).all(axis=1)
+    count = feasible.sum(axis=1)
+    # each system's feasible points first, in table order
+    first = np.argsort(~feasible, axis=1, kind="stable")[:, :count.max(initial=0)]
+    Q = X[:, np.arange(len(B))[:, None], first]
+    keep = _first_of_clusters(Q, np.arange(Q.shape[2]) < count[:, None])
+    return Q[:, keep].T, keep.sum(axis=1)
 
 
 def _basic_solutions(table: SubsetTable, b: np.ndarray) -> np.ndarray:
     """The common point of every regular n-subset T of the rows of
-    {A x <= b}, feasible or not, in the table's descending |det| order;
-    (0, n) when there is none. Linear in b: at b + r c the point of T
+    {A x <= b}, feasible or not, in the table's descending |det| order,
+    coordinate by coordinate: (n, k) for one right-hand side b (H,), and
+    (n, S, k) for a stack (S, H). Linear in b: at b + r c the point of T
     moves along the line x(b) + r x(c)."""
     idx, inv, _ = table.factors
-    # einsum, not a batched matmul: one fixed loop, whatever the BLAS
-    return np.einsum("kij,kj->ki", inv, b[idx])
+    G = [b[..., col] for col in idx.T]
+    # summed one product at a time: an einsum picks its loop, and with it
+    # fused multiply-adds, by the shape of the stack, so a point's bits
+    # would depend on what b is stacked with
+    X = np.empty((len(G),) + G[0].shape)
+    for i, row in enumerate(inv.transpose(1, 2, 0)):
+        X[i] = row[0] * G[0]
+        for coef, g in zip(row[1:], G[1:]):
+            X[i] += coef * g
+    return X
 
 
-# Most floats a block of dedupe_points' pairwise differences may hold.
+# Most floats a block of dedupe_points' pairwise differences may hold, and
+# the budget that chunks the stacked temporaries of vertex enumeration and
+# integration.
 DEDUPE_BLOCK = 1 << 16
 
 # Max-norm distance within which dedupe_points merges two points.
@@ -161,38 +207,56 @@ def dedupe_points(pts: np.ndarray) -> np.ndarray:
     Pairs are compared a block of rows at a time, so memory stays below
     DEDUPE_BLOCK floats however many points there are.
     """
-    k = len(pts)
-    if k <= 1:
-        return pts
-    rows = max(1, DEDUPE_BLOCK // (k * pts.shape[1]))
-    first, later = [], []
-    for s in range(0, k - 1, rows):
-        gap = np.abs(pts[s:s + rows, None, :] - pts[None, :, :]).max(axis=2)
-        close = gap <= DEDUPE_TOL
-        i, j = np.nonzero(np.triu(close, s + 1))  # pairs with s + i < j
-        first.append(i + s)
-        later.append(j)
-    first, later = np.concatenate(first), np.concatenate(later)
+    return pts[_first_of_clusters(pts.T[:, None, :], np.ones((1, len(pts)), dtype=bool))[0]]
+
+
+def _first_of_clusters(Q: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """`dedupe_points` on each set of a padded stack Q (n, S, w), held
+    coordinate by coordinate, set s holding the points Q[:, s, valid[s]]:
+    which points stay, as a mask (S, w). Points of two sets are never
+    compared."""
+    n, S, w = Q.shape
+    if w <= 1:
+        return valid.copy()
+    rows = max(1, DEDUPE_BLOCK // (w * n))  # rows of one set per block
+    sets = max(1, rows // w)  # sets per block
+    firsts, laters = [], []
+    for s in range(0, S, sets):
+        for r in range(0, w, rows):
+            # pairs of this block's rows with the later valid points of their
+            # set, within DEDUPE_TOL in every coordinate
+            gap = Q[:, s:s + sets, r:r + rows, None] - Q[:, s:s + sets, None, :]
+            close = (np.arange(w) > np.arange(r, r + gap.shape[2])[:, None]) & valid[
+                s:s + sets, None, :]
+            for x in np.abs(gap, out=gap):
+                close &= x <= DEDUPE_TOL
+            i, j, k = np.nonzero(close)
+            if len(i):
+                base = (s + i) * w
+                firsts.append(base + r + j)
+                laters.append(base + k)
+    keep = valid.copy()
+    if not firsts:
+        return keep
+    first, later = np.concatenate(firsts), np.concatenate(laters)
     # keep[j] = no kept i < j is close to j; iterating from all-kept settles
-    # one more link of any chain of close points per pass
-    keep = np.ones(k, dtype=bool)
+    # one more link of any chain of close points per pass, and a pass that
+    # keeps the same first points as the one before reaches the fixed point
+    flat, alive = keep.reshape(-1), np.ones(len(first), dtype=bool)
     while True:
-        nxt = np.ones(k, dtype=bool)
-        nxt[later[keep[first]]] = False
-        if (nxt == keep).all():
-            return pts[keep]
-        keep = nxt
+        flat[:] = valid.reshape(-1)
+        flat[later[alive]] = False
+        if (flat[first] == alive).all():
+            return keep
+        alive = flat[first]
 
 
-def _volume_of_points(dim: int, pts: np.ndarray) -> float:
-    """Volume of the convex hull of pts: the sum over `triangulate_vertices`;
-    0 when degenerate."""
-    if pts is None or len(pts) < dim + 1:
-        return 0.0
-    try:
-        return float(simplex_volumes(triangulate_vertices(dim, pts)).sum())
-    except NumericError:
-        return 0.0
+def _volume_of_points(dim: int, pts: np.ndarray, sizes) -> np.ndarray:
+    """Volume of the convex hull of each point set, the runs of pts of
+    sizes[i] points: the sum over its `triangulate_vertices` simplices; 0
+    for a lower-dimensional set."""
+    simplices, counts = triangulate_vertices(dim, pts, sizes)
+    return segment_sums(simplex_volumes(simplices), counts)
 
 
 def _order_facet_vertices(normal: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -442,15 +506,27 @@ def lifted_system(K: Polytope, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return A, b, c
 
 
-def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> np.ndarray | None:
-    """Vertex set of K cap (shift_i + K), or None when empty. Fast path."""
-    if len(shifts) == 0:
-        return K.vertices
-    _, b, c = lifted_system(K, shifts)
-    pts = enumerate_vertices(K.lifted_table(len(shifts) + 1), b + c)
-    if len(pts) == 0:
-        return None
-    return pts
+def _intersection_vertices(K: Polytope, shifts: np.ndarray):
+    """Vertex sets of K cap_i (x_i + K), one per m-tuple of a stack of
+    shifts (S, m, n): every set's points, set by set, and each set's count
+    (0 when empty), from one `enumerate_vertices` of the stacked b + c over
+    K's lifted table. A single m-tuple (m, n) gives its vertex set alone,
+    or None when empty."""
+    stack = shifts if shifts.ndim == 3 else shifts[None]
+    S, m, n = stack.shape
+    if m == 0:
+        pts, sizes = np.tile(K.vertices, (S, 1)), np.full(S, len(K.vertices))
+    else:
+        # b + A x_i on each translate's rows, one product per m-tuple (see
+        # `_feasible_vertices`)
+        h = len(K.b)
+        B = np.empty((S, (m + 1) * h))
+        B[:, :h] = K.b
+        B[:, h:] = (stack @ K.A.T + K.b).reshape(S, -1)
+        pts, sizes = enumerate_vertices(K.lifted_table(m + 1), B)
+    if shifts.ndim == 3:
+        return pts, sizes
+    return pts if len(pts) else None
 
 
 @dataclass

@@ -95,22 +95,15 @@ def _exit_cells(K: Polytope, theta: MDirection):
                       top, floor])
     verts = enumerate_vertices(rows[:, :-1], rows[:, -1])
     on_top = np.abs(verts @ top[:, :-1].T - top[:, -1]) <= TOL  # (V, J)
-    simplices, owner = [], []
-    for j in range(len(top)):
-        pts = verts[on_top[:, j], :n]
-        if len(pts) <= n:
-            continue
-        try:
-            cell = triangulate_vertices(n, pts)
-        except NumericError:
-            continue  # a lower-dimensional cell
-        simplices.append(cell)
-        owner.append(np.full(len(cell), j))
-    if not simplices:
+    # every cell at once, each from its own vertices; a lower-dimensional
+    # cell gets no simplex
+    _, vert = np.nonzero(on_top.T)
+    simplices, counts = triangulate_vertices(n, verts[vert, :n], on_top.sum(axis=0))
+    if len(simplices) == 0:
         raise NumericError("no exit-facet cell of K has volume")
-    owner = np.concatenate(owner)
+    owner = np.repeat(np.arange(len(top)), counts)
     alpha, beta = top[:, :n] / top[:, n:n + 1], top[:, -1] / top[:, n]
-    return np.concatenate(simplices), alpha[owner], beta[owner]
+    return simplices, alpha[owner], beta[owner]
 
 
 def _level_rule(lo: np.ndarray, hi: np.ndarray, p: float):

@@ -277,7 +277,7 @@ def _nested_rule(K: Polytope, mu: WeightedMeasure, factors, level: int) -> float
     y and weights w of the simplex rule at this level on K's
     triangulation: the outer integral over K and each inner
     nu_i(y_j - K) = int_K phi_i(y_j - z) dz share one rule."""
-    X, w = simplex_rule(triangulate_vertices(K.dim, K.vertices), level)
+    X, w = simplex_rule(triangulate_vertices(K.dim, K.vertices, [len(K.vertices)])[0], level)
     values = mu.density(X) * w
     rows = max(1, DENOMINATOR_CHUNK // len(X))
     for start in range(0, len(X), rows):
@@ -305,6 +305,12 @@ def _denominator_integral(K: Polytope, mu: WeightedMeasure, nu_list,
         return const_part * float(mu.mass(K))
     levels = (16, 20) if K.dim <= 2 else (6, 8)
     low, high = (_nested_rule(K, mu, varying, level) for level in levels)
+    if high <= 0.0:
+        # a factor that vanishes on K - K leaves the ratio 0 / 0
+        zero = [f"nu[{i}]" for i, nu in enumerate(nu_list) if not nu.exact
+                and _nested_rule(K, mu, [nu.density], levels[0]) <= 0.0]
+        raise InputError(f"the factor measure {' and '.join(zero) or 'product'} has no "
+                         f"mass on K - K, so the Zhang ratio is 0 / 0")
     if abs(high - low) > 0.1 * tolerance * abs(high):
         raise NumericError(f"the Zhang denominator is {low:.12g} at simplex level "
                            f"{levels[0]} and {high:.12g} at level {levels[1]}, more "

@@ -110,7 +110,7 @@ def test_05_covariogram_derivative_matches_projection_support():
         K = bodies[(i // 4) % 2]
         v = rng.normal(size=2 * m)
         theta = MDirection((v / np.linalg.norm(v)).reshape(m, 2))
-        rep = variational_check(K, mu, theta)
+        rep, = variational_check(K, mu, [theta])
         worst = max(worst, rep.tolerance - rep.margin)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-3 and elapsed < 30.0

@@ -512,6 +512,8 @@ class TestExitCodes:
           "measure": {"type": "product", "factors": 5}}, "factors"),
         ({"command": "covariogram", "body": SQUARE_BODY,
           "params": {"x": [0.5, 0.0, 0.1], "m": 2}}, "params.x"),
+        ({"command": "verify-zhang", "body": TRIANGLE_BODY,
+          "params": {"nu": [{"type": "linear-power", "a": [0.0, 0.0]}]}}, "nu[0]"),
     ])
     def test_malformed_spec_is_two(self, tmp_path, capsys, job, key):
         # a body, density, h or concavity spec that lacks a key its kind
@@ -848,12 +850,15 @@ class TestAggregateReports:
     # from the smallest margin, and prints the first case within
     # cli.WORST_TIE of it
     @staticmethod
-    def _fake(margins):
-        reps = iter(VerifyReport(
+    def _fake(target, margins):
+        reps = [VerifyReport(
             name="case", lhs=float(i), rhs=10.0 + i, ratio=0.1 * i, bound=1.0,
             margin=mg, passed=mg >= 0.0, samples=1, seed=0, tolerance=1e-3)
-            for i, mg in enumerate(margins))
-        return lambda *args, **kwargs: next(reps)
+            for i, mg in enumerate(margins)]
+        if target == "variational_check":  # one call, one report per direction
+            return lambda *args, **kwargs: reps
+        cases = iter(reps)  # one call per trial
+        return lambda *args, **kwargs: next(cases)
 
     @pytest.mark.parametrize("command, target, count", [
         pytest.param("verify-variational", "variational_check", "directions",
@@ -866,7 +871,7 @@ class TestAggregateReports:
         pytest.param((0.3, 0.1, 0.1 - 1e-6, 0.2), 2, 0, id="no-tie")])
     def test_worst_case_ties_go_to_the_first(self, tmp_path, monkeypatch, command,
                                               target, count, margins, shown, code):
-        monkeypatch.setattr(cli, target, self._fake(margins))
+        monkeypatch.setattr(cli, target, self._fake(target, margins))
         got, doc = run_json(tmp_path, {"command": command, "body": SQUARE_BODY,
                                        "params": {count: len(margins)}})
         rep = doc["report"]

@@ -1,17 +1,25 @@
 """Covariogram, difference body and roof function."""
 
+import contextlib
+import io
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
-from covbody.covariogram import (MDirection, as_mdirection, covariogram,
+from covbody import _quad, cli, measure, polytope
+from covbody.covariogram import (CovRay, MDirection, as_mdirection, covariogram,
                                  covariogram_slice, diffbody_polytope,
                                  diffbody_radial, diffbody_star, roof)
 from covbody.measure import GaussianDensity, WeightedMeasure
 from covbody.oracle import mc_measure, rng_for, sphere_quadrature
-from covbody.polytope import Polytope, StarBodyFn
-from helpers import gauss_box_mass, grid_covariogram
+from covbody.polytope import Polytope, StarBodyFn, intersect_translates
+from helpers import gauss_box_mass, grid_covariogram, random_polygon, random_polytope
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -265,3 +273,182 @@ def test_as_mdirection_shapes():
     md2 = as_mdirection(np.eye(2) / math.sqrt(2))
     assert md2.m == 2
     assert np.allclose(md2.flat, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
+
+
+# -- a stack of shifts in one call ---------------------------------------------
+
+
+def batch_body(kind: str, seed: int) -> Polytope:
+    rng = np.random.default_rng(seed)
+    if kind == "polygon":
+        return random_polygon(rng, int(rng.integers(3, 9)))
+    if kind == "polytope3":
+        return random_polytope(rng, 3, int(rng.integers(5, 11)))
+    return Polytope.named(kind, int(rng.integers(2, 4)))
+
+
+def batch_measure(density: str, dim: int) -> WeightedMeasure:
+    if density == "gaussian":
+        return WeightedMeasure(GaussianDensity(dim, 0.8))
+    return WeightedMeasure.lebesgue(dim)
+
+
+# fractions of rho_D along each ray: from 0 to translates that only touch
+# (1) and past them
+RAY_FRACTIONS = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 0.999, 1.0, 1.05])
+
+
+def ray_shifts(K: Polytope, seed: int, m: int, rays: int = 3):
+    """The m-tuples r thetabar along `rays` random rays, at RAY_FRACTIONS of
+    each ray's rho_D, as one stack (S, m, n), and the fraction of each."""
+    rng = np.random.default_rng(seed)
+    blocks = np.array([MDirection.normalized(rng.standard_normal((m, K.dim))).blocks
+                       for _ in range(rays)])
+    rho = np.array([diffbody_radial(K, b) for b in blocks])
+    shifts = (rho[:, None] * RAY_FRACTIONS)[:, :, None, None] * blocks[:, None]
+    return shifts.reshape(-1, m, K.dim), np.tile(RAY_FRACTIONS, rays)
+
+
+BATCH_CASES = st.tuples(st.sampled_from(["polygon", "polytope3", "cube", "cross"]),
+                        st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+                        st.sampled_from(["lebesgue", "gaussian"]))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(BATCH_CASES)
+@example(("cube", 1, 2, "lebesgue"))
+@example(("cross", 3, 1, "gaussian"))
+def test_a_stack_gives_every_shift_its_own_value(case):
+    kind, seed, m, density = case
+    K = batch_body(kind, seed)
+    mu = batch_measure(density, K.dim)
+    shifts, fraction = ray_shifts(K, seed, m)
+    got = covariogram(K, mu, shifts)
+    # bitwise the value of each shift alone, in any order
+    np.testing.assert_array_equal(got, [covariogram(K, mu, x) for x in shifts])
+    order = np.random.default_rng(seed).permutation(len(shifts))
+    np.testing.assert_array_equal(covariogram(K, mu, shifts[order]), got[order])
+    # the measure of the intersection Qhull builds from the same vertices
+    ref = np.array([mu.mass(intersect_translates(K, x)) for x in shifts])
+    assert np.abs(got - ref).max() <= 1e-13 * mu.mass(K)
+    assert (got[fraction >= 1.0] == 0.0).all()
+
+
+@pytest.mark.parametrize("kind, seed, m, density", [
+    ("polygon", 4, 1, "lebesgue"), ("polygon", 5, 2, "gaussian"),
+    ("polytope3", 6, 1, "lebesgue"), ("cross", 7, 2, "gaussian")])
+def test_values_do_not_depend_on_the_chunks(monkeypatch, kind, seed, m, density):
+    K = batch_body(kind, seed)
+    mu = batch_measure(density, K.dim)
+    shifts, _ = ray_shifts(K, seed, m)
+    whole = covariogram(K, mu, shifts)
+    table = K.lifted_table(m + 1)
+    for budget in (1, len(table.factors[0]) * table.shape[0] * 3):
+        # one row per dedupe block and one shift per chunk, then a few
+        for module in (polytope, measure):
+            monkeypatch.setattr(module, "DEDUPE_BLOCK", budget)
+        np.testing.assert_array_equal(covariogram(K, mu, shifts), whole)
+
+
+class TestDegenerateStacks:
+    def test_non_simple_slice_vertices(self):
+        # axis and diagonal shifts of the cube and the octahedron: four or
+        # more facets meet at vertices of the intersection
+        steps = [-0.5, 0.0, 0.25, 0.5]
+        shifts = np.array([[x] for x in itertools.product(steps, repeat=3)])
+        cube = Polytope.named("cube", 3)
+        got = covariogram(cube, WeightedMeasure.lebesgue(3), shifts)
+        want = np.prod(1.0 - np.abs(shifts[:, 0]), axis=1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        octahedron = Polytope.named("cross", 3)
+        got = covariogram(octahedron, WeightedMeasure.lebesgue(3), shifts)
+        ref = [intersect_translates(octahedron, x).volume for x in shifts]
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
+
+    def test_touching_translates_give_zero(self):
+        # the translates meet K in a facet, an edge or a vertex
+        for K, x in ((Polytope.named("cube", 2), [[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]]),
+                     (Polytope.named("cube", 3), [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                                  [1.0, 1.0, 1.0], [0.0, -1.0, 0.3]]),
+                     (Polytope.named("cross", 2), [[1.0, 1.0], [2.0, 0.0]])):
+            shifts = np.array(x)[:, None, :]
+            mu = WeightedMeasure.lebesgue(K.dim)
+            assert (covariogram(K, mu, shifts) == 0.0).all()
+            assert all(covariogram(K, mu, s) == 0.0 for s in shifts)
+
+    def test_reflex_sets_take_their_own_hull(self, monkeypatch):
+        hulls = []
+
+        def counting(points):
+            hulls.append(len(points))
+            return ConvexHull(points)
+
+        monkeypatch.setattr(_quad, "ConvexHull", counting)
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        # an interior point, and a near-copy of a corner just inside the
+        # hull: both turn the ring the wrong way
+        sets = [square, square + [[0.5, 0.4]], square + [[1.0 - 1e-10, 1.0 - 3e-10]],
+                [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]]
+        pts = np.concatenate(sets)
+        sizes = [len(p) for p in sets]
+        simplices, counts = _quad.triangulate_vertices(2, pts, sizes)
+        assert hulls == [5, 5]
+        np.testing.assert_allclose(polytope._volume_of_points(2, pts, sizes),
+                                   [1.0, 1.0, 1.0, 1.0], rtol=1e-15)
+        ends = np.cumsum(counts)
+        for k, p in enumerate(sets):
+            alone, _ = _quad.triangulate_vertices(2, np.array(p), [len(p)])
+            np.testing.assert_array_equal(simplices[ends[k] - counts[k]:ends[k]], alone)
+
+
+def count_calls(code, fn):
+    """Calls of a code object while fn runs, counted by the profiler hook
+    (as the job benchmark's own test counts them), and fn's result."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+class TestOneEnumerationPerCall:
+    """A job or ray evaluates all its shifts in one vertex enumeration: a
+    return to one call per shift shows here as a count above 1."""
+
+    CODE = polytope._intersection_vertices.__code__
+    HEXAGON = {"type": "vrep", "vertices": [
+        [math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)]}
+
+    @staticmethod
+    def run(job):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(job)
+        return code, out.getvalue()
+
+    def test_a_polygon_variational_job_makes_one_call(self):
+        job = {"command": "verify-variational", "body": self.HEXAGON,
+               "params": {"directions": 24}}
+        calls, (code, text) = count_calls(self.CODE, lambda: self.run(job))
+        assert code == 0 and calls == 1
+        assert self.run(job) == (code, text)  # a rerun is byte-identical
+
+    @pytest.mark.parametrize("K, m", [
+        (random_polygon(np.random.default_rng(3), 6), 1),
+        (random_polygon(np.random.default_rng(4), 7), 2),
+        (Polytope.named("cross", 3), 2)])
+    def test_a_constant_density_ray_makes_one_call(self, K, m):
+        theta = MDirection.normalized(np.random.default_rng(5).standard_normal((m, K.dim)))
+        ray = CovRay(K, WeightedMeasure.lebesgue(K.dim), theta)
+        calls, prof = count_calls(self.CODE, ray.profile)
+        assert calls == 1
+        assert len(ray._cache) == prof.pieces * (K.dim + 2)
+

@@ -11,11 +11,11 @@ from covbody.measure import (ConstantDensity, GaussianDensity,
                              LinearPowerDensity, ProductDensity,
                              WeightedMeasure, boundary_measure_total,
                              check_concavity_tag, density_from_spec,
-                             integrate_over_polytope, parallel_body_difference,
-                             transform_measure, weighted_surface_measure)
+                             integrate_over_polytope, transform_measure,
+                             weighted_surface_measure)
 from covbody.oracle import rng_for
 from covbody.polytope import LinearMap, Polytope, apply_linear
-from helpers import gauss_box_mass
+from helpers import gauss_box_mass, parallel_body_difference
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)

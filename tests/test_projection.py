@@ -184,7 +184,7 @@ class TestPolar:
 class TestVariational:
     def test_square_axis_lebesgue(self):
         theta = MDirection(np.array([[1.0, 0.0]]))
-        rep = variational_check(SQUARE, LEB2, theta, tolerance=1e-6)
+        rep, = variational_check(SQUARE, LEB2, [theta], tolerance=1e-6)
         assert rep.passed
         assert rep.rhs == pytest.approx(1.0, abs=1e-12)
 
@@ -192,19 +192,19 @@ class TestVariational:
         rng = rng_for(42, "variational-m2")
         bar = rng.standard_normal((2, 2))
         theta = MDirection.normalized(bar)
-        rep = variational_check(TRIANGLE, LEB2, theta, tolerance=1e-3)
+        rep, = variational_check(TRIANGLE, LEB2, [theta], tolerance=1e-3)
         assert rep.passed
 
     def test_square_gaussian(self):
         mu = WeightedMeasure(GaussianDensity(2, 1.0))
         theta = MDirection(np.array([[1.0, 0.0]]))
-        rep = variational_check(SQUARE, mu, theta, tolerance=1e-3)
+        rep, = variational_check(SQUARE, mu, [theta], tolerance=1e-3)
         assert rep.passed
 
     def test_bad_steps_rejected(self):
         theta = MDirection(np.array([[1.0, 0.0]]))
         with pytest.raises(InputError):
-            variational_check(SQUARE, LEB2, theta, steps=(1e-2, 0.0))
+            variational_check(SQUARE, LEB2, [theta], steps=(1e-2, 0.0))
 
 
 class TestLinearCovariance:
