@@ -201,11 +201,11 @@ def segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     sizes[i] entries (0 for an empty run). A run's sum reads its own
     entries alone, so it is the same bits whatever runs lie beside it."""
     sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    full = sizes > 0
-    if full.all() and len(values):
+    starts = sizes.cumsum() - sizes
+    if sizes.all() and len(values):
         return np.add.reduceat(values, starts, axis=0)
     out = np.zeros((len(sizes),) + np.shape(values)[1:])
+    full = sizes > 0
     if full.any():
         out[full] = np.add.reduceat(values, starts[full], axis=0)
     return out
@@ -236,13 +236,13 @@ def triangulate_vertices(dim: int, pts: np.ndarray,
         sizes = np.zeros(len(sizes), dtype=np.intp)
         sizes[solid] = counts
         return simplices, sizes
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     starts = ends - sizes
     if dim == 1:
         lo = np.minimum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
         hi = np.maximum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
         return np.stack([lo, hi], axis=1)[hi > lo, :, None], (hi > lo).astype(np.intp)
-    fan = np.zeros(len(sizes), dtype=bool)
+    fanned = [False] * len(sizes)
     if dim == 2 and len(pts):
         owner = np.repeat(np.arange(len(sizes)), sizes)
         center = np.add.reduceat(pts, starts) / sizes[:, None]
@@ -261,20 +261,23 @@ def triangulate_vertices(dim: int, pts: np.ndarray,
         # hull's boundary, and a turn let through costs at most 1e-12 of the
         # area of the triangle its two edges span
         reflex = e0 * e1[after] - e1 * e0[after] < -1e-12 * length * length[after]
-        fan[:] = True
+        fan = np.ones(len(sizes), dtype=bool)
         fan[owner[reflex]] = False
         if fan.all():
             return fans, sizes
-    counts = np.where(fan, sizes, 0)
+        fanned = fan.tolist()
+    counts = np.zeros(len(sizes), dtype=np.intp)
     parts = []
-    for s in range(len(sizes)):
-        if fan[s]:
-            parts.append(fans[starts[s]:ends[s]])
-            continue
-        P = pts[starts[s]:ends[s]]
-        try:
-            parts.append(hull_simplices(P, ConvexHull(P)))
-        except QhullError:
-            continue
-        counts[s] = len(parts[-1])
+    for s, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if fanned[s]:
+            cones = fans[a:b]
+        else:
+            try:
+                cones = hull_simplices(pts[a:b], ConvexHull(pts[a:b]))
+            except QhullError:
+                continue
+        counts[s] = len(cones)
+        parts.append(cones)
+    if len(parts) == 1:
+        return parts[0], counts
     return (np.concatenate(parts) if parts else np.empty((0, dim + 1, dim))), counts

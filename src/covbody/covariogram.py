@@ -7,10 +7,16 @@ difference body D^m(K) in R^(nm), whose radial function is computed two ways:
 a per-direction linear program (the reference route) and an exact polytope
 built as the linear image of K^(m+1), used for batched evaluation.
 
+`covariogram` takes one m-tuple or a stack of them: a stack's values come
+from one vertex enumeration over K's lifted table and one integration call,
+each the same bits as the m-tuple alone.
+
 Along one ray, every consumer reads g from one fit (`CovRay.profile`), piece
 by piece between the breakpoints where the intersection changes combinatorial
 type: one Chebyshev series per piece, exact (degree n) under a constant
-density and of degree FIT_DEGREE under any other.
+density and of degree FIT_DEGREE under any other. The fit evaluates every
+node of its pieces in one covariogram call, and one more per round of
+halved pieces.
 """
 
 from __future__ import annotations
@@ -224,7 +230,8 @@ class CovRay:
     a polynomial of degree <= n under a constant density. `profile` fits it
     piece by piece, once, from degree + 2 evaluations per piece, and every
     consumer reads that one fit. The memo in `g` holds each evaluation, so
-    a gate that re-asks for a check node costs nothing.
+    a gate that re-asks for a check node costs nothing; `profile` fills it
+    a round of pieces at a time, in one covariogram call.
     """
 
     def __init__(self, K: Polytope, mu: WeightedMeasure, theta: MDirection):
@@ -305,15 +312,18 @@ class CovRay:
         """The piecewise fit of g along the ray.
 
         Each piece between breakpoints is fitted from degree + 1 evaluations
-        through `g` at Chebyshev points of its local variable: degree n
-        under a constant density, where the fit is exact, and FIT_DEGREE
-        otherwise. One more evaluation at CHECK_NODE must match the fit
-        within FIT_GATE * mu(K). Under a constant density a miss means a
-        missed breakpoint, and NumericError is raised at once; under any
-        other density the piece is halved and each half refitted, at most
+        at Chebyshev points of its local variable: degree n under a
+        constant density, where the fit is exact, and FIT_DEGREE otherwise.
+        One more evaluation at CHECK_NODE must match the fit within
+        FIT_GATE * mu(K). Under a constant density a miss means a missed
+        breakpoint, and NumericError is raised at once; under any other
+        density the piece is halved and each half refitted, at most
         SPLIT_DEPTH times, before NumericError is raised (a density too
         narrow for the degree leaves a residual that shrinks with the
-        width). Cached, so every consumer of one ray shares one fit.
+        width). The pieces go in rounds: every node of a round, all pieces
+        at once, in one covariogram call through the memo, then the halves
+        of the pieces that missed. Cached, so every consumer of one ray
+        shares one fit.
         """
         if self._profile is not None:
             return self._profile

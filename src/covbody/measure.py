@@ -197,14 +197,15 @@ def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray, sizes) -> 
     simplices, counts = triangulate_vertices(dim, pts, sizes)
     nodes = SIMPLEX_LEVEL ** dim  # per simplex
     step = max(1, DEDUPE_BLOCK // max(1, int(counts.max(initial=0)) * nodes * dim))
-    ends = np.cumsum(counts)
     out = np.zeros(len(counts))
+    first = 0
     for s in range(0, len(counts), step):
         part = counts[s:s + step]
-        if part.any():
-            lo = ends[s] - counts[s]
-            X, w = simplex_rule(simplices[lo:lo + part.sum()], SIMPLEX_LEVEL)
+        last = first + int(part.sum())
+        if last > first:
+            X, w = simplex_rule(simplices[first:last], SIMPLEX_LEVEL)
             out[s:s + step] = segment_sums(w * mu.density(X), part * nodes)
+        first = last
     return out
 
 

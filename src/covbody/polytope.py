@@ -9,6 +9,12 @@ covariogram-type integrands can vanish without raising.
 Everything here is immutable after construction and safe for concurrent
 read-only use; a body's lifted vertex-enumeration tables (`lifted_table`)
 are filled in on first use, and filling one twice gives the same table.
+
+Vertex enumeration and hull volumes take stacks: `enumerate_vertices` one
+system per row of a stack of right-hand sides, `_intersection_vertices`
+one intersection per m-tuple of a stack of shifts, and `_volume_of_points`
+one volume per run of points. A stack's members come out set by set with
+their counts, each the same bits as when it goes alone.
 """
 
 from __future__ import annotations
@@ -82,7 +88,8 @@ class SubsetTable:
     @functools.cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(idx, inv, det): the regular subsets' row indices (k, n),
-        inverses (k, n, n) and |det| (k,)."""
+        inverses column by column (n, n, k), inv[j, i, t] being entry
+        (i, j) of subset t's inverse, and |det| (k,)."""
         return _factor(self.A)
 
 
@@ -92,13 +99,14 @@ def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the regularity test of each subset plus one row (`CovRay.breakpoints`)."""
     H, n = A.shape
     if H < n:
-        return np.empty((0, n), dtype=np.intp), np.empty((0, n, n)), np.empty(0)
+        return np.empty((0, n), dtype=np.intp), np.empty((n, n, 0)), np.empty(0)
     idx = _row_subsets(H, n)
     M = A[idx]
     det = np.abs(np.linalg.det(M))
     keep = np.flatnonzero(det > 1e-12)
     keep = keep[np.argsort(-det[keep], kind="stable")]
-    idx, inv, det = idx[keep], np.linalg.inv(M[keep]), det[keep]
+    idx, det = idx[keep], det[keep]
+    inv = np.ascontiguousarray(np.linalg.inv(M[keep]).transpose(2, 1, 0))
     for arr in (idx, inv, det):
         arr.setflags(write=False)
     return idx, inv, det
@@ -166,7 +174,7 @@ def _feasible_vertices(table: SubsetTable, B: np.ndarray) -> tuple[np.ndarray, n
     first = np.argsort(~feasible, axis=1, kind="stable")[:, :count.max(initial=0)]
     Q = X[:, np.arange(len(B))[:, None], first]
     keep = _first_of_clusters(Q, np.arange(Q.shape[2]) < count[:, None])
-    return Q[:, keep].T, keep.sum(axis=1)
+    return np.ascontiguousarray(Q[:, keep].T), keep.sum(axis=1)
 
 
 def _basic_solutions(table: SubsetTable, b: np.ndarray) -> np.ndarray:
@@ -176,15 +184,13 @@ def _basic_solutions(table: SubsetTable, b: np.ndarray) -> np.ndarray:
     (n, S, k) for a stack (S, H). Linear in b: at b + r c the point of T
     moves along the line x(b) + r x(c)."""
     idx, inv, _ = table.factors
-    G = [b[..., col] for col in idx.T]
+    shape = (idx.shape[1],) + (1,) * (b.ndim - 1) + (len(idx),)
     # summed one product at a time: an einsum picks its loop, and with it
     # fused multiply-adds, by the shape of the stack, so a point's bits
     # would depend on what b is stacked with
-    X = np.empty((len(G),) + G[0].shape)
-    for i, row in enumerate(inv.transpose(1, 2, 0)):
-        X[i] = row[0] * G[0]
-        for coef, g in zip(row[1:], G[1:]):
-            X[i] += coef * g
+    X = inv[0].reshape(shape) * b[..., idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        X += inv[j].reshape(shape) * b[..., idx[:, j]]
     return X
 
 

@@ -5,6 +5,10 @@ weighted surface measure; the polar body has radial function 1/h. Both are
 used functionally, except for the polar body's volume at nm <= 4: there the
 points of the polar body's boundary over the facet normals of Pi^m_mu K
 span it, and one hull of them gives its volume exactly.
+
+`variational_check` checks -g'(0+) = h at all of a job's directions at once:
+one covariogram call over every direction and step, and one read of mu(K)
+and of Pi^m_mu K.
 """
 
 from __future__ import annotations
