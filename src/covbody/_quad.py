@@ -39,7 +39,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import roots_jacobi
 
-from .errors import InputError, NumericError
+from .errors import InputError
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -90,7 +90,8 @@ def as_mdirection(theta, m: int | None = None) -> MDirection:
     return MDirection(b)
 
 
-def covariogram(K: Polytope, mu: WeightedMeasure, xbar: Sequence[Sequence[float]]):
+def covariogram(K: Polytope, mu: WeightedMeasure,
+                xbar: Sequence[Sequence[float]]) -> float | np.ndarray:
     """g_{mu,m}(K, xbar) = mu(K cap_i (x_i + K)); 0 when the intersection is
     empty or degenerate.
 
@@ -336,10 +337,10 @@ class CovRay:
         gate = FIT_GATE * self.mu_K
         fits = []  # (left end, right end, values, coeffs) of each interval
         while todo:  # a round: every interval still to fit, left to right
-            self._evaluate(np.concatenate([a + (b - a) * nodes for a, b, _, _ in todo]))
+            xs = [a + (b - a) * nodes for a, b, _, _ in todo]
+            self._evaluate(np.concatenate(xs))
             halves = []
-            for a, b, k, halvings in todo:
-                x = a + (b - a) * nodes
+            for (a, b, k, halvings), x in zip(todo, xs):
                 vals = np.array([self.g(r) for r in x[:-1]])
                 c = to_coeffs @ vals
                 resid = abs(self.g(x[-1]) - chebval(2.0 * CHECK_NODE - 1.0, c))
