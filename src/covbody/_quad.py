@@ -193,7 +193,9 @@ def _cones(apex: np.ndarray, facets: np.ndarray) -> np.ndarray:
 def hull_simplices(pts: np.ndarray, hull: ConvexHull) -> np.ndarray:
     """The cones from the mean of the hull's vertices over its facet
     simplices: a stack (S, d+1, d) that splits the hull."""
-    return _cones(pts[hull.vertices].mean(axis=0), pts[hull.simplices])
+    # the hull's vertices in input order, without the sort in `hull.vertices`
+    vertices = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(pts)))
+    return _cones(pts[vertices].sum(axis=0) / len(vertices), pts[hull.simplices])
 
 
 def segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -236,8 +238,9 @@ def triangulate_vertices(dim: int, pts: np.ndarray,
         sizes = np.zeros(len(sizes), dtype=np.intp)
         sizes[solid] = counts
         return simplices, sizes
-    ends = sizes.cumsum()
-    starts = ends - sizes
+    if dim <= 2:
+        ends = sizes.cumsum()
+        starts = ends - sizes
     if dim == 1:
         lo = np.minimum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
         hi = np.maximum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
@@ -266,18 +269,20 @@ def triangulate_vertices(dim: int, pts: np.ndarray,
         if fan.all():
             return fans, sizes
         fanned = fan.tolist()
-    counts = np.zeros(len(sizes), dtype=np.intp)
-    parts = []
-    for s, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-        if fanned[s]:
-            cones = fans[a:b]
+    counts, parts, end = [], [], 0
+    for fan, size in zip(fanned, sizes.tolist()):
+        start, end = end, end + size
+        if fan:
+            cones = fans[start:end]
         else:
             try:
-                cones = hull_simplices(pts[a:b], ConvexHull(pts[a:b]))
+                cones = hull_simplices(pts[start:end], ConvexHull(pts[start:end]))
             except QhullError:
+                counts.append(0)
                 continue
-        counts[s] = len(cones)
+        counts.append(len(cones))
         parts.append(cones)
+    counts = np.array(counts, dtype=np.intp)
     if len(parts) == 1:
         return parts[0], counts
     return (np.concatenate(parts) if parts else np.empty((0, dim + 1, dim))), counts

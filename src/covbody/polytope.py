@@ -170,11 +170,14 @@ def _feasible_vertices(table: SubsetTable, B: np.ndarray) -> tuple[np.ndarray, n
     # shape, so the stack changes no bit of it
     feasible = (table.A @ X.transpose(1, 0, 2) <= (B + TOL)[:, :, None]).all(axis=1)
     count = feasible.sum(axis=1)
-    # each system's feasible points first, in table order
-    first = np.argsort(~feasible, axis=1, kind="stable")[:, :count.max(initial=0)]
-    Q = X[:, np.arange(len(B))[:, None], first]
-    keep = _first_of_clusters(Q, np.arange(Q.shape[2]) < count[:, None])
-    return np.ascontiguousarray(Q[:, keep].T), keep.sum(axis=1)
+    # each system's feasible points, in table order, padded to the largest
+    # count: Q[:, s, valid[s]]
+    valid = np.arange(count.max(initial=0)) < count[:, None]
+    Q = np.zeros((len(X),) + valid.shape)
+    Q.reshape(len(X), -1)[:, valid.ravel()] = np.compress(
+        feasible.ravel(), X.reshape(len(X), -1), axis=1)
+    keep = _first_of_clusters(Q, valid)
+    return Q.transpose(1, 2, 0)[keep], keep.sum(axis=1)
 
 
 def _basic_solutions(table: SubsetTable, b: np.ndarray) -> np.ndarray:
@@ -184,13 +187,14 @@ def _basic_solutions(table: SubsetTable, b: np.ndarray) -> np.ndarray:
     (n, S, k) for a stack (S, H). Linear in b: at b + r c the point of T
     moves along the line x(b) + r x(c)."""
     idx, inv, _ = table.factors
-    shape = (idx.shape[1],) + (1,) * (b.ndim - 1) + (len(idx),)
+    shape = (len(inv),) + (1,) * (b.ndim - 1) + (len(idx),)
+    rhs = b[..., idx.T]  # b at each subset's j-th row: (n, k), or (S, n, k)
     # summed one product at a time: an einsum picks its loop, and with it
     # fused multiply-adds, by the shape of the stack, so a point's bits
     # would depend on what b is stacked with
-    X = inv[0].reshape(shape) * b[..., idx[:, 0]]
-    for j in range(1, idx.shape[1]):
-        X += inv[j].reshape(shape) * b[..., idx[:, j]]
+    X = inv[0].reshape(shape) * rhs[..., 0, :]
+    for j in range(1, len(inv)):
+        X += inv[j].reshape(shape) * rhs[..., j, :]
     return X
 
 
@@ -226,16 +230,16 @@ def _first_of_clusters(Q: np.ndarray, valid: np.ndarray) -> np.ndarray:
         return valid.copy()
     rows = max(1, DEDUPE_BLOCK // (w * n))  # rows of one set per block
     sets = max(1, rows // w)  # sets per block
+    col = np.arange(w)
     firsts, laters = [], []
     for s in range(0, S, sets):
         for r in range(0, w, rows):
             # pairs of this block's rows with the later valid points of their
             # set, within DEDUPE_TOL in every coordinate
             gap = Q[:, s:s + sets, r:r + rows, None] - Q[:, s:s + sets, None, :]
-            close = (np.arange(w) > np.arange(r, r + gap.shape[2])[:, None]) & valid[
-                s:s + sets, None, :]
-            for x in np.abs(gap, out=gap):
-                close &= x <= DEDUPE_TOL
+            close = (np.abs(gap, out=gap) <= DEDUPE_TOL).all(axis=0)
+            close &= col > col[r:r + rows, None]
+            close &= valid[s:s + sets, None, :]
             i, j, k = np.nonzero(close)
             if len(i):
                 base = (s + i) * w
@@ -248,7 +252,11 @@ def _first_of_clusters(Q: np.ndarray, valid: np.ndarray) -> np.ndarray:
     # keep[j] = no kept i < j is close to j; iterating from all-kept settles
     # one more link of any chain of close points per pass, and a pass that
     # keeps the same first points as the one before reaches the fixed point
-    flat, alive = keep.reshape(-1), np.ones(len(first), dtype=bool)
+    flat = keep.reshape(-1)
+    flat[later] = False
+    alive = flat[first]
+    if alive.all():
+        return keep
     while True:
         flat[:] = valid.reshape(-1)
         flat[later[alive]] = False
