@@ -503,8 +503,8 @@ def intersect_translates(K: Polytope, shifts: Sequence[Sequence[float]]) -> Poly
     if K.is_degenerate:
         raise InputError("K must be a body")
     shifts = np.asarray(list(shifts), dtype=float).reshape(-1, K.dim)
-    pts = _intersection_vertices(K, shifts)
-    if pts is None:
+    pts, _ = _intersection_vertices(K, shifts[None])
+    if len(pts) == 0:
         return None
     return _build_from_points(K.dim, pts, allow_degenerate=True)
 
@@ -520,27 +520,21 @@ def lifted_system(K: Polytope, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return A, b, c
 
 
-def _intersection_vertices(K: Polytope, shifts: np.ndarray):
+def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertex sets of K cap_i (x_i + K), one per m-tuple of a stack of
     shifts (S, m, n): every set's points, set by set, and each set's count
     (0 when empty), from one `enumerate_vertices` of the stacked b + c over
-    K's lifted table. A single m-tuple (m, n) gives its vertex set alone,
-    or None when empty."""
-    stack = shifts if shifts.ndim == 3 else shifts[None]
-    S, m, n = stack.shape
+    K's lifted table."""
+    S, m, n = shifts.shape
     if m == 0:
-        pts, sizes = np.tile(K.vertices, (S, 1)), np.full(S, len(K.vertices))
-    else:
-        # b + A x_i on each translate's rows, one product per m-tuple (see
-        # `_feasible_vertices`)
-        h = len(K.b)
-        B = np.empty((S, (m + 1) * h))
-        B[:, :h] = K.b
-        B[:, h:] = (stack @ K.A.T + K.b).reshape(S, -1)
-        pts, sizes = enumerate_vertices(K.lifted_table(m + 1), B)
-    if shifts.ndim == 3:
-        return pts, sizes
-    return pts if len(pts) else None
+        return np.tile(K.vertices, (S, 1)), np.full(S, len(K.vertices))
+    # b + A x_i on each translate's rows, one product per m-tuple (see
+    # `_feasible_vertices`)
+    h = len(K.b)
+    B = np.empty((S, (m + 1) * h))
+    B[:, :h] = K.b
+    B[:, h:] = (shifts @ K.A.T + K.b).reshape(S, -1)
+    return enumerate_vertices(K.lifted_table(m + 1), B)
 
 
 @dataclass

@@ -202,12 +202,12 @@ def test_cached_table_gives_the_plain_solve_vertices(case):
     K = kernel_body(kind, seed)
     theta = MDirection.normalized(np.random.default_rng(seed).standard_normal((m, K.dim)))
     shifts = theta.shifts(s * diffbody_radial(K, theta))
-    pts = polytope._intersection_vertices(K, shifts)  # through K's cached table
+    pts, _ = polytope._intersection_vertices(K, shifts[None])  # through K's cached table
     A = np.vstack([K.A] * (m + 1))
     b = np.concatenate([K.b] + [K.b + K.A @ x for x in shifts])
     ref = plain_basic_solutions(A, b)
     if s > 1.0:
-        assert pts is None and len(ref) == 0
+        assert len(pts) == 0 and len(ref) == 0
         return
     # one vertex per cluster of the reference's basic solutions, each the
     # solution of one subset to 1e-12, and every basic solution merged
