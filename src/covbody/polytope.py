@@ -125,9 +125,8 @@ def enumerate_vertices(system: SubsetTable | np.ndarray,
     holding at most DEDUPE_BLOCK floats; the vertex kept at a point where
     more than n rows meet is the basic solution of the subset with the
     largest |det|. A system's vertices are the same bits whatever it is
-    stacked with. Suitable for the small
-    systems this package works with (tens of rows, n <= 3 ambient, nm <= 6
-    lifted).
+    stacked with. Suitable for the small systems this package works with
+    (tens of rows, n <= 3 ambient, nm <= 6 lifted).
     """
     table = system if isinstance(system, SubsetTable) else SubsetTable(system)
     A = table.A
