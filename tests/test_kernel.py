@@ -62,6 +62,22 @@ def test_volume_of_points_is_the_hull_volume(case):
         assert w.sum() == pytest.approx(vol, rel=1e-12)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(CLOUDS)
+def test_hull_cones_start_at_the_mean_of_the_hull_vertices(case):
+    # the apex reads the hull's vertices off its simplices; from R^3 up,
+    # where `hull.vertices` lists them in input order too, it is the same
+    # mean to the bit
+    pts, _ = cloud_with_duplicates(*case)
+    hull = ConvexHull(pts)
+    apex = _quad.hull_simplices(pts, hull)[:, 0]
+    want = pts[hull.vertices].mean(axis=0)
+    if pts.shape[1] >= 3:
+        assert (apex == want).all()
+    else:
+        np.testing.assert_allclose(apex, np.broadcast_to(want, apex.shape), rtol=0, atol=1e-15)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(CLOUDS)
 def test_dedupe_keeps_the_first_point_of_each_cluster(case):
