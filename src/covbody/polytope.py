@@ -532,7 +532,7 @@ def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> tuple[np.ndarray,
     h = len(K.b)
     B = np.empty((S, (m + 1) * h))
     B[:, :h] = K.b
-    B[:, h:] = (shifts @ K.A.T + K.b).reshape(S, -1)
+    B[:, h:] = (shifts @ K.A.T + K.b).reshape(S, m * h)
     return enumerate_vertices(K.lifted_table(m + 1), B)
 
 

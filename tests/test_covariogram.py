@@ -376,6 +376,13 @@ class TestDegenerateStacks:
             assert (covariogram(K, mu, shifts) == 0.0).all()
             assert all(covariogram(K, mu, s) == 0.0 for s in shifts)
 
+    def test_an_empty_stack_gives_no_values(self):
+        for K in (Polytope.named("cube", 1), SQUARE, Polytope.named("cross", 3)):
+            for mu in (WeightedMeasure.lebesgue(K.dim),
+                       WeightedMeasure(GaussianDensity(K.dim, 1.0))):
+                for m in (1, 2):
+                    assert covariogram(K, mu, np.empty((0, m, K.dim))).shape == (0,)
+
     def test_reflex_sets_take_their_own_hull(self, monkeypatch):
         hulls = []
 
