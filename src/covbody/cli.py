@@ -39,7 +39,8 @@ from .polytope import (LinearMap, Polytope, StarBodyFn, _build_from_points,
 from .projection import (EXACT_POLAR_DIM, linear_covariance_check,
                          polar_projection_radial, polar_projection_volume,
                          projection_support, variational_check)
-from .radialmean import P0_SWITCH, RadialMeanBody, rmb_limit_neg1
+from .radialmean import (P0_SWITCH, rmb_limit_neg1, rmb_radial_direct,
+                         rmb_radial_mellin)
 from .report import VerifyReport
 from .verify import (DEFAULT_COUNT, EXACT_DIFFBODY_DIM, ChainSpec, chain_check,
                      direction_mesh, general_zhang_check, rogers_shephard_check,
@@ -400,8 +401,12 @@ def _cmd_rmb(job: _Job):
     if near_zero and method == "mellin":
         raise InputError(f"method 'mellin' has no form at |p| < {P0_SWITCH:g}, "
                          "where the p = 0 body runs the direct route")
-    body = RadialMeanBody(K, mu, pval, m, method=method)
-    value = body.radial(theta)
+    if method == "direct":
+        value = rmb_radial_direct(K, mu, pval, theta)
+    elif method == "mellin":
+        value = rmb_radial_mellin(K, mu, pval, theta)
+    else:
+        raise InputError(f"params.method must be 'direct' or 'mellin', got {method!r}")
     return _result_payload("rmb", {"p": pval, "m": m, "method": method,
                                    "value": value})
 

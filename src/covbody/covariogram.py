@@ -74,9 +74,6 @@ class MDirection:
             raise InputError("cannot normalize a zero direction")
         return MDirection(b / nrm)
 
-    def shifts(self, r: float) -> np.ndarray:
-        return float(r) * self.blocks
-
 
 def as_mdirection(theta, m: int | None = None) -> MDirection:
     if isinstance(theta, MDirection):
@@ -169,7 +166,7 @@ def roof(L: Polytope | StarBodyFn, x: Sequence[float]) -> float:
     if isinstance(L, Polytope):
         rho = L.radial(u, base=np.zeros(L.dim))
     else:
-        rho = L.radial_one(u)
+        rho = float(L.radial(u[None])[0])
     return max(0.0, 1.0 - r / rho)
 
 

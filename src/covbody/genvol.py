@@ -9,10 +9,14 @@ upper bound integrates over the tangent-extension body Ltilde with radial
 constant center value and exactly homogeneous G, and both checkers share one
 inner quadrature rule so those fixtures cancel to machine precision.
 
-Every ray integral here runs on one rule, `_ray_rule`: Gauss-Jacobi for the
-weight t^alpha on [0, 1], scaled to each [0, rho]. Every kernel is r^alpha times
-a smooth factor, so the power is integrated exactly at any alpha > -1, and a
-power kernel (or h(f) times one, for polynomial h(f)) exactly to rounding.
+Kernels and ray functions take whole sets of directions: a kernel maps radii
+(N, Q) and one direction per row (N, d) to (N, Q), and a ray function reads
+N rays at once (`ConcaveRayFn.rays`). Every ray integral here goes through
+`_ray_sums`, a chunk of rays at a time, on one rule, `_ray_rule`:
+Gauss-Jacobi for the weight t^alpha on [0, 1], scaled to each [0, rho].
+Every kernel is r^alpha times a smooth factor, so the power is integrated
+exactly at any alpha > -1, and a power kernel (or h(f) times one, for
+polynomial h(f)) exactly to rounding.
 
 Concavity of f along rays is the caller's precondition; nothing here samples
 it. The covariogram fixture g^s gets it from the density's s-concavity,
@@ -34,7 +38,7 @@ from .covariogram import CovRay, MDirection
 from .errors import InputError, NumericError, job_field, job_number, spec_kind
 from .measure import ConstantDensity, Density, WeightedMeasure
 from .oracle import rng_for
-from .polytope import StarBodyFn
+from .polytope import DEDUPE_BLOCK, StarBodyFn
 from .projection import ProjectionBody
 from .report import VerifyReport
 
@@ -75,22 +79,51 @@ def _ray_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights w on [0, 1] with rho * (w @ G(rho * t)) =
     int_0^rho G(r) dr for G = r^alpha q(r), q a polynomial of degree < 2n:
     the n-node Gauss-Jacobi rule for t^alpha, its weights divided by
-    t^alpha. Every ray scales this one rule: a table of scaled rows would
-    hold directions x nodes values (20000 x 128 on a 3-D default)."""
+    t^alpha. Every ray scales this one rule."""
     t, w = gauss_jacobi_01(n, alpha)
     return t, w * t ** -alpha
+
+
+def _ray_sums(G: "KernelG", dirs: np.ndarray, radii: np.ndarray, n: int,
+              factor: Callable[[slice], np.ndarray] | None = None) -> np.ndarray:
+    """w @ (factor * G(rho t, theta)) on each ray (theta, rho) of dirs and
+    radii, by the n-node `_ray_rule`: times rho, the ray's integral of
+    factor G over [0, rho]. factor(rows) gives the factor (R, n) of the
+    rays dirs[rows] at the rule's radii (1 when None). The rays go a chunk
+    at a time, each chunk's tables within DEDUPE_BLOCK floats (a 3-D
+    default dual volume would otherwise hold 20000 x 128 of them), and a
+    ray's sum is the same bits in any chunk."""
+    t, w = _ray_rule(n, G.alpha)
+    sums = np.empty(len(radii))
+    step = max(1, DEDUPE_BLOCK // n)
+    for a in range(0, len(radii), step):
+        rows = slice(a, a + step)
+        vals = G(radii[rows, None] * t, dirs[rows])
+        if factor is not None:
+            vals = factor(rows) * vals
+        sums[rows] = np.einsum("nq,q->n", vals, w)
+    return sums
+
+
+def _ray_integral(G: "KernelG", weights: np.ndarray, dirs: np.ndarray,
+                  radii: np.ndarray, n: int,
+                  factor: Callable[[slice], np.ndarray] | None = None) -> float:
+    """sum_i weights_i int_0^radii_i factor G(r, dirs_i) dr (`_ray_sums`)."""
+    # einsum, not a BLAS dot: its sum does not depend on the thread count
+    return float(np.einsum("n,n->", weights * radii, _ray_sums(G, dirs, radii, n, factor)))
 
 
 @dataclass(frozen=True)
 class KernelG:
     """Positive kernel G(r, theta) on (0, inf) x S^(d-1) with a declared
     homogeneity side: "lower" means G(ur) >= u^alpha G(r) for u in [0,1],
-    "upper" the reverse, "both" exact homogeneity."""
+    "upper" the reverse, "both" exact homogeneity. `fn` maps radii (N, Q)
+    and one direction per row (N, d) to the values (N, Q)."""
 
     dim: int
     alpha: float
     side: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (r (N,), theta (d,)) -> (N,)
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (r (N, Q), theta (N, d)) -> (N, Q)
     label: str = "kernel"
 
     def __post_init__(self):
@@ -103,42 +136,42 @@ class KernelG:
         return np.asarray(self.fn(np.asarray(r, dtype=float), theta), dtype=float)
 
     def validate(self, seed: int = 42) -> None:
-        """Spot-check positivity and the declared homogeneity side at random
-        (u, r, theta), and integrability near 0 by quadrature refinement.
-        Raises with the failed triple so callers can surface it."""
+        """Spot-check positivity and the declared homogeneity side at
+        VALIDATE_SAMPLES random (u, r, theta), and integrability near 0 by
+        quadrature refinement on four random directions. Raises with the
+        first failed triple so callers can surface it."""
         rng = rng_for(seed, f"kernel-{self.label}")
-        for _ in range(VALIDATE_SAMPLES):
-            theta = rng.standard_normal(self.dim)
-            theta /= np.linalg.norm(theta)
-            r = float(rng.uniform(1e-3, VALIDATE_RADIUS))
-            u = float(rng.uniform(0.0, 1.0))
-            g_r = float(self(np.array([r]), theta)[0])
-            g_ur = float(self(np.array([max(u * r, 1e-300)]), theta)[0])
-            if g_r <= 0 or g_ur <= 0:
-                raise InputError(
-                    f"kernel '{self.label}' is not positive at r={r:.6g}, "
-                    f"theta={np.round(theta, 4).tolist()}")
-            ref = u**self.alpha * g_r
-            rel = (g_ur - ref) / max(abs(ref), 1e-300)
-            if self.side in ("lower", "both") and rel < -1e-9:
-                raise InputError(
-                    f"kernel '{self.label}' fails G(ur) >= u^alpha G(r) at "
-                    f"u={u:.6g}, r={r:.6g}, theta={np.round(theta, 4).tolist()}")
-            if self.side in ("upper", "both") and rel > 1e-9:
-                raise InputError(
-                    f"kernel '{self.label}' fails G(ur) <= u^alpha G(r) at "
-                    f"u={u:.6g}, r={r:.6g}, theta={np.round(theta, 4).tolist()}")
-        rules = [_ray_rule(n, self.alpha) for n in (64, 128)]
-        for _ in range(4):
-            theta = rng.standard_normal(self.dim)
-            theta /= np.linalg.norm(theta)
-            vals = [VALIDATE_RADIUS * float(w @ self(VALIDATE_RADIUS * t, theta))
-                    for t, w in rules]
-            if not all(math.isfinite(v) for v in vals) or (
-                    abs(vals[1] - vals[0]) > 1e-4 * max(abs(vals[1]), 1e-12)):
-                raise NumericError(
-                    f"kernel '{self.label}' integral near 0 does not converge "
-                    f"({vals[0]:.6g} vs {vals[1]:.6g} under refinement)")
+        theta = rng.standard_normal((VALIDATE_SAMPLES, self.dim))
+        theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+        r = rng.uniform(1e-3, VALIDATE_RADIUS, VALIDATE_SAMPLES)
+        u = rng.uniform(0.0, 1.0, VALIDATE_SAMPLES)
+        g_r, g_ur = self(np.stack([r, np.maximum(u * r, 1e-300)], axis=1), theta).T
+        ref = u**self.alpha * g_r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = (g_ur - ref) / np.maximum(np.abs(ref), 1e-300)
+        signed = (g_r <= 0) | (g_ur <= 0)
+        below = ~signed & (rel < -1e-9) & (self.side in ("lower", "both"))
+        above = ~signed & (rel > 1e-9) & (self.side in ("upper", "both"))
+        bad = signed | below | above
+        if bad.any():
+            i = int(np.argmax(bad))
+            at = f"r={r[i]:.6g}, theta={np.round(theta[i], 4).tolist()}"
+            if signed[i]:
+                raise InputError(f"kernel '{self.label}' is not positive at {at}")
+            relation = ">=" if below[i] else "<="
+            raise InputError(f"kernel '{self.label}' fails G(ur) {relation} u^alpha G(r) "
+                             f"at u={u[i]:.6g}, {at}")
+        theta = rng.standard_normal((4, self.dim))
+        theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+        radii = np.full(len(theta), VALIDATE_RADIUS)
+        coarse, fine = (VALIDATE_RADIUS * _ray_sums(self, theta, radii, n) for n in (64, 128))
+        bad = ~(np.isfinite(coarse) & np.isfinite(fine)) | (
+            np.abs(fine - coarse) > 1e-4 * np.maximum(np.abs(fine), 1e-12))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericError(
+                f"kernel '{self.label}' integral near 0 does not converge "
+                f"({coarse[i]:.6g} vs {fine[i]:.6g} under refinement)")
 
 
 def power_kernel(dim: int, alpha: float, scale: float = 1.0) -> KernelG:
@@ -166,7 +199,8 @@ def power_density_kernel(dim: int, alpha: float, density: Density) -> KernelG:
         side = "lower"
 
     def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return r**alpha * density(r[:, None] * theta[None, :])
+        points = r[..., None] * theta[:, None, :]
+        return r**alpha * density(points.reshape(-1, dim)).reshape(r.shape)
 
     return KernelG(dim, alpha, side, fn, label=f"power-density({alpha})")
 
@@ -189,21 +223,14 @@ def kernel_from_spec(spec: dict, dim: int) -> KernelG:
 @dataclass(frozen=True)
 class ConcaveRayFn:
     """Non-negative function f(r, theta), concave in r on [0, rho_L(theta)]
-    and zero beyond, carrying its support star body and the two ray values
-    the chord bounds need at r = 0. Concavity is the constructor's
-    precondition and is not checked."""
+    and zero beyond. `rays(dirs, t)` reads it on the rays of N directions
+    (N, dim) at the fractions t (Q,) of each ray's length: what the chord
+    bounds read, rho_L (N,), f(rho_L t_j) (N, Q), f(0) (N,) and df/dr at
+    0 (N,). Concavity is the constructor's precondition and is not
+    checked."""
 
-    support: StarBodyFn
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (r (N,), theta (d,)) -> (N,)
-    value_at_zero: Callable[[np.ndarray], float]
-    ray_derivative_at_zero: Callable[[np.ndarray], float]
-
-    @property
-    def dim(self) -> int:
-        return self.support.dim
-
-    def __call__(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(r, dtype=float), theta), dtype=float)
+    dim: int
+    rays: Callable[[np.ndarray, np.ndarray], tuple]  # (dirs, t) -> (rho_L, f, f(0), df/dr(0))
 
 
 def affine_ray_fn(L: StarBodyFn, peak: float = 1.0) -> ConcaveRayFn:
@@ -211,15 +238,7 @@ def affine_ray_fn(L: StarBodyFn, peak: float = 1.0) -> ConcaveRayFn:
     fixture of both chord bounds."""
     if peak <= 0:
         raise InputError("peak must be positive")
-
-    def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        rho = L.radial_one(theta)
-        return peak * np.maximum(1.0 - r / rho, 0.0)
-
-    return ConcaveRayFn(
-        support=L, fn=fn,
-        value_at_zero=lambda theta: peak,
-        ray_derivative_at_zero=lambda theta: -peak / L.radial_one(theta))
+    return profile_ray_fn(L, lambda t: peak * (1.0 - t), -peak)
 
 
 def profile_ray_fn(L: StarBodyFn, profile: Callable[[np.ndarray], np.ndarray],
@@ -227,16 +246,14 @@ def profile_ray_fn(L: StarBodyFn, profile: Callable[[np.ndarray], np.ndarray],
     """f(r, theta) = profile(r / rho_L(theta)) for a profile on [0,1] with
     profile(t) = 0 for t >= 1; dprofile0 is profile'(0+). The profile must
     be concave: the caller's precondition, which is not checked."""
-
-    def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        t = np.asarray(r, dtype=float) / L.radial_one(theta)
-        return np.where(t < 1.0, profile(np.minimum(t, 1.0)), 0.0)
-
     p0 = float(profile(np.array([0.0]))[0])
-    return ConcaveRayFn(
-        support=L, fn=fn,
-        value_at_zero=lambda theta: p0,
-        ray_derivative_at_zero=lambda theta: dprofile0 / L.radial_one(theta))
+
+    def rays(dirs: np.ndarray, t: np.ndarray) -> tuple:
+        rho = L.radial(dirs)
+        f = np.where(t < 1.0, profile(np.minimum(t, 1.0)), 0.0)
+        return rho, np.broadcast_to(f, (len(rho), len(t))), np.full(len(rho), p0), dprofile0 / rho
+
+    return ConcaveRayFn(L.dim, rays)
 
 
 def capped_ray_fn(L: StarBodyFn, cap_cos: float = 0.5,
@@ -245,20 +262,14 @@ def capped_ray_fn(L: StarBodyFn, cap_cos: float = 0.5,
     <theta, e_1> >= cap_cos (their derivative at 0 vanishes), the affine tent
     elsewhere. Exercises the Omega branch of the upper chord bound."""
 
-    def in_cap(theta: np.ndarray) -> bool:
-        return float(theta[0]) >= cap_cos
+    def rays(dirs: np.ndarray, t: np.ndarray) -> tuple:
+        rho = L.radial(dirs)
+        cap = np.asarray(dirs)[:, 0] >= cap_cos
+        f = np.where(cap[:, None], np.where(t <= 1.0, peak, 0.0),
+                     peak * np.maximum(1.0 - t, 0.0))
+        return rho, f, np.full(len(rho), peak), np.where(cap, 0.0, -peak / rho)
 
-    def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        rho = L.radial_one(theta)
-        if in_cap(theta):
-            return np.where(np.asarray(r, dtype=float) <= rho, peak, 0.0)
-        return peak * np.maximum(1.0 - r / rho, 0.0)
-
-    return ConcaveRayFn(
-        support=L, fn=fn,
-        value_at_zero=lambda theta: peak,
-        ray_derivative_at_zero=lambda theta: (
-            0.0 if in_cap(theta) else -peak / L.radial_one(theta)))
+    return ConcaveRayFn(L.dim, rays)
 
 
 def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, s: float) -> ConcaveRayFn:
@@ -273,39 +284,33 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, s: float) -> ConcaveRayFn
     n = K.dim
     muK = float(mu.mass(K))
     body = ProjectionBody(K, mu, m)
-    cache: dict[bytes, CovRay] = {}
 
-    def ray_for(theta: np.ndarray) -> CovRay:
-        key = np.round(np.asarray(theta, dtype=float), 12).tobytes()
-        if key not in cache:
-            cache[key] = CovRay(K, mu, MDirection(np.asarray(theta).reshape(m, n)))
-        return cache[key]
+    def rays(dirs: np.ndarray, t: np.ndarray) -> tuple:
+        dirs = np.asarray(dirs, dtype=float)
+        rho = np.empty(len(dirs))
+        g = np.empty((len(dirs), len(t)))
+        for i, u in enumerate(dirs):
+            ray = CovRay(K, mu, MDirection(u.reshape(m, n)))
+            rho[i] = ray.rho_D
+            g[i] = ray.profile()(ray.rho_D * t)
+        f = np.where(g > 0, np.maximum(g, 0.0) ** s, 0.0)
+        slope = -s * muK ** (s - 1.0) * body.support_batch(dirs)
+        return rho, f, np.full(len(dirs), muK ** s), slope
 
-    def fn(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        g = ray_for(theta).profile()(r)
-        return np.array([v ** s if v > 0 else 0.0 for v in g])
-
-    support = StarBodyFn(n * m, lambda dirs: np.array(
-        [ray_for(u).rho_D for u in np.asarray(dirs, dtype=float)]))
-    return ConcaveRayFn(
-        support=support, fn=fn,
-        value_at_zero=lambda theta: muK ** s,
-        ray_derivative_at_zero=lambda theta: -s * muK ** (s - 1.0) * body.support(
-            MDirection(np.asarray(theta, dtype=float).reshape(m, n))))
+    return ConcaveRayFn(n * m, rays)
 
 
 def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64) -> float:
-    """(1/d) int_S int_0^rho_L G(r, theta) dr dtheta by per-node Gauss
-    quadrature; refuses to return a value the inner rule has not converged
+    """(1/d) int_S int_0^rho_L G(r, theta) dr dtheta by Gauss quadrature on
+    every ray; refuses to return a value the inner rule has not converged
     on (a relative change above DUAL_GATE when the node count doubles)."""
     if G.dim != L.dim or quad.dim != G.dim:
         raise InputError("kernel, star body and quadrature dimensions differ")
-    rho = np.asarray(L.radial(quad.nodes), dtype=float)
-    totals = []
-    for n in (inner, 2 * inner):
-        t, w = _ray_rule(n, G.alpha)
-        totals.append(sum(float(quad.weights[i] * rho[i]) * float(w @ G(rho[i] * t, theta))
-                          for i, theta in enumerate(quad.nodes)))
+    return _dual_volume(G, quad, np.asarray(L.radial(quad.nodes), dtype=float), inner)
+
+
+def _dual_volume(G: KernelG, quad, rho: np.ndarray, inner: int) -> float:
+    totals = [_ray_integral(G, quad.weights, quad.nodes, rho, n) for n in (inner, 2 * inner)]
     if not all(math.isfinite(v) for v in totals) or (
             abs(totals[1] - totals[0]) > DUAL_GATE * max(abs(totals[1]), 1e-12)):
         raise NumericError(
@@ -314,23 +319,13 @@ def dual_volume(G: KernelG, L: StarBodyFn, quad, *, inner: int = 64) -> float:
     return totals[1] / G.dim
 
 
-def beta_constant(h: Callable[[np.ndarray], np.ndarray], f0: float,
-                  alpha: float) -> float:
-    """(alpha+1) int_0^1 h(f0 tau)(1-tau)^alpha dtau, the weight
-    (1-tau)^alpha carried by Gauss-Jacobi in 1 - tau."""
+def beta_constant(h: Callable[[np.ndarray], np.ndarray], f0, alpha: float):
+    """(alpha+1) int_0^1 h(f0 tau)(1-tau)^alpha dtau for each centre value
+    of the array f0 (or for one number), the weight (1-tau)^alpha carried by
+    Gauss-Jacobi in 1 - tau."""
     t, w = gauss_jacobi_01(BETA_NODES, alpha)
-    return (alpha + 1.0) * float(np.asarray(h(f0 * (1.0 - t)), dtype=float) @ w)
-
-
-def _chord_lhs(f: ConcaveRayFn, h, G: KernelG, quad, rho: np.ndarray,
-               inner: int) -> float:
-    t, w = _ray_rule(inner, G.alpha)
-    acc = 0.0
-    for i, theta in enumerate(quad.nodes):
-        r = rho[i] * t
-        vals = np.asarray(h(f(r, theta)), dtype=float)
-        acc += float(quad.weights[i] * rho[i]) * float(w @ (vals * G(r, theta)))
-    return acc
+    vals = np.asarray(h(np.asarray(f0, dtype=float)[..., None] * (1.0 - t)), dtype=float)
+    return (alpha + 1.0) * np.einsum("...q,q->...", vals, w)
 
 
 def chord_lower_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
@@ -343,11 +338,12 @@ def chord_lower_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
         raise InputError("chord lower bound needs a kernel with the lower side")
     if f.dim != G.dim or quad.dim != G.dim:
         raise InputError("ray function, kernel and quadrature dimensions differ")
-    rho = np.asarray(f.support.radial(quad.nodes), dtype=float)
-    lhs = _chord_lhs(f, h, G, quad, rho, inner)
-    beta = min(beta_constant(h, f.value_at_zero(theta), G.alpha)
-               for theta in quad.nodes)
-    rhs = G.dim * beta * dual_volume(G, f.support, quad, inner=inner)
+    rho, fvals, f0, _ = f.rays(quad.nodes, _ray_rule(inner, G.alpha)[0])
+    lhs = _ray_integral(G, quad.weights, quad.nodes, rho, inner,
+                        lambda rows: np.asarray(h(fvals[rows]), dtype=float))
+    # beta depends on the centre value alone, which most fixtures share
+    beta = float(beta_constant(h, np.unique(f0), G.alpha).min())
+    rhs = G.dim * beta * _dual_volume(G, quad, rho, inner)
     rel = (lhs - rhs) / max(abs(rhs), 1e-300)
     return VerifyReport(
         name="chord-lower", lhs=lhs, rhs=rhs, ratio=lhs / rhs, bound=1.0,
@@ -369,51 +365,39 @@ def chord_upper_check(f: ConcaveRayFn, h, G: KernelG, quad, *,
         raise InputError("chord upper bound needs a kernel with the upper side")
     if f.dim != G.dim or quad.dim != G.dim:
         raise InputError("ray function, kernel and quadrature dimensions differ")
-    rho = np.asarray(f.support.radial(quad.nodes), dtype=float)
-    t, w = _ray_rule(inner, G.alpha)
-    lhs = 0.0
-    omega_term = 0.0
-    tilde_sum = 0.0
-    beta_b = -math.inf
-    n_omega = 0
-    rows = []
-    for i, theta in enumerate(quad.nodes):
-        r = rho[i] * t
-        fvals = f(r, theta)
-        f0 = float(f.value_at_zero(theta))
-        if fvals.max(initial=0.0) > f0 * (1.0 + 1e-9) + 1e-12:
-            raise InputError(
-                "ray function does not attain its maximum at r = 0 on "
-                f"direction {np.round(theta, 4).tolist()}")
-        hvals = np.asarray(h(fvals), dtype=float)
-        lhs += float(quad.weights[i] * rho[i]) * float(w @ (hvals * G(r, theta)))
-        fp = float(f.ray_derivative_at_zero(theta))
-        if fp > OMEGA_TOL:
-            raise InputError(
-                "positive ray derivative at 0 contradicts the maximum "
-                f"condition on direction {np.round(theta, 4).tolist()}")
-        if abs(fp) <= OMEGA_TOL:
-            n_omega += 1
-            h0 = float(np.asarray(h(np.array([f0])), dtype=float)[0])
-            omega_term += float(quad.weights[i] * rho[i]) * h0 * float(w @ G(r, theta))
-            rows.append({"direction": i, "rho_L": float(rho[i]),
-                         "rho_Ltilde": float("nan"), "in_omega": 1})
-        else:
-            z = -f0 / fp
-            tilde_sum += float(quad.weights[i] * z) * float(w @ G(z * t, theta))
-            beta_b = max(beta_b, beta_constant(h, f0, G.alpha))
-            rows.append({"direction": i, "rho_L": float(rho[i]),
-                         "rho_Ltilde": z, "in_omega": 0})
-    if n_omega == len(quad.nodes):
-        beta_b = 0.0  # no non-flat directions; first term vanishes
+    rho, fvals, f0, slope = f.rays(quad.nodes, _ray_rule(inner, G.alpha)[0])
+    high = fvals.max(axis=1, initial=0.0) > f0 * (1.0 + 1e-9) + 1e-12
+    rising = slope > OMEGA_TOL
+    if (high | rising).any():
+        i = int(np.argmax(high | rising))
+        where = f"direction {np.round(quad.nodes[i], 4).tolist()}"
+        if high[i]:
+            raise InputError(f"ray function does not attain its maximum at r = 0 on {where}")
+        raise InputError(
+            f"positive ray derivative at 0 contradicts the maximum condition on {where}")
+    lhs = _ray_integral(G, quad.weights, quad.nodes, rho, inner,
+                        lambda rows: np.asarray(h(fvals[rows]), dtype=float))
+    flat = np.abs(slope) <= OMEGA_TOL
+    steep = ~flat
+    h0 = np.asarray(h(f0[flat]), dtype=float)
+    omega_term = _ray_integral(G, quad.weights[flat] * h0, quad.nodes[flat], rho[flat], inner)
+    rho_tilde = np.full(len(rho), np.nan)
+    rho_tilde[steep] = -f0[steep] / slope[steep]
+    tilde_sum = _ray_integral(G, quad.weights[steep], quad.nodes[steep], rho_tilde[steep], inner)
+    # with no non-flat directions the first term vanishes
+    beta_b = float(beta_constant(h, np.unique(f0[steep]), G.alpha).max()) if steep.any() else 0.0
     rhs = beta_b * tilde_sum + omega_term
     rel = (rhs - lhs) / max(abs(rhs), 1e-300)
+    n_omega = int(flat.sum())
     note = f"beta_b={beta_b:.12g}; {n_omega} of {len(quad.nodes)} directions flat"
     if n_omega == 0:
         note += "; Omega empty: bound equals d * beta_b * dual volume of Ltilde"
+    rows = tuple({"direction": i, "rho_L": a, "rho_Ltilde": b, "in_omega": c}
+                 for i, (a, b, c) in enumerate(zip(rho.tolist(), rho_tilde.tolist(),
+                                                   flat.astype(int).tolist())))
     return VerifyReport(
         name="chord-upper", lhs=lhs, rhs=rhs, ratio=lhs / rhs, bound=1.0,
         margin=rel + tolerance, passed=bool(rel >= -tolerance),
         samples=len(quad.nodes), seed=0, tolerance=tolerance,
-        notes=note, rows=tuple(rows),
+        notes=note, rows=rows,
     )

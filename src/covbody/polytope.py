@@ -569,9 +569,6 @@ class StarBodyFn:
     dim: int
     radial: Callable[[np.ndarray], np.ndarray]  # (N, d) -> (N,)
 
-    def radial_one(self, u: Sequence[float]) -> float:
-        return float(self.radial(np.asarray(u, dtype=float)[None, :])[0])
-
     @staticmethod
     def of_polytope(P: Polytope, base: Sequence[float] | None = None) -> "StarBodyFn":
         return StarBodyFn(P.dim, lambda dirs: P.radial_batch(dirs, base))

@@ -20,7 +20,6 @@ integration strategy to choose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -312,34 +311,3 @@ def rmb_limit_neg1(K: Polytope, mu: WeightedMeasure,
         passed=bool(err <= tolerance), samples=len(p_seq), seed=seed,
         tolerance=tolerance, notes="values tabulated along p_seq", rows=tuple(rows),
     )
-
-
-@dataclass(frozen=True)
-class RadialMeanBody:
-    """R^m_p as a functional body: evaluates its radial function on demand."""
-
-    K: Polytope
-    mu: WeightedMeasure
-    p: float
-    m: int
-    method: str = "mellin"  # {direct | mellin}
-
-    def __post_init__(self):
-        if self.p != math.inf and self.p <= -1:
-            raise InputError("p must exceed -1 (or be +inf)")
-        if self.method not in ("direct", "mellin"):
-            raise InputError(f"unknown method {self.method!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.K.dim * self.m
-
-    def radial(self, theta: MDirection | Sequence[Sequence[float]]) -> float:
-        theta = as_mdirection(theta, self.m)
-        if theta.m != self.m:
-            raise InputError("direction block count mismatch")
-        if abs(self.p) < P0_SWITCH:
-            return rmb_radial_p0(self.K, self.mu, theta)
-        if self.method == "direct":
-            return rmb_radial_direct(self.K, self.mu, self.p, theta)
-        return rmb_radial_mellin(self.K, self.mu, self.p, theta)

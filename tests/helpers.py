@@ -82,7 +82,7 @@ def quad_mellin(ray: CovRay, p: float) -> float:
     u = np.concatenate([[0.0], ray.breakpoints(), [ray.rho_D]]) / ray.rho_D
 
     def g(s: float) -> float:
-        return covariogram(ray.K, ray.mu, ray.theta.shifts(ray.rho_D * s))
+        return covariogram(ray.K, ray.mu, ray.rho_D * s * ray.theta.blocks)
 
     opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
     J = quad(g, 0.0, u[1], weight="alg", wvar=(p - 1.0, 0.0), **opts)[0]

@@ -514,6 +514,11 @@ class TestExitCodes:
           "params": {"x": [0.5, 0.0, 0.1], "m": 2}}, "params.x"),
         ({"command": "verify-zhang", "body": TRIANGLE_BODY,
           "params": {"nu": [{"type": "linear-power", "a": [0.0, 0.0]}]}}, "nu[0]"),
+        ({"command": "rmb", "body": SQUARE_BODY,
+          "params": {"p": 1.0, "direction": [1.0, 0.0], "method": "quadrature"}},
+         "params.method"),
+        ({"command": "rmb", "body": SQUARE_BODY,
+          "params": {"p": 1.0, "m": 2, "direction": [1.0, 0.0]}}, "params.direction"),
     ])
     def test_malformed_spec_is_two(self, tmp_path, capsys, job, key):
         # a body, density, h or concavity spec that lacks a key its kind

@@ -1,12 +1,14 @@
 """Dual volumes with general kernels and the two chord-integral bounds."""
 
 import collections
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
 
+import covbody.genvol as genvol
 from covbody import cli
 from covbody.covariogram import CovRay, covariogram
 from covbody.errors import InputError, NumericError
@@ -131,7 +133,7 @@ class TestKernels:
     def test_validate_catches_wrong_side(self):
         gauss = GaussianDensity(2, 1.0)
         bad = KernelG(2, 1.0, "upper",
-                      lambda r, theta: r * gauss(r[:, None] * theta[None, :]),
+                      lambda r, theta: r * gauss(r[..., None] * theta[:, None, :]),
                       label="misdeclared")
         with pytest.raises(InputError, match="fails G"):
             bad.validate()
@@ -281,9 +283,10 @@ class TestCovariogramFixture:
         for _ in range(4):
             theta = rng.standard_normal(2 * m)
             theta /= np.linalg.norm(theta)
-            r = rng.uniform(0.0, f.support.radial_one(theta), size=16)
-            want = [covariogram(K, mu, x * theta.reshape(m, 2)) ** 0.5 for x in r]
-            assert np.abs(f(r, theta) - want).max() <= 1e-10 * mu.mass(K) ** 0.5
+            t = rng.uniform(0.0, 1.0, size=16)
+            rho, got, _, _ = f.rays(theta[None], t)
+            want = [covariogram(K, mu, x * theta.reshape(m, 2)) ** 0.5 for x in rho[0] * t]
+            assert np.abs(got[0] - want).max() <= 1e-10 * mu.mass(K) ** 0.5
 
     def test_chord_check_reads_one_fit_per_ray(self, monkeypatch):
         # the chord rules' radii cost no evaluation beyond the ray's fit:
@@ -346,7 +349,61 @@ def test_ray_fn_is_midpoint_concave(case):
     for _ in range(8):
         theta = rng.standard_normal(f.dim)
         theta /= np.linalg.norm(theta)
-        r1, r2 = np.sort(rng.uniform(0.0, f.support.radial_one(theta), size=(2, 16)),
-                         axis=0)
-        fm, f1, f2 = (f(r, theta) for r in ((r1 + r2) / 2, r1, r2))
-        assert (fm - (f1 + f2) / 2).min() >= -1e-8 * f.value_at_zero(theta)
+        t1, t2 = np.sort(rng.uniform(0.0, 1.0, size=(2, 16)), axis=0)
+        _, fvals, f0, _ = f.rays(theta[None], np.concatenate([(t1 + t2) / 2, t1, t2]))
+        fm, f1, f2 = fvals.reshape(3, 16)
+        assert (fm - (f1 + f2) / 2).min() >= -1e-8 * f0[0]
+
+
+def _counting(G: KernelG):
+    """G, and the list its calls append to."""
+    calls = []
+
+    def fn(r, theta):
+        calls.append(r.shape)
+        return G.fn(r, theta)
+
+    return KernelG(G.dim, G.alpha, G.side, fn, G.label), calls
+
+
+class TestOnePassPerCheck:
+    """A check evaluates its kernel on whole tables of rays: the number of
+    kernel calls does not grow with the number of directions."""
+
+    def test_dual_volume_calls_do_not_grow_with_directions(self):
+        counts = []
+        for count in (64, 512):
+            G, calls = _counting(power_kernel(2, 1.0))
+            dual_volume(G, HEXAGON, sphere_quadrature(2, count=count))
+            counts.append(len(calls))
+        assert counts == [2, 2]  # one per node count of the gate
+
+    def test_chord_upper_makes_a_fixed_number_of_calls(self):
+        # the lhs, the Omega term and the Ltilde term
+        counts = []
+        for count in (64, 512):
+            G, calls = _counting(power_kernel(2, 1.0))
+            chord_upper_check(capped_ray_fn(HEXAGON, 0.5), ident, G,
+                              sphere_quadrature(2, count=count))
+            counts.append(len(calls))
+        assert counts == [3, 3]
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 128])
+def test_chunks_of_rays_give_the_same_bits(monkeypatch, budget):
+    # budget 1 puts one ray in each chunk; 3 * 128 puts three rays of the
+    # doubled dual-volume rule and six of the 64-node chord rule, with a
+    # shorter last chunk
+    quad = sphere_quadrature(2, count=64)
+    lower = power_density_kernel(2, 1.0, GaussianDensity(2, 1.0))
+    parabola = profile_ray_fn(HEXAGON, lambda t: 1.0 - t * t, 0.0)
+
+    def results():
+        lo = chord_lower_check(parabola, ident, lower, quad)
+        up = chord_upper_check(capped_ray_fn(HEXAGON, 0.5), ident, power_kernel(2, 1.0), quad)
+        return json.dumps([dual_volume(lower, HEXAGON, quad), lo.to_json(), up.to_json(),
+                           up.rows])
+
+    whole = results()
+    monkeypatch.setattr(genvol, "DEDUPE_BLOCK", budget)
+    assert results() == whole

@@ -217,7 +217,7 @@ def test_cached_table_gives_the_plain_solve_vertices(case):
     kind, seed, m, s = case
     K = kernel_body(kind, seed)
     theta = MDirection.normalized(np.random.default_rng(seed).standard_normal((m, K.dim)))
-    shifts = theta.shifts(s * diffbody_radial(K, theta))
+    shifts = s * diffbody_radial(K, theta) * theta.blocks
     pts, _ = polytope._intersection_vertices(K, shifts[None])  # through K's cached table
     A = np.vstack([K.A] * (m + 1))
     b = np.concatenate([K.b] + [K.b + K.A @ x for x in shifts])

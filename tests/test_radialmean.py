@@ -7,6 +7,7 @@ import pytest
 
 import covbody.covariogram as covariogram_mod
 import covbody.radialmean as radialmean_mod
+from covbody import cli
 from covbody.covariogram import (FIT_DEGREE, SPLIT_DEPTH, CovRay, MDirection,
                                  diffbody_radial)
 from covbody.errors import InputError, NumericError
@@ -14,7 +15,7 @@ from covbody.measure import GaussianDensity, LinearPowerDensity, WeightedMeasure
 from covbody.oracle import rng_for, sphere_quadrature
 from covbody.polytope import Polytope
 from covbody.projection import ProjectionBody
-from covbody.radialmean import (RadialMeanBody, rmb_limit_neg1, rmb_radial_direct,
+from covbody.radialmean import (rmb_limit_neg1, rmb_radial_direct,
                                 rmb_radial_mellin, rmb_radial_p0)
 
 from helpers import (polar_grid_radial_mean, qhull_breakpoints, quad_mellin,
@@ -339,8 +340,8 @@ class TestLimits:
         bar = MDirection.normalized(rng_for(42, "rmb-inf").standard_normal((2, 2)))
         assert rmb_radial_direct(TRIANGLE, LEB2, math.inf, bar) == \
             diffbody_radial(TRIANGLE, bar)
-        body = RadialMeanBody(TRIANGLE, LEB2, math.inf, 2)
-        assert body.radial(bar) == diffbody_radial(TRIANGLE, bar)
+        assert rmb_radial_mellin(TRIANGLE, LEB2, math.inf, bar) == \
+            diffbody_radial(TRIANGLE, bar)
 
     def test_neg1_square_axis(self):
         rep = rmb_limit_neg1(SQUARE, LEB2, E1)
@@ -392,25 +393,27 @@ class TestValidation:
                 rmb_radial_direct(SQUARE, LEB2, p, E1)
             with pytest.raises(InputError):
                 rmb_radial_mellin(SQUARE, LEB2, p, E1)
-            with pytest.raises(InputError):
-                RadialMeanBody(SQUARE, LEB2, p, 1)
 
     def test_p_zero_has_no_mellin_form(self):
         with pytest.raises(InputError):
             rmb_radial_mellin(SQUARE, LEB2, 0.0, E1)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InputError):
-            RadialMeanBody(SQUARE, LEB2, 1.0, 1, method="quadrature")
+    # the method and the block count m are chosen where a job names them;
+    # the routes take neither, so the rmb command refuses them
+    RMB_JOB = {"command": "rmb", "body": {"type": "named", "name": "cube", "dim": 2}}
 
-    def test_block_count_mismatch(self):
-        body = RadialMeanBody(SQUARE, LEB2, 1.0, 2)
-        with pytest.raises(InputError):
-            body.radial(E1)
+    def test_unknown_method_rejected(self, capsys):
+        params = {"p": 1.0, "direction": [1.0, 0.0], "method": "quadrature"}
+        assert cli.run({**self.RMB_JOB, "params": params}) == 2
+        assert "params.method" in capsys.readouterr().err
+
+    def test_block_count_mismatch(self, capsys):
+        params = {"p": 1.0, "m": 2, "direction": [1.0, 0.0]}
+        assert cli.run({**self.RMB_JOB, "params": params}) == 2
+        assert "params.direction" in capsys.readouterr().err
 
     def test_dispatch_small_p_to_geometric_mean(self):
-        body = RadialMeanBody(SQUARE, LEB2, 5e-4, 1)
-        assert body.radial(E1) == rmb_radial_p0(SQUARE, LEB2, E1)
+        assert rmb_radial_direct(SQUARE, LEB2, 5e-4, E1) == rmb_radial_p0(SQUARE, LEB2, E1)
 
     def test_bad_p_seq_rejected(self):
         with pytest.raises(InputError):

@@ -103,7 +103,7 @@ def test_profile_matches_direct_evaluation(case, frac):
     mu = WeightedMeasure.lebesgue(K.dim)
     ray = CovRay(K, mu, theta)
     r = frac * ray.rho_D
-    want = covariogram(K, mu, theta.shifts(r))
+    want = covariogram(K, mu, r * theta.blocks)
     assert float(ray.profile()(r)[0]) == pytest.approx(want, abs=1e-12 * K.volume)
 
 
@@ -117,7 +117,7 @@ def test_profile_matches_covariogram_under_smooth_densities(case, density, fracs
     mu = _measure(density, K.dim)
     ray = CovRay(K, mu, theta)
     r = np.array(fracs) * ray.rho_D
-    want = [covariogram(K, mu, theta.shifts(x)) for x in r]
+    want = [covariogram(K, mu, x * theta.blocks) for x in r]
     assert np.abs(ray.profile()(r) - want).max() <= 1e-10 * ray.mu_K
 
 
@@ -128,7 +128,7 @@ def test_covariogram_vanishes_beyond_the_difference_body(case):
     K, theta = case
     ray = CovRay(K, WeightedMeasure.lebesgue(K.dim), theta)
     beyond = ray.rho_D * np.array([1.0 + 1e-6, 1.5, 10.0])
-    assert covariogram(K, ray.mu, theta.shifts(beyond[0])) == 0.0
+    assert covariogram(K, ray.mu, beyond[0] * theta.blocks) == 0.0
     assert (ray.profile()(beyond) == 0.0).all()
 
 
@@ -168,7 +168,7 @@ class TestBreakpoints:
         for k in range(1, prof.pieces):
             assert not np.allclose(prof.coeffs[k - 1], prof.coeffs[k])
         r = np.linspace(0.0, ray.rho_D, 57)[1:-1]
-        direct = [covariogram(K, ray.mu, ray.theta.shifts(x)) for x in r]
+        direct = [covariogram(K, ray.mu, x * ray.theta.blocks) for x in r]
         assert np.abs(prof(r) - direct).max() <= 1e-12 * K.volume
 
     def test_missed_breakpoint_fails_the_check_node(self, monkeypatch):
