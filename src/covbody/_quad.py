@@ -24,8 +24,12 @@ The geometry kernel lives here too: `simplex_volumes` is the one simplex
 volume formula, and `triangulate_vertices` / `hull_simplices` the one
 simplicial decomposition of a convex hull, shared by exact volumes
 (`polytope._volume_of_points`, body builds) and by the simplex rule.
-`triangulate_vertices` takes many point sets at once, and `segment_sums`
-sums what they give set by set.
+`triangulate_vertices` takes many vertex sets at once, and `segment_sums`
+sums what they give set by set. In R^3 the sets come from halfspace
+systems, and `facet_fans` splits them all from the rows their points
+meet, with no Qhull call; Qhull (`hull_simplices`) stays for point clouds,
+whose facets are unknown, and for the rare set that is no polytope on its
+rows.
 """
 
 from __future__ import annotations
@@ -213,40 +217,178 @@ def segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def triangulate_vertices(dim: int, pts: np.ndarray,
-                         sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the convex hull of each point set in R^dim into simplices:
+# Slack up to which a vertex meets a row of its system: rounding, far below
+# polytope.DEDUPE_TOL. A set whose vertices vertex enumeration merged from
+# near-copies lies up to about DEDUPE_TOL off the merged rows, misses
+# incidences at this tolerance and takes its own hull.
+INCIDENCE_TOL = 1e-12
+
+# Each axis first, then the others in cyclic order.
+_CYCLES = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def _faces(meets: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
+           width: int) -> tuple[np.ndarray, ...]:
+    """The faces of each set of a stack, set s holding the points
+    starts[s]:starts[s] + sizes[s], from which rows its points meet,
+    meets (P, R). Returns each face's set, its points as a mask (F, width)
+    over the set's positions, and its count of them, set by set; and which
+    sets a row meets entirely (lower-dimensional, no face). A face is a row
+    that meets at least 3 points of a set but not all, and of rows that
+    meet the same points the first stands for them all."""
+    hits = np.add.reduceat(meets, starts, axis=0, dtype=np.intp)  # (S, R)
+    face = (hits >= 3) & (hits < sizes[:, None])
+    flat = (hits == sizes[:, None]).any(axis=1)
+    if flat.any():
+        face[flat] = False
+    fs, fr = np.nonzero(face)  # set by set, rows in order
+    at = np.arange(width)
+    member = meets[np.minimum(starts[fs, None] + at, len(meets) - 1), fr[:, None]]
+    if (sizes < width).any():
+        member &= at < sizes[fs, None]
+    # sorted by set and by the mask read as a binary number, copies of a
+    # face (a shift parallel to a facet) fall next to each other; the
+    # number is exact up to 53 points
+    key = member @ np.ldexp(1.0, -at)
+    order = np.lexsort((key, fs))
+    same = (np.diff(fs[order]) == 0) & (np.diff(key[order]) == 0)
+    if width > 53:
+        same &= (member[order[1:]] == member[order[:-1]]).all(axis=1)
+    first = np.ones(len(fs), dtype=bool)
+    first[order[1:][same]] = False
+    return fs[first], member[first], hits[fs, fr][first], flat
+
+
+def facet_fans(pts: np.ndarray, sizes: np.ndarray,
+               slack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split vertex sets in R^3 of at least 4 points each into simplices
+    from slack (len(pts), R), how far inside each row of its halfspace
+    system each point lies: all sets at once, with no hull. Returns the
+    simplices, set by set, each set's count of them, and which sets they
+    cover; a set they do not cover gets no simplex here.
+
+    A point meets a row when its |slack| is at most INCIDENCE_TOL, and the
+    rows a set's points meet give its faces (`_faces`). With Euler's
+    formula the distinct faces of a 3-polytope with V vertices, k points
+    each, have sum (k - 2) = 2V - 4, and a point counted on a face it is
+    not on, or missed on one it is on, breaks that sum. A set is covered
+    when the sum holds and no point lies outside a row by more than the
+    tolerance; a set a row meets entirely is lower-dimensional, covered
+    with no simplex. Any other set's points are not the vertices of a
+    polytope with these rows as facets at this tolerance, as when vertex
+    enumeration merges near-copies of a vertex or keeps a basic solution
+    just outside a row nearly parallel to another.
+
+    Each face's points are sorted by angle about the face's mean after a
+    projection along face mean - set mean, a direction never parallel to
+    the face, so the projection keeps the ring's order. Each ring is
+    fanned from its first point, k - 2 triangles (2V - 4 in all, as many
+    as a Qhull hull gives), and each triangle is coned from the set's
+    mean.
+    """
+    starts = sizes.cumsum() - sizes
+    width = int(sizes.max(initial=0))
+    fs, member, k, flat = _faces(np.abs(slack) <= INCIDENCE_TOL, sizes, starts, width)
+    counts = np.bincount(fs, weights=k - 2, minlength=len(sizes)).astype(np.intp)
+    covered = counts == 2 * sizes - 4
+    low = slack.min(axis=1)
+    if low.min(initial=0.0) < -INCIDENCE_TOL:
+        covered &= np.minimum.reduceat(low, starts) >= -INCIDENCE_TOL
+    covered |= flat
+    if not covered.all():
+        keep = covered[fs]
+        fs, member, k = fs[keep], member[keep], k[keep]
+        counts[~covered] = 0
+    if not len(fs):
+        return np.empty((0, 4, 3)), counts, covered
+    f, local = np.nonzero(member)  # face by face
+    point = starts[fs[f]] + local
+    fstart = k.cumsum() - k
+    center = np.add.reduceat(pts, starts, axis=0) / sizes[:, None]
+    fmean = np.add.reduceat(pts[point], fstart, axis=0) / k[:, None]
+    # along d onto the coordinate plane of d's largest entry: any
+    # projection along d keeps the cyclic order
+    d = fmean - center[fs]
+    axes = _CYCLES[np.abs(d).argmax(axis=1)]
+    d = d[np.arange(len(d))[:, None], axes][f]
+    rel = (pts[point] - fmean[f])[np.arange(len(f))[:, None], axes[f]]
+    height = rel[:, 0] / d[:, 0]
+    angle = np.arctan2(rel[:, 2] - height * d[:, 2], rel[:, 1] - height * d[:, 1])
+    ring = point[np.lexsort((angle, f))]
+    # ring point j of face f closes triangle (0, j, j + 1) for 1 <= j <= k - 2
+    inner = np.ones(len(ring), dtype=bool)
+    inner[fstart] = False
+    inner[fstart + k - 1] = False
+    mid = np.flatnonzero(inner)
+    owner = f[mid]
+    cones = np.stack([center[fs[owner]], pts[ring[fstart[owner]]],
+                      pts[ring[mid]], pts[ring[mid + 1]]], axis=1)
+    return cones, counts, covered
+
+
+def _with_hulls(pts: np.ndarray, sizes: np.ndarray, simplices: np.ndarray,
+                counts: np.ndarray, covered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The simplices of a stack of sets, set by set, and their counts: the
+    given ones for the covered sets (counts 0 elsewhere), and the
+    `hull_simplices` of its own Qhull hull for every other set, none when
+    Qhull finds it lower-dimensional."""
+    counts = counts.copy()
+    starts = sizes.cumsum() - sizes
+    missing = np.flatnonzero(~covered)
+    runs = np.split(simplices, counts.cumsum()[missing])
+    parts = [runs[0]]
+    for s, run in zip(missing.tolist(), runs[1:]):
+        own = pts[starts[s]:starts[s] + sizes[s]]
+        try:
+            cones = hull_simplices(own, ConvexHull(own))
+        except QhullError:
+            cones = simplices[:0]
+        counts[s] = len(cones)
+        parts += [cones, run]
+    return np.concatenate(parts), counts
+
+
+def triangulate_vertices(dim: int, pts: np.ndarray, sizes: np.ndarray,
+                         slack: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Split the convex hull of each vertex set in R^dim into simplices:
     cones from an interior apex over the boundary. The sets are runs of
     pts, set i holding the next sizes[i] points. Returns every set's
     simplices, set by set, as one stack (T, dim+1, dim), and each set's
-    count of them: 0 for a set of at most dim points or one that Qhull
-    finds lower-dimensional.
+    count of them: 0 for a set of at most dim points or a
+    lower-dimensional one.
 
     In R^1 a set's simplex is its extent. In R^2 every set in convex
     position (as every intersection is) is fanned from its mean over its
-    counterclockwise ring, all sets at once; any other set, and every set
-    from R^3 up, goes through `hull_simplices` of its own Qhull hull.
-    Degenerate fan triangles are kept (volume 0). A set's simplices depend
-    on its own points alone.
+    counterclockwise ring, all sets at once. In R^3 the sets are vertex
+    sets of halfspace systems, and `slack` (len(pts), R) gives how far
+    inside each of its system's R rows each point lies: `facet_fans`
+    triangulates them all at once from it. A set that neither fan covers,
+    and every set from R^4 up, goes through `hull_simplices` of its own
+    Qhull hull. Degenerate fan triangles are kept (volume 0). A set's
+    simplices depend on its own points alone.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, dim)
     sizes = np.asarray(sizes, dtype=np.intp)
+    if dim == 3 and slack is None:
+        raise InputError("3-D vertex sets are triangulated from their rows' slack")
     solid = sizes > dim
     if not solid.all():  # the sets of at most dim points get no simplex
-        simplices, counts = triangulate_vertices(dim, pts[np.repeat(solid, sizes)],
-                                                 sizes[solid])
+        keep = np.repeat(solid, sizes)
+        simplices, counts = triangulate_vertices(
+            dim, pts[keep], sizes[solid], None if slack is None else slack[keep])
         sizes = np.zeros(len(sizes), dtype=np.intp)
         sizes[solid] = counts
         return simplices, sizes
-    if dim <= 2:
-        ends = sizes.cumsum()
-        starts = ends - sizes
+    ends = sizes.cumsum()
+    starts = ends - sizes
     if dim == 1:
         lo = np.minimum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
         hi = np.maximum.reduceat(pts[:, 0], starts) if len(pts) else np.empty(0)
         return np.stack([lo, hi], axis=1)[hi > lo, :, None], (hi > lo).astype(np.intp)
-    fanned = [False] * len(sizes)
-    if dim == 2 and len(pts):
+    if dim == 3:
+        simplices, counts, covered = facet_fans(pts, sizes, slack)
+    elif dim == 2 and len(pts):
         owner = np.repeat(np.arange(len(sizes)), sizes)
         center = np.add.reduceat(pts, starts) / sizes[:, None]
         rel = pts - center[owner]
@@ -264,25 +406,14 @@ def triangulate_vertices(dim: int, pts: np.ndarray,
         # hull's boundary, and a turn let through costs at most 1e-12 of the
         # area of the triangle its two edges span
         reflex = e0 * e1[after] - e1 * e0[after] < -1e-12 * length * length[after]
-        fan = np.ones(len(sizes), dtype=bool)
-        fan[owner[reflex]] = False
-        if fan.all():
+        if not reflex.any():
             return fans, sizes
-        fanned = fan.tolist()
-    counts, parts, end = [], [], 0
-    for fan, size in zip(fanned, sizes.tolist()):
-        start, end = end, end + size
-        if fan:
-            cones = fans[start:end]
-        else:
-            try:
-                cones = hull_simplices(pts[start:end], ConvexHull(pts[start:end]))
-            except QhullError:
-                counts.append(0)
-                continue
-        counts.append(len(cones))
-        parts.append(cones)
-    counts = np.array(counts, dtype=np.intp)
-    if len(parts) == 1:
-        return parts[0], counts
-    return (np.concatenate(parts) if parts else np.empty((0, dim + 1, dim))), counts
+        covered = np.ones(len(sizes), dtype=bool)
+        covered[owner[reflex]] = False
+        simplices, counts = fans[covered[owner]], np.where(covered, sizes, 0)
+    else:
+        simplices = np.empty((0, dim + 1, dim))
+        counts, covered = np.zeros(len(sizes), dtype=np.intp), np.zeros(len(sizes), dtype=bool)
+    if covered.all():
+        return simplices, counts
+    return _with_hulls(pts, sizes, simplices, counts, covered)

@@ -288,10 +288,10 @@ def _cmd_covariogram(job: _Job):
     if "x" in p:
         shifts = _shifts(p, n)
         # one vertex set; value and volume come from two decompositions of it
-        pts, sizes = _intersection_vertices(K, shifts[None])
+        pts, sizes, slack = _intersection_vertices(K, shifts[None])
         result["m"] = len(shifts)
         result["x"] = shifts
-        result["value"] = float(_integrate_points(mu, n, pts, sizes)[0])
+        result["value"] = float(_integrate_points(mu, n, pts, sizes, slack)[0])
         result["intersection_volume"] = 0.0 if len(pts) == 0 else _build_from_points(
             n, pts, allow_degenerate=True).volume
         if p.flag("oracle", "oracle_samples" in p):

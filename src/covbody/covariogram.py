@@ -101,8 +101,8 @@ def covariogram(K: Polytope, mu: WeightedMeasure,
         shifts = shifts[None, :]
     if shifts.ndim not in (2, 3) or shifts.shape[-1] != K.dim:
         raise InputError("shift dimension mismatch")
-    pts, sizes = _intersection_vertices(K, shifts if shifts.ndim == 3 else shifts[None])
-    values = _integrate_points(mu, K.dim, pts, sizes)
+    pts, sizes, slack = _intersection_vertices(K, shifts if shifts.ndim == 3 else shifts[None])
+    values = _integrate_points(mu, K.dim, pts, sizes, slack)
     return values if shifts.ndim == 3 else float(values[0])
 
 
@@ -233,13 +233,26 @@ class CovRay:
     """
 
     def __init__(self, K: Polytope, mu: WeightedMeasure, theta: MDirection):
+        self._start(K, mu, as_mdirection(theta), float(mu.mass(K)), None)
+
+    @classmethod
+    def _read(cls, K: Polytope, mu: WeightedMeasure, theta: MDirection,
+              mu_K: float, rho_D: float) -> "CovRay":
+        """The ray of theta, given mu(K) and rho_D, which a caller with many
+        rays of one body reads once for all of them."""
+        ray = cls.__new__(cls)
+        ray._start(K, mu, theta, mu_K, rho_D)
+        return ray
+
+    def _start(self, K: Polytope, mu: WeightedMeasure, theta: MDirection,
+               mu_K: float, rho_D: float | None) -> None:
         self.K = K
         self.mu = mu
-        self.theta = as_mdirection(theta)
-        self.mu_K = float(mu.mass(K))
+        self.theta = theta
+        self.mu_K = mu_K
         if self.mu_K <= 0:
             raise InputError("measure of K must be positive")
-        self.rho_D = diffbody_radial(K, self.theta)
+        self.rho_D = diffbody_radial(K, theta) if rho_D is None else float(rho_D)
         self._cache: dict[float, float] = {}
         self._profile: RayProfile | None = None
 

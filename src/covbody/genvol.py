@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import gauss_jacobi_01
-from .covariogram import CovRay, MDirection
+from .covariogram import CovRay, MDirection, diffbody_polytope, diffbody_radial
 from .errors import InputError, NumericError, job_field, job_number, spec_kind
 from .measure import ConstantDensity, Density, WeightedMeasure
 from .oracle import rng_for
@@ -278,21 +278,28 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, s: float) -> ConcaveRayFn
     support is the m-th difference body, the center value is mu(K)^s, and
     the ray derivative at 0 is the exact -s mu(K)^(s-1) * h of the
     projection body. f is concave along rays when mu is s-concave; the
-    caller checks that class."""
+    caller checks that class. mu(K) is read once. At m = 1 rho_D of a set
+    of rays comes from one `radial_batch` of the polytope K - K, a hull of
+    V^2 points in R^n; at m >= 2 each ray solves its own LP, since the hull
+    of D^m(K) (V^(m+1) points in R^(nm)) costs as much as hundreds to
+    thousands of them."""
     if s <= 0:
         raise InputError("the covariogram fixture needs s > 0")
     n = K.dim
     muK = float(mu.mass(K))
     body = ProjectionBody(K, mu, m)
+    D = diffbody_polytope(K, 1) if m == 1 else None
 
     def rays(dirs: np.ndarray, t: np.ndarray) -> tuple:
         dirs = np.asarray(dirs, dtype=float)
-        rho = np.empty(len(dirs))
+        thetas = [MDirection(u.reshape(m, n)) for u in dirs]
+        if D is None:
+            rho = np.array([diffbody_radial(K, theta) for theta in thetas])
+        else:
+            rho = D.radial_batch(dirs, np.zeros(n * m))
         g = np.empty((len(dirs), len(t)))
-        for i, u in enumerate(dirs):
-            ray = CovRay(K, mu, MDirection(u.reshape(m, n)))
-            rho[i] = ray.rho_D
-            g[i] = ray.profile()(ray.rho_D * t)
+        for i, theta in enumerate(thetas):
+            g[i] = CovRay._read(K, mu, theta, muK, rho[i]).profile()(rho[i] * t)
         f = np.where(g > 0, np.maximum(g, 0.0) ** s, 0.0)
         slope = -s * muK ** (s - 1.0) * body.support_batch(dirs)
         return rho, f, np.full(len(dirs), muK ** s), slope

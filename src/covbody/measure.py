@@ -183,18 +183,20 @@ def integrate_over_polytope(mu: WeightedMeasure, P: Polytope | None) -> float:
     """mu(P); 0 for empty/degenerate P."""
     if P is None or P.is_degenerate:
         return 0.0
-    return float(_integrate_points(mu, P.dim, P.vertices, [len(P.vertices)])[0])
+    return float(_integrate_points(mu, P.dim, P.vertices, [len(P.vertices)], P.slack)[0])
 
 
-def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray, sizes) -> np.ndarray:
-    """Integral of the density over the convex hull of each point set, the
-    runs of pts of sizes[i] points; 0 for a lower-dimensional set. Under
-    a non-constant density the simplex rule runs on whole sets, as many
-    per call as keep its nodes within DEDUPE_BLOCK floats, and each set's
-    sum reads its own nodes alone."""
+def _integrate_points(mu: WeightedMeasure, dim: int, pts: np.ndarray, sizes,
+                      slack: np.ndarray | None = None) -> np.ndarray:
+    """Integral of the density over the convex hull of each vertex set,
+    the runs of pts of sizes[i] points, in R^3 triangulated from its rows'
+    slack (`triangulate_vertices`); 0 for a lower-dimensional set.
+    Under a non-constant density the simplex rule runs on whole sets, as
+    many per call as keep its nodes within DEDUPE_BLOCK floats, and each
+    set's sum reads its own nodes alone."""
     if mu.exact:
-        return mu.density.c * _volume_of_points(dim, pts, sizes)
-    simplices, counts = triangulate_vertices(dim, pts, sizes)
+        return mu.density.c * _volume_of_points(dim, pts, sizes, slack)
+    simplices, counts = triangulate_vertices(dim, pts, sizes, slack)
     nodes = SIMPLEX_LEVEL ** dim  # per simplex
     step = max(1, DEDUPE_BLOCK // max(1, int(counts.max(initial=0)) * nodes * dim))
     out = np.zeros(len(counts))

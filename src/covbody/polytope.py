@@ -14,7 +14,10 @@ Vertex enumeration and hull volumes take stacks: `enumerate_vertices` one
 system per row of a stack of right-hand sides, `_intersection_vertices`
 one intersection per m-tuple of a stack of shifts, and `_volume_of_points`
 one volume per run of points. A stack's members come out set by set with
-their counts, each the same bits as when it goes alone.
+their counts, each the same bits as when it goes alone. A 3-D vertex set
+carries each row's slack at its points (`row_slack`): the rows its points
+meet are its facets, which triangulate it with no hull
+(`_quad.facet_fans`). Qhull builds bodies from points, once per body.
 """
 
 from __future__ import annotations
@@ -264,11 +267,28 @@ def _first_of_clusters(Q: np.ndarray, valid: np.ndarray) -> np.ndarray:
         alive = flat[first]
 
 
-def _volume_of_points(dim: int, pts: np.ndarray, sizes) -> np.ndarray:
-    """Volume of the convex hull of each point set, the runs of pts of
-    sizes[i] points: the sum over its `triangulate_vertices` simplices; 0
-    for a lower-dimensional set."""
-    simplices, counts = triangulate_vertices(dim, pts, sizes)
+def row_slack(A: np.ndarray, B: np.ndarray, pts: np.ndarray, sizes=None) -> np.ndarray:
+    """How far inside each row of its system each vertex lies, (len(pts),
+    R): B[s, r] - A_r p for point p of set s, from which `facet_fans`
+    reads the rows each vertex meets. B is one right-hand side (R,) for
+    all of pts, or one per set (S, R), set s holding the next sizes[s]
+    points; A's rows are unit normals. Summed a column at a time, so a
+    point's slacks are the same bits in any stack."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 2:
+        B = np.repeat(B, sizes, axis=0)
+    lhs = pts[:, :1] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        lhs += pts[:, j:j + 1] * A[:, j]
+    return B - lhs
+
+
+def _volume_of_points(dim: int, pts: np.ndarray, sizes,
+                      slack: np.ndarray | None = None) -> np.ndarray:
+    """Volume of the convex hull of each vertex set, the runs of pts of
+    sizes[i] points: the sum over its `triangulate_vertices` simplices
+    (in R^3 from its rows' slack); 0 for a lower-dimensional set."""
+    simplices, counts = triangulate_vertices(dim, pts, sizes, slack)
     return segment_sums(simplex_volumes(simplices), counts)
 
 
@@ -420,6 +440,12 @@ class Polytope:
             table = self._lifted[copies] = SubsetTable(np.vstack([self.A] * copies))
         return table
 
+    @functools.cached_property
+    def slack(self) -> np.ndarray | None:
+        """Each row's slack at each vertex (`row_slack`), from which a body
+        in R^3 is triangulated; None in other dimensions."""
+        return row_slack(self.A, self.b, self.vertices) if self.dim == 3 else None
+
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
@@ -502,7 +528,7 @@ def intersect_translates(K: Polytope, shifts: Sequence[Sequence[float]]) -> Poly
     if K.is_degenerate:
         raise InputError("K must be a body")
     shifts = np.asarray(list(shifts), dtype=float).reshape(-1, K.dim)
-    pts, _ = _intersection_vertices(K, shifts[None])
+    pts = _intersection_vertices(K, shifts[None])[0]
     if len(pts) == 0:
         return None
     return _build_from_points(K.dim, pts, allow_degenerate=True)
@@ -519,21 +545,26 @@ def lifted_system(K: Polytope, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return A, b, c
 
 
-def _intersection_vertices(K: Polytope, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _intersection_vertices(K: Polytope, shifts: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Vertex sets of K cap_i (x_i + K), one per m-tuple of a stack of
-    shifts (S, m, n): every set's points, set by set, and each set's count
+    shifts (S, m, n): every set's points, set by set, each set's count
     (0 when empty), from one `enumerate_vertices` of the stacked b + c over
-    K's lifted table."""
+    K's lifted table, and in R^3, where it triangulates them, each point's
+    slack in each row (`row_slack`); None elsewhere."""
     S, m, n = shifts.shape
     if m == 0:
-        return np.tile(K.vertices, (S, 1)), np.full(S, len(K.vertices))
+        pts, sizes = np.tile(K.vertices, (S, 1)), np.full(S, len(K.vertices))
+        return pts, sizes, row_slack(K.A, K.b, pts) if n == 3 else None
     # b + A x_i on each translate's rows, one product per m-tuple (see
     # `_feasible_vertices`)
     h = len(K.b)
     B = np.empty((S, (m + 1) * h))
     B[:, :h] = K.b
     B[:, h:] = (shifts @ K.A.T + K.b).reshape(S, m * h)
-    return enumerate_vertices(K.lifted_table(m + 1), B)
+    table = K.lifted_table(m + 1)
+    pts, sizes = enumerate_vertices(table, B)
+    return pts, sizes, row_slack(table.A, B, pts, sizes) if n == 3 else None
 
 
 @dataclass

@@ -17,7 +17,9 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
+from ._quad import hull_simplices, simplex_volumes
 from .covariogram import MDirection, as_mdirection, covariogram
 from .errors import DegenerateMeasureError, InputError
 from .measure import WeightedMeasure, transform_measure, weighted_surface_measure
@@ -129,7 +131,12 @@ def polar_projection_volume(K: Polytope, mu: WeightedMeasure, m: int,
     if len(u) == 0:
         raise DegenerateMeasureError("projection body is lower-dimensional")
     u = np.concatenate([u, -u])
-    return float(_volume_of_points(d, u * body.polar_radial_batch(u)[:, None], [len(u)])[0])
+    pts = u * body.polar_radial_batch(u)[:, None]
+    if d <= 2:
+        return float(_volume_of_points(d, pts, [len(pts)])[0])
+    # a cloud, not a vertex set with known facets: from R^3 up its hull
+    # comes from Qhull, as a body build's does
+    return float(simplex_volumes(hull_simplices(pts, ConvexHull(pts))).sum())
 
 
 def _extrapolate_to_zero(hs: np.ndarray, vals: np.ndarray) -> np.ndarray:

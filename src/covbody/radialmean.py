@@ -31,7 +31,7 @@ from .covariogram import (CHECK_NODE, FIT_GATE, CovRay, MDirection, as_mdirectio
                           diffbody_radial)
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
-from .polytope import TOL, Polytope, dedupe_points, enumerate_vertices
+from .polytope import TOL, Polytope, dedupe_points, enumerate_vertices, row_slack
 from .projection import ProjectionBody
 from .report import VerifyReport
 
@@ -96,8 +96,14 @@ def _exit_cells(K: Polytope, theta: MDirection):
     on_top = np.abs(verts @ top[:, :-1].T - top[:, -1]) <= TOL  # (V, J)
     # every cell at once, each from its own vertices; a lower-dimensional
     # cell gets no simplex
-    _, vert = np.nonzero(on_top.T)
-    simplices, counts = triangulate_vertices(n, verts[vert, :n], on_top.sum(axis=0))
+    cell, vert = np.nonzero(on_top.T)
+    slack = None
+    if n == 3:
+        # a cell's faces are the rows of P other than its own top row, which
+        # meets all its vertices
+        slack = row_slack(rows[:, :-1], rows[:, -1], verts)[vert]
+        slack[np.arange(len(vert)), len(rest) + cell] = np.inf
+    simplices, counts = triangulate_vertices(n, verts[vert, :n], on_top.sum(axis=0), slack)
     if len(simplices) == 0:
         raise NumericError("no exit-facet cell of K has volume")
     owner = np.repeat(np.arange(len(top)), counts)

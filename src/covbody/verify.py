@@ -277,7 +277,8 @@ def _nested_rule(K: Polytope, mu: WeightedMeasure, factors, level: int) -> float
     y and weights w of the simplex rule at this level on K's
     triangulation: the outer integral over K and each inner
     nu_i(y_j - K) = int_K phi_i(y_j - z) dz share one rule."""
-    X, w = simplex_rule(triangulate_vertices(K.dim, K.vertices, [len(K.vertices)])[0], level)
+    X, w = simplex_rule(triangulate_vertices(K.dim, K.vertices, [len(K.vertices)],
+                                             K.slack)[0], level)
     values = mu.density(X) * w
     rows = max(1, DENOMINATOR_CHUNK // len(X))
     for start in range(0, len(X), rows):

@@ -408,6 +408,156 @@ class TestDegenerateStacks:
             np.testing.assert_array_equal(simplices[ends[k] - counts[k]:ends[k]], alone)
 
 
+# -- 3-D vertex sets, triangulated from the rows their points meet ------------
+
+
+# fractions of rho_D: generic ones; shifts so small that the intersection's
+# vertices are near-copies of K's, which vertex enumeration merges or
+# nearly merges; translates that nearly touch, and that touch
+FAN_FRACTIONS = np.array([0.13, 0.42, 0.77, 1e-10, 1e-8, 1e-6, 1.0 - 1e-7, 1.0])
+GENERIC = FAN_FRACTIONS[:3]
+
+FAN_CASES = st.tuples(st.sampled_from(["polytope3", "cube", "cross"]),
+                      st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+                      st.sampled_from(["generic", "parallel", "vertex"]))
+
+
+def fan_shifts(K: Polytope, seed: int, m: int, mode: str):
+    """m-tuples r thetabar at FAN_FRACTIONS of rho_D along one ray, and the
+    fraction of each. "parallel" puts every theta_i parallel to one facet
+    of K, whose row then coincides with its copies in the translates;
+    "vertex" points each theta_i from a vertex of K to another, where the
+    intersections of the cube and the octahedron have non-simple
+    vertices."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((m, K.dim))
+    if mode == "parallel":
+        a = K.A[rng.integers(len(K.A))]
+        blocks -= np.outer(blocks @ a, a)
+    elif mode == "vertex":
+        ends = np.array([rng.choice(len(K.vertices), 2, replace=False) for _ in range(m)])
+        blocks = K.vertices[ends[:, 1]] - K.vertices[ends[:, 0]]
+    theta = MDirection.normalized(blocks)
+    rho = diffbody_radial(K, theta)
+    return rho * FAN_FRACTIONS[:, None, None] * theta.blocks, FAN_FRACTIONS
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(FAN_CASES)
+@example(("cube", 1, 2, "parallel"))
+@example(("cube", 2, 1, "vertex"))
+@example(("cross", 3, 2, "vertex"))
+@example(("polytope3", 4, 1, "parallel"))
+@example(("polytope3", 5, 2, "parallel"))
+@example(("cross", 6, 2, "parallel"))
+def test_facet_fans_split_each_set_as_its_hull(case):
+    kind, seed, m, mode = case
+    rng = np.random.default_rng(seed)
+    K = (random_polytope(rng, 3, int(rng.integers(5, 11))) if kind == "polytope3"
+         else Polytope.named(kind, 3))
+    shifts, fraction = fan_shifts(K, seed, m, mode)
+    pts, sizes, slack = polytope._intersection_vertices(K, shifts)
+    simplices, counts = _quad.triangulate_vertices(3, pts, sizes, slack)
+    volume = _quad.segment_sums(_quad.simplex_volumes(simplices), counts)
+    solid = np.repeat(sizes > 3, sizes)
+    _, _, fanned = _quad.facet_fans(pts[solid], sizes[sizes > 3], slack[solid])
+    assert fanned[np.isin(fraction[sizes > 3], GENERIC)].all()  # no hull for these
+    ends = np.cumsum(sizes)
+    for s, size in enumerate(sizes):
+        own = pts[ends[s] - size:ends[s]]
+        if fraction[s] == 1.0 or size <= 3:
+            assert volume[s] == 0.0 and counts[s] == 0
+            continue
+        hull = ConvexHull(own)
+        # a nearly touching pair's set is 1e-7 thin: both splits round at
+        # 1e-16 of K's scale, far above 1e-12 of its own volume
+        assert volume[s] == pytest.approx(hull.volume, rel=1e-12, abs=1e-15 * K.volume)
+        assert counts[s] == len(hull.simplices)
+    touching = shifts[fraction == 1.0]
+    assert covariogram(K, WeightedMeasure.lebesgue(3), touching).tolist() == [0.0]
+
+
+def prism_slack() -> tuple[np.ndarray, np.ndarray]:
+    """A triangular prism (2 triangles, 3 quadrilaterals: sum (k - 2) = 8 =
+    2V - 4) and its slack in its rows, the top triangle's row twice, as a
+    shift parallel to that facet gives."""
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pts = np.vstack([np.c_[tri, np.zeros(3)], np.c_[tri, np.ones(3)]])
+    A = np.array([[0, 0, -1], [0, 0, 1], [0, -1, 0], [-1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    b = np.array([0, 1, 0, 0, 1, 1])
+    norm = np.linalg.norm(A, axis=1)
+    return pts, polytope.row_slack(A / norm[:, None], b / norm, pts)
+
+
+def test_a_copied_face_does_not_hide_a_missed_point():
+    pts, slack = prism_slack()
+    simplices, counts, covered = _quad.facet_fans(pts, np.array([6]), slack)
+    assert covered.tolist() == [True] and counts.tolist() == [8]
+    assert _quad.simplex_volumes(simplices).sum() == pytest.approx(0.5, rel=1e-15)
+    # the face y = 0 misses (0, 0, 0): its k - 2 falls by 1, which the copy
+    # of the top triangle would make up if copies counted
+    slack[0, 2] = 1e-11
+    _, _, covered = _quad.facet_fans(pts, np.array([6]), slack)
+    assert covered.tolist() == [False]
+    assert polytope._volume_of_points(3, pts, [6], slack)[0] == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Every Qhull hull the package builds, by the number of its points."""
+    calls = []
+
+    def counting(points, *args, **kwargs):
+        calls.append(len(points))
+        return ConvexHull(points, *args, **kwargs)
+
+    for module in (polytope, _quad, sys.modules["covbody.projection"]):
+        monkeypatch.setattr(module, "ConvexHull", counting)
+    return calls
+
+
+def test_a_set_off_its_rows_takes_its_hull(hull_calls):
+    # two facets of this body meet at 7.5e-4 rad from flat; at r = 1e-6
+    # vertex enumeration keeps two basic solutions 1e-10 outside one row of
+    # that pair each (inside its TOL), and no incidence makes the set a
+    # polytope on these rows: fanned at INCIDENCE_TOL it came out
+    # 4e-9 of its volume short, so it takes its own hull
+    rng = rng_for(42, "direct-cells-polytope8-1")
+    K = random_polytope(rng, 3, 8)
+    theta = MDirection.normalized(rng.standard_normal((1, 3)))
+    pts, sizes, slack = polytope._intersection_vertices(K, 1e-6 * theta.blocks[None])
+    hull_calls.clear()
+    volume = polytope._volume_of_points(3, pts, sizes, slack)
+    assert hull_calls == [len(pts)]
+    assert volume[0] == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
+
+
+class TestNoHullPerShift:
+    """In R^3 an intersection's vertex set is split from the rows its
+    points meet: the only Qhull hull of a job is its body's."""
+
+    @pytest.mark.parametrize("body", [
+        {"type": "named", "name": "cross", "dim": 3},
+        {"type": "vrep", "vertices": np.random.default_rng(8).standard_normal((9, 3)).tolist()}])
+    def test_a_variational_job_builds_one_hull(self, hull_calls, body):
+        job = {"command": "verify-variational", "body": body, "params": {"directions": 12}}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(job) == 0
+        assert len(hull_calls) == 1
+
+    @pytest.mark.parametrize("density", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_ray_profile_builds_no_hull(self, hull_calls, density, m):
+        K = random_polytope(np.random.default_rng(9), 3, 8)
+        mu = batch_measure(density, 3)
+        hull_calls.clear()
+        theta = MDirection.normalized(np.random.default_rng(10).standard_normal((m, 3)))
+        ray = CovRay(K, mu, theta)
+        assert ray.profile().pieces > 1
+        assert hull_calls == []
+
+
 def count_calls(code, fn):
     """Calls of a code object while fn runs, counted by the profiler hook
     (as the job benchmark's own test counts them), and fn's result."""

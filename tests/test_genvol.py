@@ -10,7 +10,7 @@ from scipy.special import gamma, gammainc
 
 import covbody.genvol as genvol
 from covbody import cli
-from covbody.covariogram import CovRay, covariogram
+from covbody.covariogram import CovRay, MDirection, covariogram, diffbody_radial
 from covbody.errors import InputError, NumericError
 from covbody.genvol import (KernelG, affine_ray_fn, beta_constant,
                             capped_ray_fn, chord_lower_check,
@@ -287,6 +287,33 @@ class TestCovariogramFixture:
             rho, got, _, _ = f.rays(theta[None], t)
             want = [covariogram(K, mu, x * theta.reshape(m, 2)) ** 0.5 for x in rho[0] * t]
             assert np.abs(got[0] - want).max() <= 1e-10 * mu.mass(K) ** 0.5
+
+    @pytest.mark.parametrize("K, count", [
+        (random_polygon(np.random.default_rng(4), 6), 64),
+        (random_polygon(np.random.default_rng(5), 5), 32),
+        (Polytope.named("cross", 3), 32)], ids=["hexagon", "pentagon", "cross3"])
+    def test_rho_D_of_the_fixture_is_the_lp_value(self, K, count):
+        # at m = 1 the fixture reads rho_D of all its rays from one
+        # radial_batch of K - K; every other ray solves the LP of
+        # `diffbody_radial`
+        quad = sphere_quadrature(K.dim, count=count, seed=3)
+        rho, _, _, _ = covariogram_ray_fn(K, WeightedMeasure.lebesgue(K.dim), 1, 0.5).rays(
+            quad.nodes, np.array([0.5]))
+        lp = [diffbody_radial(K, MDirection(u[None])) for u in quad.nodes]
+        np.testing.assert_allclose(rho, lp, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("K, m", [(Polytope.named("cube", 3), 2),
+                                      (Polytope.named("cube", 2), 3)], ids=["cube3-m2", "square-m3"])
+    def test_from_m_2_each_ray_solves_its_lp(self, monkeypatch, K, m):
+        # the hull of D^2 of the cube (512 points in R^6) costs as much as
+        # about 1800 of these LPs
+        monkeypatch.setattr(genvol, "diffbody_polytope",
+                            lambda *args: pytest.fail("D^m(K) was built"))
+        quad = sphere_quadrature(K.dim * m, count=4, seed=3)
+        rho, _, _, _ = covariogram_ray_fn(K, WeightedMeasure.lebesgue(K.dim), m, 0.5).rays(
+            quad.nodes, np.array([0.5]))
+        lp = [diffbody_radial(K, MDirection(u.reshape(m, K.dim))) for u in quad.nodes]
+        np.testing.assert_array_equal(rho, lp)
 
     def test_chord_check_reads_one_fit_per_ray(self, monkeypatch):
         # the chord rules' radii cost no evaluation beyond the ray's fit:
