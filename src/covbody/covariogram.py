@@ -32,9 +32,9 @@ from numpy.polynomial.chebyshev import chebval
 from ._quad import _frozen, chebyshev_01, gauss_01
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure, _integrate_points
-from .polytope import (TOL, Polytope, StarBodyFn, _basic_solutions,
+from .polytope import (DEDUPE_BLOCK, TOL, Polytope, StarBodyFn, _basic_solutions,
                        _build_from_points, _intersection_vertices, lifted_system)
-from .simplexlp import solve_lp_max
+from .simplexlp import _dot, solve_lp_max
 
 
 @dataclass(frozen=True)
@@ -106,24 +106,54 @@ def covariogram(K: Polytope, mu: WeightedMeasure,
     return values if shifts.ndim == 3 else float(values[0])
 
 
-def diffbody_radial(K: Polytope, theta: MDirection | Sequence[Sequence[float]]) -> float:
+def diffbody_radial(K: Polytope, theta: MDirection | np.ndarray) -> float | np.ndarray:
     """rho_{D^m(K)}(thetabar) by the defining LP:
 
     maximize r subject to y in K and y - r theta_i in K, over (y, r).
-    """
-    theta = as_mdirection(theta)
-    n = K.dim
-    if theta.n != n:
+
+    theta is one direction, an MDirection or its blocks (m, n), which gives
+    a float, or a stack of blocks (N, m, n), which gives the N values from
+    one stacked `solve_lp_max` call per DEDUPE_BLOCK floats of constraints.
+    Each LP's c = A theta_i is summed row by row, so a direction's value is
+    the same bits whatever stack it rides in."""
+    single = isinstance(theta, MDirection) or np.ndim(theta) < 3
+    if single:
+        stack = as_mdirection(theta).blocks[None]
+    else:
+        stack = np.asarray(theta, dtype=float)
+        nrm2 = (stack * stack).sum(axis=(1, 2))
+        off = np.abs(nrm2 - 1.0) > 1e-12
+        if off.any():
+            i = int(off.argmax())
+            raise InputError(f"direction {i} of {len(stack)} must be unit: "
+                             f"sum |theta_i|^2 = {nrm2[i]}")
+    if stack.shape[-1] != K.dim:
         raise InputError("direction dimension mismatch")
+    S, m, n = stack.shape
     # y - r theta_i in K for every i: A y - r c <= b in the lifted system
-    A, b, c = lifted_system(K, theta.blocks)
+    A = K.lifted_table(m + 1).A
+    h = len(K.b)
+    b = np.concatenate([K.b] * (m + 1))
     objective = np.zeros(n + 1)
     objective[-1] = 1.0
-    x0 = np.concatenate([K.interior_point, [0.0]])
-    res = solve_lp_max(objective, np.hstack([A, -c[:, None]]), b, x0)
-    if res.status != "optimal":
-        raise NumericError(f"difference-body LP did not converge ({res.status})")
-    return float(res.value)
+    x0 = np.zeros(n + 1)
+    x0[:n] = K.interior_point
+    rho = np.empty(S)
+    step = max(1, DEDUPE_BLOCK // A.size)
+    for s in range(0, S, step):
+        part = stack[s:s + step]
+        M = np.zeros((len(part), len(A), n + 1))
+        M[:, :, :n] = A
+        M[:, h:, n] = -_dot(K.A, part[:, :, None, :]).reshape(len(part), -1)
+        res = solve_lp_max(objective, M, b, x0)
+        bad = res.status != "optimal"
+        if bad.any():
+            i = int(bad.argmax())
+            raise NumericError(
+                f"difference-body LP {s + i} of {S} did not converge ({res.status[i]}), "
+                f"direction {np.round(stack[s + i].reshape(-1), 6).tolist()}")
+        rho[s:s + step] = res.value
+    return float(rho[0]) if single else rho
 
 
 def diffbody_polytope(K: Polytope, m: int) -> Polytope:
@@ -148,10 +178,8 @@ def diffbody_star(K: Polytope, m: int, method: str = "hull") -> StarBodyFn:
         origin = np.zeros(d)
         return StarBodyFn(d, lambda dirs: D.radial_batch(dirs, origin))
     if method == "lp":
-        def rad(dirs: np.ndarray) -> np.ndarray:
-            return np.array([diffbody_radial(K, MDirection(np.asarray(u).reshape(m, -1)))
-                             for u in dirs])
-        return StarBodyFn(d, rad)
+        return StarBodyFn(d, lambda dirs: diffbody_radial(
+            K, np.asarray(dirs, dtype=float).reshape(-1, m, K.dim)))
     raise InputError(f"unknown diffbody method {method!r}")
 
 

@@ -280,8 +280,9 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, s: float) -> ConcaveRayFn
     projection body. f is concave along rays when mu is s-concave; the
     caller checks that class. mu(K) is read once. At m = 1 rho_D of a set
     of rays comes from one `radial_batch` of the polytope K - K, a hull of
-    V^2 points in R^n; at m >= 2 each ray solves its own LP, since the hull
-    of D^m(K) (V^(m+1) points in R^(nm)) costs as much as hundreds to
+    V^2 points in R^n; at m >= 2 from one stacked `diffbody_radial` call,
+    the LPs of all the rays in one simplex tableau, since the hull of
+    D^m(K) (V^(m+1) points in R^(nm)) costs as much as hundreds to
     thousands of them."""
     if s <= 0:
         raise InputError("the covariogram fixture needs s > 0")
@@ -294,7 +295,7 @@ def covariogram_ray_fn(K, mu: WeightedMeasure, m: int, s: float) -> ConcaveRayFn
         dirs = np.asarray(dirs, dtype=float)
         thetas = [MDirection(u.reshape(m, n)) for u in dirs]
         if D is None:
-            rho = np.array([diffbody_radial(K, theta) for theta in thetas])
+            rho = diffbody_radial(K, dirs.reshape(-1, m, n))
         else:
             rho = D.radial_batch(dirs, np.zeros(n * m))
         g = np.empty((len(dirs), len(t)))

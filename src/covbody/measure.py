@@ -180,9 +180,12 @@ class WeightedMeasure:
 
 
 def integrate_over_polytope(mu: WeightedMeasure, P: Polytope | None) -> float:
-    """mu(P); 0 for empty/degenerate P."""
+    """mu(P); 0 for empty/degenerate P. Under a constant density c it is c
+    times the body's volume, which needs no triangulation."""
     if P is None or P.is_degenerate:
         return 0.0
+    if mu.exact:
+        return mu.density.c * P.volume
     return float(_integrate_points(mu, P.dim, P.vertices, [len(P.vertices)], P.slack)[0])
 
 

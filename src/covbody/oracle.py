@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError
+from .polytope import DEDUPE_BLOCK
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -82,7 +83,9 @@ def mc_measure(density: Callable[[np.ndarray], np.ndarray],
                n_samples: int = 100_000, seed: int = 42,
                tag: str = "mc-measure") -> tuple[float, float]:
     """Rejection estimate of int phi * chi over the box: (estimate, stderr).
-    The standard error needs at least 2 samples."""
+    The standard error needs at least 2 samples. The samples are drawn at
+    once; membership and density take them a chunk of DEDUPE_BLOCK floats
+    at a time."""
     if int(n_samples) < 2:
         raise InputError(f"the Monte Carlo estimate needs at least 2 samples, got {n_samples}")
     lo = np.asarray(box[0], dtype=float)
@@ -91,8 +94,12 @@ def mc_measure(density: Callable[[np.ndarray], np.ndarray],
         raise InputError("empty bounding box")
     rng = rng_for(seed, tag)
     X = lo + (hi - lo) * rng.random((int(n_samples), len(lo)))
-    inside = np.asarray(membership(X), dtype=bool)
-    vals = np.where(inside, np.asarray(density(X), dtype=float), 0.0)
+    vals = np.empty(len(X))
+    step = max(1, DEDUPE_BLOCK // len(lo))
+    for s in range(0, len(X), step):
+        part = X[s:s + step]
+        inside = np.asarray(membership(part), dtype=bool)
+        vals[s:s + step] = np.where(inside, np.asarray(density(part), dtype=float), 0.0)
     boxvol = float(np.prod(hi - lo))
     est = boxvol * float(vals.mean())
     se = boxvol * float(vals.std(ddof=1)) / math.sqrt(len(vals))

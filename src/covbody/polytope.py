@@ -33,7 +33,6 @@ from scipy.spatial import ConvexHull, QhullError
 from ._quad import (hull_simplices, order_polygon, segment_sums, simplex_volumes,
                     triangulate_vertices)
 from .errors import InputError, NumericError, job_field, job_number, spec_kind
-from .simplexlp import solve_lp_max
 
 TOL = 1e-9
 
@@ -415,17 +414,24 @@ class Polytope:
 
     def radial_batch(self, dirs: np.ndarray, base: Sequence[float] | None = None) -> np.ndarray:
         """rho_{P-base}(u) for each row u of dirs; base defaults to the
-        cached interior point and must be strictly interior."""
+        cached interior point and must be strictly interior. The directions
+        go a chunk at a time, each chunk's (H, N) ratios within DEDUPE_BLOCK
+        floats, and a direction's radius is the same bits in any chunk."""
         if self.is_degenerate:
             raise InputError("radial undefined for degenerate polytope")
         base = self.interior_point if base is None else np.asarray(base, dtype=float)
         slack = self.b - self.A @ base
         if slack.min() <= 0:
             raise InputError("radial base point is not interior")
-        denom = self.A @ np.asarray(dirs, dtype=float).T  # (H, N)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(denom > 1e-13, slack[:, None] / denom, np.inf)
-        rho = ratios.min(axis=0)
+        dirs = np.asarray(dirs, dtype=float)
+        rho = np.empty(len(dirs))
+        step = max(1, DEDUPE_BLOCK // len(self.A))
+        for s in range(0, len(dirs), step):
+            # einsum, not a matmul: one fixed loop, whatever the chunk
+            denom = np.einsum("hj,nj->hn", self.A, dirs[s:s + step])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(denom > 1e-13, slack[:, None] / denom, np.inf)
+            rho[s:s + step] = ratios.min(axis=0)
         if not np.isfinite(rho).all():
             raise NumericError("radial ray never exits the polytope (unbounded?)")
         return rho
@@ -505,14 +511,21 @@ def _build_from_points(dim: int, pts: np.ndarray, allow_degenerate: bool) -> Pol
 
 
 def _check_bounded(A: np.ndarray, b: np.ndarray, x0: np.ndarray) -> None:
-    """Boundedness via LPs along +-e_i; raises InputError when unbounded."""
+    """Boundedness via one stack of LPs along +-e_i; raises InputError when
+    one is unbounded."""
+    # simplexlp reads DEDUPE_BLOCK from this module
+    from .simplexlp import solve_lp_max
+
     n = A.shape[1]
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = sgn
-            if solve_lp_max(c, A, b, x0).status == "unbounded":
-                raise InputError("halfspace system is unbounded")
+    objectives = np.kron(np.eye(n), [[1.0], [-1.0]])  # e_1, -e_1, e_2, ...
+    status = solve_lp_max(objectives, np.broadcast_to(A, (2 * n, *A.shape)), b, x0).status
+    if (status == "unbounded").any():
+        raise InputError("halfspace system is unbounded")
+    stuck = np.flatnonzero(status == "limit")
+    if stuck.size:
+        i = int(stuck[0])
+        raise NumericError(f"boundedness LP {i} of {2 * n}, along {'+-'[i % 2]}e_{i // 2 + 1}, "
+                           f"reached the simplex iteration limit")
 
 
 # -- module-level operations (thin wrappers over the method forms) ----------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import gauss_01, simplex_rule, triangulate_vertices
-from .covariogram import CovRay, MDirection, diffbody_polytope, diffbody_star
+from .covariogram import CovRay, MDirection, diffbody_polytope, diffbody_radial, diffbody_star
 from .errors import InputError, NumericError
 from .measure import WeightedMeasure
 from .oracle import sphere_quadrature
@@ -143,20 +143,21 @@ def chain_check(K: Polytope, mu: WeightedMeasure, spec: ChainSpec) -> VerifyRepo
               + [f"p={p:g}" for p in desc] + ["endpoint"])
 
     body = ProjectionBody(K, mu, spec.m)
-    dirs = direction_mesh(K.dim * spec.m, spec.directions, spec.seed)
+    blocks = direction_mesh(K.dim * spec.m, spec.directions, spec.seed).reshape(
+        -1, spec.m, K.dim)
+    rho_D = diffbody_radial(K, blocks)
     rows = []
     worst = math.inf
     worst_pair = (0.0, 1.0)
-    for idx, u in enumerate(dirs):
-        theta = MDirection(u.reshape(spec.m, K.dim))
-        ray = CovRay(K, mu, theta)
+    for idx, theta in enumerate(map(MDirection, blocks)):
+        ray = CovRay._read(K, mu, theta, muK, rho_D[idx])
         h_pi = body.support(theta)
         terms = [ray.rho_D] if include_D else []
         try:
             for c, p in zip(consts, desc):
                 terms.append(c * rmb_radial_mellin(K, mu, p, theta, ray=ray, h_pi=h_pi))
         except NumericError as exc:
-            raise NumericError(f"chain direction {idx} of {len(dirs)}: {exc}") from exc
+            raise NumericError(f"chain direction {idx} of {len(blocks)}: {exc}") from exc
         terms.append(endpoint / h_pi)
         row: dict[str, float] = {"direction": idx}
         row.update(zip(labels, terms))
@@ -172,7 +173,7 @@ def chain_check(K: Polytope, mu: WeightedMeasure, spec: ChainSpec) -> VerifyRepo
         lhs=worst_pair[0], rhs=worst_pair[1],
         ratio=worst_pair[0] / worst_pair[1],
         bound=1.0, margin=worst + slack, passed=bool(passed),
-        samples=len(dirs), seed=spec.seed, tolerance=slack,
+        samples=len(blocks), seed=spec.seed, tolerance=slack,
         notes="terms " + " <= ".join(labels) + "; worst adjacent pair reported",
         rows=tuple(rows),
     )

@@ -19,6 +19,8 @@ from covbody.errors import InputError, NumericError
 from covbody.measure import WeightedMeasure
 from covbody.oracle import sphere_quadrature
 from covbody.polytope import Polytope, lifted_system
+from covbody import simplexlp
+from covbody.simplexlp import _TOL, LPResult
 
 
 def grid_covariogram(K: Polytope, mu: WeightedMeasure, shifts,
@@ -112,6 +114,55 @@ def qhull_breakpoints(ray: CovRay) -> np.ndarray:
     if len(r) == 0:
         return r
     return r[np.concatenate([[True], np.diff(r) > tol])]
+
+
+def scalar_lp_max(c, A, b, x0) -> LPResult:
+    """max c.x over {A x <= b} from the feasible x0 by one dense tableau and
+    a per-pivot loop: Bland's entering column, then the smallest basic
+    index among the min-ratio rows within `simplexlp._TOL`. The reference
+    for each LP of a stacked `solve_lp_max`: A x0 and c.x are summed row
+    by row, as there, so their bits agree."""
+    c, A, b, x0 = (np.asarray(v, dtype=float) for v in (c, A, b, x0))
+    m, n = A.shape
+    slack0 = b - (A * x0).sum(axis=1)
+    if slack0.min() < -1e-7:
+        raise InputError("LP start point is infeasible")
+    ncols = 2 * n + m
+    T = np.zeros((m + 1, ncols + 1))
+    T[:m, :n] = A
+    T[:m, n:2 * n] = -A
+    T[:m, 2 * n:2 * n + m] = np.eye(m)
+    T[:m, -1] = np.maximum(slack0, 0.0)
+    T[m, :n] = -c
+    T[m, n:2 * n] = c
+    basis = list(range(2 * n, 2 * n + m))
+    for _ in range(simplexlp.MAX_ITER):
+        eligible = np.flatnonzero(T[m, :ncols] < -_TOL)
+        if not eligible.size:
+            break
+        entering = eligible[0]
+        col = T[:m, entering]
+        pos = col > _TOL
+        if not np.any(pos):
+            return LPResult("unbounded", None, np.inf)
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / col[pos]
+        rmin = ratios.min()
+        rows = np.nonzero(ratios <= rmin + _TOL * (1 + abs(rmin)))[0]
+        leave = min(rows, key=lambda r: basis[r])
+        T[leave] /= T[leave, entering]
+        factor = T[:, entering].copy()
+        factor[leave] = 0.0
+        T -= factor[:, None] * T[leave]
+        basis[leave] = entering
+    else:
+        raise NumericError("simplex iteration limit reached")
+    z = np.zeros(2 * n)
+    for r, j in enumerate(basis):
+        if j < 2 * n:
+            z[j] = T[r, -1]
+    x = x0 + z[:n] - z[n:2 * n]
+    return LPResult("optimal", x, float((c * x).sum()))
 
 
 def _quad_checked(fn, lo: float, hi: float) -> float:

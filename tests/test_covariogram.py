@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import json
 import math
 import sys
 
@@ -12,13 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from covbody import _quad, cli, measure, polytope
+from covbody import _quad, cli, measure, polytope, simplexlp
 from covbody.covariogram import (CovRay, MDirection, as_mdirection, covariogram,
                                  covariogram_slice, diffbody_polytope,
                                  diffbody_radial, diffbody_star, roof)
+from covbody.errors import InputError
 from covbody.measure import GaussianDensity, WeightedMeasure
 from covbody.oracle import mc_measure, rng_for, sphere_quadrature
-from covbody.polytope import Polytope, StarBodyFn, intersect_translates
+from covbody.polytope import Polytope, StarBodyFn, intersect_translates, star_volume
 from helpers import gauss_box_mass, grid_covariogram, random_polygon, random_polytope
 
 SQUARE = Polytope.named("cube", 2)
@@ -184,6 +186,67 @@ class TestDiffbodyRadial:
                 outside = covariogram(TRIANGLE, LEB2, (1 + 1e-4) * rho * bar)
                 assert inside > 0.0
                 assert outside == 0.0
+
+
+class TestDiffbodyRadialStack:
+    BODIES = {"triangle": TRIANGLE, "hexagon": random_polygon(np.random.default_rng(4), 6),
+              "cube": Polytope.named("cube", 3),
+              "polytope3": random_polytope(np.random.default_rng(5), 3, 8)}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    def test_a_direction_is_the_same_bits_alone_and_in_a_stack(self, monkeypatch, name, m):
+        K = self.BODIES[name]
+        blocks = sphere_quadrature(K.dim * m, count=24, seed=6).nodes.reshape(-1, m, K.dim)
+        stack = diffbody_radial(K, blocks)
+        assert stack.shape == (len(blocks),)
+        alone = [diffbody_radial(K, bl) for bl in blocks]
+        assert all(isinstance(r, float) for r in alone)
+        np.testing.assert_array_equal(stack, alone)
+        np.testing.assert_array_equal(
+            [diffbody_radial(K, MDirection(bl)) for bl in blocks], alone)
+        order = np.random.default_rng(m).permutation(len(blocks))
+        np.testing.assert_array_equal(diffbody_radial(K, blocks[order]), stack[order])
+        # one LP per chunk of directions and per tableau chunk
+        from covbody import covariogram as cov_module
+        for module in (cov_module, simplexlp):
+            monkeypatch.setattr(module, "DEDUPE_BLOCK", 1)
+        np.testing.assert_array_equal(diffbody_radial(K, blocks), stack)
+
+    def test_the_stack_matches_the_hull_route(self):
+        K = self.BODIES["hexagon"]
+        dirs = sphere_quadrature(4, count=64, seed=2).nodes
+        D = diffbody_polytope(K, 2)
+        np.testing.assert_allclose(diffbody_radial(K, dirs.reshape(-1, 2, 2)),
+                                   D.radial_batch(dirs, np.zeros(4)), rtol=1e-12)
+
+    def test_a_direction_off_the_sphere_is_named(self):
+        blocks = np.tile(np.array([[[1.0, 0.0]]]), (3, 1, 1))
+        blocks[1] *= 1.5
+        with pytest.raises(InputError, match="direction 1 of 3 must be unit"):
+            diffbody_radial(TRIANGLE, blocks)
+        with pytest.raises(InputError, match="dimension mismatch"):
+            diffbody_radial(TRIANGLE, np.ones((2, 1, 3)) / math.sqrt(3))
+
+    def test_a_diffbody_lp_job_makes_one_lp_call(self, monkeypatch, tmp_path):
+        from covbody import covariogram as cov_module
+        calls = []
+        real = cov_module.solve_lp_max
+
+        def counted(c, A, b, x0):
+            calls.append(np.shape(A))
+            return real(c, A, b, x0)
+
+        monkeypatch.setattr(cov_module, "solve_lp_max", counted)
+        out = tmp_path / "out.json"
+        job = {"command": "diffbody", "body": {"type": "named", "name": "simplex", "dim": 2},
+               "params": {"m": 2, "count": 400}, "outfile": str(out)}
+        assert cli.run(job) == 0
+        assert calls == [(400, 9, 3)]
+        # the hull route's radii on the job's sphere rule (seed 42)
+        hull = star_volume(diffbody_star(TRIANGLE, 2, "hull"),
+                           sphere_quadrature(4, count=400, seed=42))
+        assert json.loads(out.read_text())["result"]["volume"] == pytest.approx(hull, rel=1e-12)
 
 
 class TestConcavity:

@@ -15,7 +15,8 @@ from covbody.measure import (ConstantDensity, GaussianDensity,
                              weighted_surface_measure)
 from covbody.oracle import rng_for
 from covbody.polytope import LinearMap, Polytope, apply_linear
-from helpers import gauss_box_mass, parallel_body_difference
+from helpers import (gauss_box_mass, parallel_body_difference, random_polygon,
+                     random_polytope)
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -25,6 +26,27 @@ class TestIntegrate:
     def test_constant(self):
         mu = WeightedMeasure(ConstantDensity(2, 2.0))
         assert integrate_over_polytope(mu, SQUARE) == pytest.approx(2.0)
+
+    def test_constant_density_reads_the_volume(self, monkeypatch):
+        # c times the body's volume, within 1e-15 of the triangulated
+        # integral of the same body, and no triangulation runs
+        rng = rng_for(8, "constant-mass")
+        bodies = [Polytope.named(name, d) for name in ("simplex", "cube", "cross")
+                  for d in (2, 3)]
+        bodies += [random_polygon(rng, int(k)) for k in rng.integers(3, 9, 8)]
+        bodies += [random_polytope(rng, 3, int(k)) for k in rng.integers(4, 14, 8)]
+        for K in bodies:
+            mu = WeightedMeasure(ConstantDensity(K.dim, 2.5))
+            fanned = measure_mod._integrate_points(mu, K.dim, K.vertices,
+                                                   [len(K.vertices)], K.slack)[0]
+            with monkeypatch.context() as mp:
+                mp.setattr(measure_mod, "_volume_of_points",
+                           lambda *a: pytest.fail("triangulated"))
+                mp.setattr(measure_mod, "triangulate_vertices",
+                           lambda *a: pytest.fail("triangulated"))
+                got = integrate_over_polytope(mu, K)
+            assert got == 2.5 * K.volume
+            assert abs(got - fanned) <= 1e-15 * fanned
 
     def test_empty_is_zero(self):
         mu = WeightedMeasure.lebesgue(2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from covbody import oracle
 from covbody.errors import InputError
 from covbody.oracle import mc_measure, rng_for, sphere_quadrature
 from helpers import gauss_box_mass
@@ -108,3 +109,22 @@ class TestMcMeasure:
                 lambda X: (X.sum(axis=1) <= 1.0),
                 ([0.0, 0.0], [1.0, 1.0]))
         assert mc_measure(*args, seed=9) == mc_measure(*args, seed=9)
+
+    def test_the_chunks_change_no_bit(self, monkeypatch):
+        # the samples are drawn once; membership and density take them a
+        # chunk at a time
+        seen = []
+
+        def member(X):
+            seen.append(len(X))
+            return (X @ np.array([1.0, 2.0, -0.5]) <= 1.0)
+
+        args = (lambda X: np.exp(-0.5 * (X * X).sum(axis=1)), member,
+                ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]))
+        whole = mc_measure(*args, n_samples=5000, seed=3)
+        assert seen == [5000]
+        for budget in (3, 3 * 777, 3 * 4999):
+            monkeypatch.setattr(oracle, "DEDUPE_BLOCK", budget)
+            seen.clear()
+            assert mc_measure(*args, n_samples=5000, seed=3) == whole
+            assert max(seen) == budget // 3 and sum(seen) == 5000

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covbody import polytope
 from covbody.errors import InputError
 from covbody.oracle import mc_measure, rng_for, sphere_quadrature
 from covbody.polytope import (LinearMap, Polytope, StarBodyFn, apply_linear,
                               intersect_translates, star_volume)
+from helpers import random_polytope
 
 SQUARE = Polytope.named("cube", 2)
 TRIANGLE = Polytope.named("simplex", 2)
@@ -204,3 +206,14 @@ class TestStarVolume:
         quad = sphere_quadrature(4, 20_000, 42)
         val = star_volume(StarBodyFn.ball(4), quad)
         assert val == pytest.approx(math.pi**2 / 2, rel=3e-2)
+
+
+def test_radii_are_the_same_bits_in_any_chunk(monkeypatch):
+    # the directions go a chunk of DEDUPE_BLOCK floats of ratios at a time
+    P = random_polytope(rng_for(3, "radial-chunks"), 3, 12)
+    dirs = sphere_quadrature(3, count=999).nodes
+    whole = P.radial_batch(dirs)
+    np.testing.assert_array_equal([P.radial(u) for u in dirs[:50]], whole[:50])
+    for budget in (1, len(P.A) * 7, len(P.A) * 500 + 3):
+        monkeypatch.setattr(polytope, "DEDUPE_BLOCK", budget)
+        np.testing.assert_array_equal(P.radial_batch(dirs), whole)

@@ -124,6 +124,25 @@ class TestChain:
         assert rep.passed
         assert "rho_D" not in rep.rows[0]
 
+    def test_the_rays_share_one_mass_and_one_lp_stack(self, monkeypatch):
+        # mu(K) is read once for all the directions, and their rho_D come
+        # from one stacked difference-body call, the same bits as alone
+        from covbody import verify as verify_mod
+        mu = WeightedMeasure(GaussianDensity(2, 1.0))
+        spec = ChainSpec(branch="s", p_list=(1.0,), s=0.25, m=2, directions=6)
+        want = chain_check(TRIANGLE, mu, spec)
+        masses, stacks = [], []
+        real_mass, real_radial = WeightedMeasure.mass, verify_mod.diffbody_radial
+        monkeypatch.setattr(WeightedMeasure, "mass",
+                            lambda self, P: masses.append(P) or real_mass(self, P))
+        monkeypatch.setattr(verify_mod, "diffbody_radial",
+                            lambda K, th: stacks.append(np.shape(th)) or real_radial(K, th))
+        rep = chain_check(TRIANGLE, mu, spec)
+        assert len(masses) == 1 and stacks == [(6, 2, 2)]
+        assert rep.rows == want.rows
+        for row, u in zip(rep.rows, direction_mesh(4, 6, spec.seed)):
+            assert row["rho_D"] == real_radial(TRIANGLE, u.reshape(2, 2))
+
     # g has kinks along these rays, so the Mellin route must integrate
     # between them to meet its gate at p = 3
     @pytest.mark.parametrize("seed", range(8))
